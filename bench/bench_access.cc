@@ -201,7 +201,7 @@ int Main(bool smoke) {
     bool ok = ratio <= kSmokeMaxColdWarmRatio;
     std::printf("perf-smoke: cold/warm ratio %.1fx (limit %.0fx) -- %s\n",
                 ratio, kSmokeMaxColdWarmRatio, ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+    return ok ? ShapeExitCode() : 1;
   }
 
   std::FILE* json = std::fopen("BENCH_access.json", "w");
@@ -234,7 +234,7 @@ int Main(bool smoke) {
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("wrote BENCH_access.json\n");
-  return 0;
+  return ShapeExitCode();
 }
 
 }  // namespace

@@ -99,7 +99,17 @@ inline void PrintHeader(const char* title) {
   std::printf("==== %s ====\n", title);
 }
 
+// Set by any paper-shape check that prints FAIL; DIVERGES (documented)
+// does not count. Every bench's main returns ShapeExitCode(), so a FAIL
+// exits 1 and the paper-shape ctests gate on it.
+inline bool& ShapeCheckFailed() {
+  static bool failed = false;
+  return failed;
+}
+inline int ShapeExitCode() { return ShapeCheckFailed() ? 1 : 0; }
+
 inline void PrintShapeCheck(bool ok, const std::string& claim) {
+  if (!ok) ShapeCheckFailed() = true;
   std::printf("paper-shape check: %s -- %s\n", ok ? "PASS" : "FAIL",
               claim.c_str());
 }

@@ -614,7 +614,7 @@ int Main(int argc, char** argv) {
   std::fprintf(json, "]\n");
   std::fclose(json);
   std::printf("wrote BENCH_scale.json\n");
-  return 0;
+  return ShapeExitCode();
 }
 
 }  // namespace

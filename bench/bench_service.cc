@@ -315,5 +315,5 @@ int main(int argc, char** argv) {
     }
   }
   wg::Run(metrics_json);
-  return 0;
+  return wg::bench::ShapeExitCode();
 }

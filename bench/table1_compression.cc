@@ -117,5 +117,5 @@ void Run() {
 
 int main() {
   wg::Run();
-  return 0;
+  return wg::bench::ShapeExitCode();
 }

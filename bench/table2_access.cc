@@ -168,5 +168,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   wg::PrintPaperTable();
-  return 0;
+  return wg::bench::ShapeExitCode();
 }

@@ -84,5 +84,5 @@ void Run() {
 
 int main() {
   wg::Run();
-  return 0;
+  return wg::bench::ShapeExitCode();
 }

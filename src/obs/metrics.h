@@ -32,9 +32,8 @@
 // a component opened in a loop should either reuse one registry-backed
 // stats struct or record into an unbound (private-cell) one.
 //
-// Handle value semantics deliberately mirror util/atomic_counter.h so the
-// existing stats structs (ReprStats, PagerStats) can swap AtomicCounter
-// for obs::Counter without touching any call site:
+// Handle value semantics let stats structs (ReprStats, PagerStats) hold
+// obs::Counter fields and use them like the uint64_t fields they replaced:
 //   * copy construction snapshots the value into a fresh private cell;
 //   * copy assignment stores the other handle's value into *this* cell
 //     (so `stats = ReprStats()` zeroes the counters but keeps their
@@ -104,7 +103,7 @@ struct HistogramCell {
 class MetricRegistry;
 
 // A monotonically increasing counter handle. See the header comment for
-// the AtomicCounter-compatible value semantics.
+// its integer-like value semantics.
 class Counter {
  public:
   Counter() : cell_(std::make_shared<internal::CounterCell>()) {}

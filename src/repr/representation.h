@@ -45,7 +45,7 @@ struct ReprStats {
   obs::Counter disk_seeks;
   obs::Counter disk_transfer_bytes;
   obs::Counter cache_hits;
-  obs::Counter cache_misses;
+  obs::Counter cache_misses;   // S-Node: blobs demand reads load from disk
   obs::Counter graphs_loaded;  // S-Node: lower-level graphs decoded
   // Build-side counters, bumped by SNodeRepr::Build's encode workers (many
   // threads at once when SNodeBuildOptions::threads > 1) -- they must stay

@@ -508,70 +508,113 @@ size_t SNodeRepr::QuarantinedSectionCount() const {
   return count;
 }
 
-Status SNodeRepr::SectionServable(uint32_t supernode) const {
-  if (!SectionQuarantined(supernode)) return Status::OK();
-  return Status::Unavailable("supernode section " + std::to_string(supernode) +
-                             " quarantined after corrupt blob");
-}
-
-void SNodeRepr::MaybeQuarantineSection(uint32_t supernode,
-                                       const Status& cause) {
-  // Only persistent damage quarantines; a transient I/O error (injected
-  // EIO, for instance) leaves the section retryable.
-  if (cause.code() != StatusCode::kCorruption) return;
-  if (section_quarantined_ == nullptr ||
-      supernode >= supernodes_.num_supernodes()) {
-    return;
-  }
-  uint64_t mask = uint64_t{1} << (supernode % 64);
-  uint64_t prev = section_quarantined_[supernode / 64].fetch_or(
-      mask, std::memory_order_relaxed);
-  if ((prev & mask) == 0) {
-    ++IntegrityCounters::Get().quarantined_sections;
-  }
-}
-
 void SNodeRepr::InstallLoadLogListener() {
   if (!options_.record_load_log) return;
-  cache_->set_event_listener([this](uint32_t blob_id, bool load) {
-    // Assembled-adjacency blocks (keys past the blob-id space) are derived
-    // state, not store I/O; the load log keeps reporting store blobs only,
-    // as the paper's Figure 11/12 accounting expects. The listener is
-    // installed before the store exists, so read num_blobs here (cache
-    // events only fire on the read path, after Build/Open finish).
-    if (store_ == nullptr || blob_id >= store_->num_blobs()) return;
+  // Loads are logged by ReadSectionBlobs, which sees every blob read from
+  // the store (assembly decodes some into scratch and never caches them);
+  // the cache reports evictions. Assembled-adjacency blocks (keys past the
+  // blob-id space) are derived state, not store I/O, so the log keeps
+  // reporting store blobs only, as the paper's Figure 11/12 accounting
+  // expects. The listener is installed before the store exists, so read
+  // num_blobs here (cache events only fire on the read path, after
+  // Build/Open finish).
+  cache_->set_event_listener([this](uint32_t key, bool load) {
+    if (load || store_ == nullptr || key >= store_->num_blobs()) return;
     std::lock_guard<std::mutex> lock(log_mutex_);
-    load_log_.push_back({blob_id, load});
+    load_log_.push_back({key, false});
   });
 }
 
-Status SNodeRepr::DecodeSectionBlob(uint32_t blob_id, uint32_t supernode,
-                                    uint32_t first_blob, const uint8_t* data,
-                                    size_t size,
-                                    ShardedGraphCache::Entry* entry) {
-  if (blob_id == first_blob) {
-    entry->intranode = std::make_unique<IntranodeGraph>();
+Status SNodeRepr::ReadSectionBlobs(uint32_t supernode, uint32_t first,
+                                   uint32_t last,
+                                   const std::vector<uint32_t>& wanted,
+                                   SNodeLoadSource source,
+                                   const BlobDecodeFn& decode) {
+  if (SectionQuarantined(supernode)) {
+    return Status::Unavailable("supernode section " +
+                               std::to_string(supernode) +
+                               " quarantined after corrupt blob");
+  }
+  std::vector<uint8_t> scratch;
+  std::vector<GraphStore::BlobSpan> blobs;
+  Status status;
+  {
+    // One disk arm (the paper's testbed): physical reads queue on
+    // io_mutex_, which also guards the seek/transfer counters the disk
+    // model is charged from. A pread store is waited for before the
+    // storage span opens, so queueing for the disk shows as cache time and
+    // the span times the read itself. A mapped store takes the lock only if
+    // a file falls back to pread, so zero-copy reads leave the disk model
+    // flat. Decoding below never holds it.
+    std::unique_lock<std::mutex> io_lock(io_mutex_, std::defer_lock);
+    if (!store_->mapped()) io_lock.lock();
+    {
+      obs::Span read_span("store.read_section", "storage");
+      read_span.AddArg("blobs", last - first + 1);
+      status = store_->ReadBlobs(first, last, &scratch, &blobs, &io_lock);
+    }
+    if (status.ok() && io_lock.owns_lock()) {
+      ++stats_.disk_reads;
+      disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
+                           &stats_);
+    }
+  }
+  size_t loaded = 0;
+  uint64_t bytes = 0;
+  while (status.ok() && loaded < wanted.size()) {
+    uint32_t id = wanted[loaded];
+    const GraphStore::BlobSpan& blob = blobs[id - first];
+    status = decode(id, blob.data, blob.length);
+    if (!status.ok()) break;
+    ++loaded;
+    bytes += blob.length;
+    if (options_.record_load_log) {
+      std::lock_guard<std::mutex> lock(log_mutex_);
+      load_log_.push_back({id, true});
+    }
+  }
+  stats_.bytes_read += bytes;
+  stats_.graphs_loaded += loaded;
+  if (source == SNodeLoadSource::kDemand) stats_.cache_misses += loaded;
+  cold_stats_.Bump(source, loaded, bytes);
+  // Only persistent damage quarantines the section; a transient I/O error
+  // (injected EIO, for instance) leaves it retryable.
+  if (status.code() == StatusCode::kCorruption) {
+    uint64_t mask = uint64_t{1} << (supernode % 64);
+    uint64_t prev = section_quarantined_[supernode / 64].fetch_or(
+        mask, std::memory_order_relaxed);
+    if ((prev & mask) == 0) ++IntegrityCounters::Get().quarantined_sections;
+  }
+  return status;
+}
+
+Status SNodeRepr::DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
+                                    const uint8_t* data, size_t size,
+                                    ShardedGraphCache::Entry* entry) const {
+  uint32_t index = blob_id - supernodes_.intranode_blob[supernode];
+  if (index == 0) {
+    if (entry->intranode == nullptr) {
+      entry->intranode = std::make_unique<IntranodeGraph>();
+    }
     WG_RETURN_IF_ERROR(DecodeIntranode(data, size, entry->intranode.get()));
     entry->bytes = entry->intranode->MemoryUsage();
-  } else {
-    // The builder lays the section out contiguously, so the (blob_id -
-    // first_blob - 1)-th outgoing superedge graph of `supernode`.
-    uint32_t edge_index =
-        supernodes_.offsets[supernode] + (blob_id - first_blob - 1);
-    entry->superedge = std::make_unique<SuperedgeGraph>();
-    WG_RETURN_IF_ERROR(DecodeSuperedge(
-        data, size, supernodes_.pages_in(supernode),
-        supernodes_.pages_in(supernodes_.targets[edge_index]),
-        entry->superedge.get()));
-    entry->bytes = entry->superedge->MemoryUsage();
+    return Status::OK();
   }
+  // Build lays each section out contiguously, so blob index k > 0 is the
+  // k-th outgoing superedge graph of `supernode`.
+  uint32_t e = supernodes_.offsets[supernode] + (index - 1);
+  if (entry->superedge == nullptr) {
+    entry->superedge = std::make_unique<SuperedgeGraph>();
+  }
+  WG_RETURN_IF_ERROR(DecodeSuperedge(
+      data, size, supernodes_.pages_in(supernode),
+      supernodes_.pages_in(supernodes_.targets[e]), entry->superedge.get()));
+  entry->bytes = entry->superedge->MemoryUsage();
   return Status::OK();
 }
 
 Result<SNodeRepr::EntryPtr> SNodeRepr::LoadBlob(uint32_t blob_id,
-                                                uint32_t supernode,
-                                                uint32_t first_blob) {
-  WG_RETURN_IF_ERROR(SectionServable(supernode));
+                                                uint32_t supernode) {
   ShardedGraphCache::Claim claim = cache_->BeginLoad(blob_id);
   if (claim.kind == ShardedGraphCache::ClaimKind::kHit) {
     // Cached, or another thread's singleflight decode completed while we
@@ -582,81 +625,29 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::LoadBlob(uint32_t blob_id,
   if (claim.kind == ShardedGraphCache::ClaimKind::kFailed) {
     return claim.status;
   }
-  ++stats_.cache_misses;
   obs::Span miss_span("cache.miss_load", "cache");
   miss_span.AddArg("blob", blob_id);
-
-  if (store_->mapped()) {
-    // Zero-copy path: decode straight out of the mapping. No io_mutex --
-    // there is no seek arm to serialize; the kernel demand-pages under
-    // concurrent readers just fine. The disk-model counters stay flat
-    // (mapped I/O is priced by wall-clock benches, not the 2001 model).
-    GraphStore::BlobSpan span;
-    Status read = store_->ReadBlobSpan(blob_id, &span);
-    if (read.ok()) {
-      stats_.bytes_read += span.length;
-      ++stats_.graphs_loaded;
-      cold_stats_.Bump(SNodeLoadSource::kDemand, 1, span.length);
-      ShardedGraphCache::Entry entry;
-      Status decoded = DecodeSectionBlob(blob_id, supernode, first_blob,
-                                         span.data, span.length, &entry);
-      if (!decoded.ok()) {
-        MaybeQuarantineSection(supernode, decoded);
-        cache_->Abort(blob_id, decoded);
-        return decoded;
-      }
-      return cache_->Publish(blob_id, std::move(entry));
-    }
-    if (read.code() != StatusCode::kUnavailable) {
-      MaybeQuarantineSection(supernode, read);
-      cache_->Abort(blob_id, read);
-      return read;
-    }
-    // Unavailable = the blob's file was quarantined out of the mapping;
-    // fall through to the pread path, which re-verifies the bytes.
-  }
-
-  std::vector<uint8_t> raw;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    obs::Span read_span("store.read_blob", "storage");
-    Status read = store_->ReadBlob(blob_id, &raw);
-    if (!read.ok()) {
-      MaybeQuarantineSection(supernode, read);
-      cache_->Abort(blob_id, read);
-      return read;
-    }
-    stats_.disk_reads += 1;
-    disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
-                         &stats_);
-  }
-  stats_.bytes_read += raw.size();
-  ++stats_.graphs_loaded;
-  cold_stats_.Bump(SNodeLoadSource::kDemand, 1, raw.size());
   ShardedGraphCache::Entry entry;
-  Status decoded;
-  {
-    obs::Span decode_span("snode.decode", "cache");
-    decoded = DecodeSectionBlob(blob_id, supernode, first_blob, raw.data(),
-                                raw.size(), &entry);
-  }
-  if (!decoded.ok()) {
-    MaybeQuarantineSection(supernode, decoded);
-    cache_->Abort(blob_id, decoded);
-    return decoded;
+  Status read = ReadSectionBlobs(
+      supernode, blob_id, blob_id, {blob_id}, SNodeLoadSource::kDemand,
+      [&](uint32_t id, const uint8_t* data, size_t size) {
+        obs::Span decode_span("snode.decode", "cache");
+        return DecodeSectionBlob(supernode, id, data, size, &entry);
+      });
+  if (!read.ok()) {
+    cache_->Abort(blob_id, read);
+    return read;
   }
   return cache_->Publish(blob_id, std::move(entry));
 }
 
 Result<SNodeRepr::EntryPtr> SNodeRepr::FetchIntranode(uint32_t supernode) {
-  uint32_t blob_id = supernodes_.intranode_blob[supernode];
-  return LoadBlob(blob_id, supernode, blob_id);
+  return LoadBlob(supernodes_.intranode_blob[supernode], supernode);
 }
 
 Result<SNodeRepr::EntryPtr> SNodeRepr::FetchSuperedge(
     uint32_t source_supernode, uint32_t edge_index) {
-  return LoadBlob(supernodes_.superedge_blob[edge_index], source_supernode,
-                  supernodes_.intranode_blob[source_supernode]);
+  return LoadBlob(supernodes_.superedge_blob[edge_index], source_supernode);
 }
 
 bool SNodeRepr::SectionWorthPrefetching(uint32_t supernode,
@@ -670,7 +661,6 @@ bool SNodeRepr::SectionWorthPrefetching(uint32_t supernode,
 }
 
 Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
-  WG_RETURN_IF_ERROR(SectionServable(supernode));
   uint32_t first = supernodes_.intranode_blob[supernode];
   uint32_t last = first + (supernodes_.offsets[supernode + 1] -
                            supernodes_.offsets[supernode]);
@@ -681,93 +671,22 @@ Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
   obs::Span prefetch_span("cache.prefetch_section", "cache");
   prefetch_span.AddArg("supernode", supernode);
   prefetch_span.AddArg("blobs", claimed.size());
-
-  if (store_->mapped()) {
-    // One madvise batches the section's page faults, then decode each
-    // claimed blob zero-copy out of the mapping. No io_mutex (no seek
-    // arm; demand paging is concurrency-safe).
-    store_->AdviseBlobs(first, last, RandomAccessFile::Advice::kWillNeed);
-    uint64_t loaded_bytes = 0;
-    for (size_t i = 0; i < claimed.size(); ++i) {
-      uint32_t id = claimed[i];
-      GraphStore::BlobSpan span;
-      size_t length = 0;
-      std::vector<uint8_t> fallback;
-      ShardedGraphCache::Entry entry;
-      Status read = store_->ReadBlobSpan(id, &span);
-      if (read.ok()) {
-        length = span.length;
-        read = DecodeSectionBlob(id, supernode, first, span.data, span.length,
-                                 &entry);
-      } else if (read.code() == StatusCode::kUnavailable) {
-        // Quarantined file: serve this blob via the verifying pread path.
-        {
-          std::lock_guard<std::mutex> lock(io_mutex_);
-          read = store_->ReadBlob(id, &fallback);
-          if (read.ok()) {
-            stats_.disk_reads += 1;
-            disk_tracker_.Absorb(store_->seek_ops(),
-                                 store_->transferred_bytes(), &stats_);
-          }
-        }
-        if (read.ok()) {
-          length = fallback.size();
-          read = DecodeSectionBlob(id, supernode, first, fallback.data(),
-                                   fallback.size(), &entry);
-        }
-      }
-      if (!read.ok()) {
-        MaybeQuarantineSection(supernode, read);
-        for (size_t j = i; j < claimed.size(); ++j) {
-          cache_->Abort(claimed[j], read);
-        }
-        cold_stats_.Bump(source, i, loaded_bytes);
-        return read;
-      }
-      stats_.bytes_read += length;
-      loaded_bytes += length;
-      ++stats_.graphs_loaded;
-      cache_->Publish(id, std::move(entry));
-    }
-    cold_stats_.Bump(source, claimed.size(), loaded_bytes);
-    return Status::OK();
+  size_t published = 0;
+  Status read = ReadSectionBlobs(
+      supernode, first, last, claimed, source,
+      [&](uint32_t id, const uint8_t* data, size_t size) {
+        ShardedGraphCache::Entry entry;
+        WG_RETURN_IF_ERROR(
+            DecodeSectionBlob(supernode, id, data, size, &entry));
+        cache_->Publish(id, std::move(entry));
+        ++published;
+        return Status::OK();
+      });
+  // Whatever the failed read left unpublished must still be resolved.
+  for (size_t i = published; i < claimed.size(); ++i) {
+    cache_->Abort(claimed[i], read);
   }
-
-  std::vector<std::vector<uint8_t>> blobs;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    obs::Span read_span("store.read_range", "storage");
-    Status read = store_->ReadBlobRange(first, last, &blobs);
-    if (!read.ok()) {
-      MaybeQuarantineSection(supernode, read);
-      for (uint32_t id : claimed) cache_->Abort(id, read);
-      return read;
-    }
-    stats_.disk_reads += 1;
-    disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
-                         &stats_);
-  }
-  uint64_t loaded_bytes = 0;
-  for (size_t i = 0; i < claimed.size(); ++i) {
-    uint32_t id = claimed[i];
-    const std::vector<uint8_t>& raw = blobs[id - first];
-    stats_.bytes_read += raw.size();
-    loaded_bytes += raw.size();
-    ++stats_.graphs_loaded;
-    ShardedGraphCache::Entry entry;
-    Status decoded = DecodeSectionBlob(id, supernode, first, raw.data(),
-                                       raw.size(), &entry);
-    if (!decoded.ok()) {
-      MaybeQuarantineSection(supernode, decoded);
-      for (size_t j = i; j < claimed.size(); ++j) {
-        cache_->Abort(claimed[j], decoded);
-      }
-      return decoded;
-    }
-    cache_->Publish(id, std::move(entry));
-  }
-  cold_stats_.Bump(source, claimed.size(), loaded_bytes);
-  return Status::OK();
+  return read;
 }
 
 std::vector<SNodeRepr::LoadEvent> SNodeRepr::load_log() const {
@@ -841,7 +760,6 @@ uint32_t SNodeRepr::AssembledKey(uint32_t supernode) const {
 // prefix-sum offsets -> fill pass -> per-page sort. Same bytes out; the
 // cold cost per edge drops to roughly decode + two array writes + sort.
 Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
-  WG_RETURN_IF_ERROR(SectionServable(supernode));
   const uint32_t key = AssembledKey(supernode);
   ShardedGraphCache::Claim claim = cache_->BeginLoad(key);
   if (claim.kind == ShardedGraphCache::ClaimKind::kHit) return claim.entry;
@@ -857,116 +775,53 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
   // Gather the section's decoded graphs. Blobs already decoded (by
   // decode-ahead, the warmer, or a lone probe) are pinned out of the cache;
   // the rest are read with one sequential section read and decoded into
-  // locals that die with this call. Skipping the per-blob singleflight
-  // machinery here matters: the assembled block is the only artifact worth
-  // caching on the streaming path, and routing every blob through
-  // BeginLoad/Publish costs more than the decode it would deduplicate.
-  auto fail = [&](const Status& s) -> Result<EntryPtr> {
-    MaybeQuarantineSection(supernode, s);
-    cache_->Abort(key, s);
-    return s;
-  };
+  // per-thread scratch. Skipping the per-blob singleflight machinery here
+  // matters: the assembled block is the only artifact worth caching on the
+  // streaming path, and routing every blob through BeginLoad/Publish costs
+  // more than the decode it would deduplicate.
   const uint32_t first_blob = supernodes_.intranode_blob[supernode];
   const uint32_t num_blobs = 1 + (e_end - e_begin);
   std::vector<EntryPtr> pins(num_blobs);
   const IntranodeGraph* ig_ptr = nullptr;
   std::vector<const SuperedgeGraph*> ses(e_end - e_begin, nullptr);
+  auto use = [&](uint32_t b, const ShardedGraphCache::Entry& entry) {
+    if (b == 0) {
+      ig_ptr = entry.intranode.get();
+    } else {
+      ses[b - 1] = entry.superedge.get();
+    }
+  };
   std::vector<uint32_t> missing;
   for (uint32_t b = 0; b < num_blobs; ++b) {
     EntryPtr cached = cache_->Lookup(first_blob + b);
-    if (cached != nullptr) {
-      if (b == 0) {
-        ig_ptr = cached->intranode.get();
-      } else {
-        ses[b - 1] = cached->superedge.get();
-      }
-      pins[b] = std::move(cached);
-    } else {
-      missing.push_back(b);
+    if (cached == nullptr) {
+      missing.push_back(first_blob + b);
+      continue;
     }
+    use(b, *cached);
+    pins[b] = std::move(cached);
   }
-  // Locally decoded graphs land in per-thread scratch that is reused
-  // across supernodes (grow-only, so the inner vectors keep their
-  // high-water capacity); the fill pass below copies everything it needs
-  // into the assembled CSR before the next call overwrites them.
-  thread_local IntranodeGraph ig_scratch;
-  thread_local std::vector<SuperedgeGraph> se_scratch;
-  size_t se_missing = missing.size();
-  if (!missing.empty() && missing[0] == 0) --se_missing;
-  if (se_scratch.size() < se_missing) se_scratch.resize(se_missing);
-  size_t next_scratch = 0;
-  auto decode_local = [&](uint32_t b, const uint8_t* data,
-                          size_t size) -> Status {
-    if (b == 0) {
-      WG_RETURN_IF_ERROR(DecodeIntranode(data, size, &ig_scratch));
-      ig_ptr = &ig_scratch;
-    } else {
-      uint32_t e = e_begin + (b - 1);
-      SuperedgeGraph* se = &se_scratch[next_scratch++];
-      WG_RETURN_IF_ERROR(DecodeSuperedge(
-          data, size, supernodes_.pages_in(supernode),
-          supernodes_.pages_in(supernodes_.targets[e]), se));
-      ses[b - 1] = se;
-    }
-    return Status::OK();
-  };
   if (!missing.empty()) {
-    if (store_->mapped()) {
-      store_->AdviseBlobs(first_blob, first_blob + num_blobs - 1,
-                          RandomAccessFile::Advice::kWillNeed);
-      uint64_t bytes = 0;
-      for (uint32_t b : missing) {
-        GraphStore::BlobSpan blob_span;
-        size_t length = 0;
-        Status read = store_->ReadBlobSpan(first_blob + b, &blob_span);
-        if (read.ok()) {
-          length = blob_span.length;
-          read = decode_local(b, blob_span.data, blob_span.length);
-        } else if (read.code() == StatusCode::kUnavailable) {
-          // Quarantined file: this blob via the verifying pread path.
-          std::vector<uint8_t> raw;
-          {
-            std::lock_guard<std::mutex> lock(io_mutex_);
-            read = store_->ReadBlob(first_blob + b, &raw);
-            if (read.ok()) {
-              stats_.disk_reads += 1;
-              disk_tracker_.Absorb(store_->seek_ops(),
-                                   store_->transferred_bytes(), &stats_);
-            }
-          }
-          if (read.ok()) {
-            length = raw.size();
-            read = decode_local(b, raw.data(), raw.size());
-          }
-        }
-        if (!read.ok()) return fail(read);
-        bytes += length;
-      }
-      stats_.bytes_read += bytes;
-      stats_.graphs_loaded += missing.size();
-      cold_stats_.Bump(SNodeLoadSource::kDemand, missing.size(), bytes);
-    } else {
-      std::vector<std::vector<uint8_t>> blobs;
-      {
-        std::lock_guard<std::mutex> lock(io_mutex_);
-        obs::Span read_span("store.read_range", "storage");
-        Status read = store_->ReadBlobRange(first_blob,
-                                            first_blob + num_blobs - 1, &blobs);
-        if (!read.ok()) return fail(read);
-        stats_.disk_reads += 1;
-        disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
-                             &stats_);
-      }
-      uint64_t bytes = 0;
-      for (uint32_t b : missing) {
-        const std::vector<uint8_t>& raw = blobs[b];
-        Status decoded = decode_local(b, raw.data(), raw.size());
-        if (!decoded.ok()) return fail(decoded);
-        bytes += raw.size();
-      }
-      stats_.bytes_read += bytes;
-      stats_.graphs_loaded += missing.size();
-      cold_stats_.Bump(SNodeLoadSource::kDemand, missing.size(), bytes);
+    // Locally decoded graphs land in per-thread scratch entries reused
+    // across supernodes (grow-only, so the inner vectors keep their
+    // high-water capacity); the fill pass below copies everything it needs
+    // into the assembled CSR before the next call overwrites them.
+    thread_local std::vector<ShardedGraphCache::Entry> scratch;
+    if (scratch.size() < missing.size()) scratch.resize(missing.size());
+    size_t next = 0;
+    Status read = ReadSectionBlobs(
+        supernode, first_blob, first_blob + num_blobs - 1, missing,
+        SNodeLoadSource::kDemand,
+        [&](uint32_t id, const uint8_t* data, size_t size) {
+          ShardedGraphCache::Entry& entry = scratch[next++];
+          WG_RETURN_IF_ERROR(
+              DecodeSectionBlob(supernode, id, data, size, &entry));
+          use(id - first_blob, entry);
+          return Status::OK();
+        });
+    if (!read.ok()) {
+      cache_->Abort(key, read);
+      return read;
     }
   }
   const IntranodeGraph& ig = *ig_ptr;

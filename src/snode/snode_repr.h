@@ -2,6 +2,7 @@
 #define WG_SNODE_SNODE_REPR_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -28,13 +29,23 @@
 // byte-budgeted sharded LRU cache on demand; every load/evict can be
 // recorded (the instrumentation the paper used to explain Figures 11/12).
 //
+// One read path: every byte this repr reads from the store goes through
+// ReadSectionBlobs, whether for a lone probe's single blob, a section
+// prefetch, or a supernode assembly. The store (storage/graph_store.h)
+// owns where bytes come from: mapping or pread, the fallback between
+// them, and CRC verification. ReadSectionBlobs owns what a read means
+// here: the quarantined-section check and quarantine on corruption,
+// io_mutex_ with the disk-model charge, the storage trace span, and every
+// load counter (disk_reads, bytes_read, graphs_loaded, cache_misses,
+// wg_cold_* by source, the load log).
+//
 // Concurrency: after Build/Open, the read path (GetLinks, VisitLinksInto,
 // PagesInDomain) is safe to call from many threads at once -- this is what
 // the server/QueryService worker pool relies on. The resident structures
 // are immutable; the decoded-graph cache is sharded and singleflighted
-// (snode/graph_cache.h); store I/O and the disk-model tracker are
-// serialized behind io_mutex_ (one spindle in the paper's disk model);
-// ReprStats counters are atomics.
+// (snode/graph_cache.h); physical reads and the disk-model tracker are
+// serialized behind io_mutex_ (one spindle in the paper's disk model),
+// decoding is not; ReprStats counters are atomics.
 
 namespace wg {
 
@@ -247,9 +258,10 @@ class SNodeRepr : public GraphRepresentation {
   size_t PinnedCacheEntries() const { return cache_->PinnedEntries(); }
 
   // True when `supernode`'s section was quarantined after a corrupt blob:
-  // reads touching it fail fast with Unavailable (one request fails, the
+  // store reads of it fail fast with Unavailable (one request fails, the
   // process and every other section keep serving) until the store is
-  // repaired and the generation reloaded.
+  // repaired and the generation reloaded. Graphs of the section already
+  // in the cache were decoded from verified bytes and keep serving.
   bool SectionQuarantined(uint32_t supernode) const;
   size_t QuarantinedSectionCount() const;
 
@@ -289,8 +301,7 @@ class SNodeRepr : public GraphRepresentation {
   Result<EntryPtr> FetchIntranode(uint32_t supernode);
   Result<EntryPtr> FetchSuperedge(uint32_t source_supernode,
                                   uint32_t edge_index);
-  Result<EntryPtr> LoadBlob(uint32_t blob_id, uint32_t supernode,
-                            uint32_t first_blob);
+  Result<EntryPtr> LoadBlob(uint32_t blob_id, uint32_t supernode);
 
   // Loads a supernode's whole disk section (intranode graph + all its
   // outgoing superedge graphs, which the builder laid out contiguously)
@@ -314,22 +325,27 @@ class SNodeRepr : public GraphRepresentation {
   // section read beats per-graph seeks.
   bool SectionWorthPrefetching(uint32_t supernode, size_t graphs_needed) const;
 
-  // Decodes store blob `blob_id` of `supernode`'s section (first_blob =
-  // the section's intranode blob id) from the borrowed bytes [data,
-  // data+size) into *entry. The bytes may live in a read buffer or
-  // directly in the mmapped store file; they are not retained.
-  Status DecodeSectionBlob(uint32_t blob_id, uint32_t supernode,
-                           uint32_t first_blob, const uint8_t* data,
-                           size_t size, ShardedGraphCache::Entry* entry);
+  // The one store read (see the header comment): reads blobs [first,
+  // last] of `supernode`'s section and hands each blob in `wanted`
+  // (ascending ids inside the range) to `decode`, whose bytes are borrowed
+  // for the call only. Fails fast with Unavailable on a quarantined
+  // section and quarantines it when the bytes prove corrupt. The caller
+  // resolves its cache claims from the returned status.
+  using BlobDecodeFn =
+      std::function<Status(uint32_t blob_id, const uint8_t* data, size_t size)>;
+  Status ReadSectionBlobs(uint32_t supernode, uint32_t first, uint32_t last,
+                          const std::vector<uint32_t>& wanted,
+                          SNodeLoadSource source, const BlobDecodeFn& decode);
+
+  // The one decode dispatch: decodes store blob `blob_id` of `supernode`'s
+  // section from [data, data+size) into the intranode or superedge graph
+  // of *entry, reusing the graph object already there (assembly's
+  // per-thread scratch) or allocating it (a fresh cache entry).
+  Status DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
+                           const uint8_t* data, size_t size,
+                           ShardedGraphCache::Entry* entry) const;
 
   void InstallLoadLogListener();
-
-  // Unavailable (fail fast) when the section is quarantined, OK otherwise.
-  Status SectionServable(uint32_t supernode) const;
-  // Quarantines the section iff `cause` is data corruption (Corruption
-  // code). Transient I/O errors (EIO) do not quarantine: the next request
-  // retries the read.
-  void MaybeQuarantineSection(uint32_t supernode, const Status& cause);
 
   // Immutable after Build.
   std::string base_path_;
@@ -355,6 +371,7 @@ class SNodeRepr : public GraphRepresentation {
 
   // Serializes physical store reads and the monotone disk-model tracker
   // (the paper's testbed has one disk; concurrent readers queue on it).
+  // Taken only in ReadSectionBlobs.
   mutable std::mutex io_mutex_;
   DiskCounterTracker disk_tracker_;
 

@@ -1,7 +1,7 @@
 #include "storage/graph_store.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "storage/integrity.h"
 #include "storage/sigbus_guard.h"
@@ -72,37 +72,106 @@ Result<uint32_t> GraphStore::Append(const std::vector<uint8_t>& blob) {
   return static_cast<uint32_t>(directory_.size() - 1);
 }
 
-Status GraphStore::ReadBlob(uint32_t id, std::vector<uint8_t>* out) const {
-  if (id >= directory_.size()) {
-    return Status::OutOfRange("graph store: blob id out of range");
+Status GraphStore::ReadBlobs(uint32_t first, uint32_t last,
+                             std::vector<uint8_t>* scratch,
+                             std::vector<BlobSpan>* out,
+                             std::unique_lock<std::mutex>* pread_lock) const {
+  if (first > last || last >= directory_.size()) {
+    return Status::OutOfRange("graph store: bad blob range");
   }
-  const BlobRef& ref = directory_[id];
-  out->resize(ref.length);
-  if (ref.length == 0) return Status::OK();
-  if (mapped_ && !FileQuarantined(ref.file_index)) {
-    // Copy out of the mapping; still cheaper than a pread syscall, and
-    // callers that can tolerate a borrowed span use ReadBlobSpan instead.
-    Status verified = options_.verify_checksums
-                          ? EnsureMappedBlobVerified(id, ref)
-                          : Status::OK();
-    if (verified.ok()) {
-      const uint8_t* base = files_[ref.file_index]->mapped_data();
-      std::memcpy(out->data(), base + ref.offset, ref.length);
-      mapped_reads_.fetch_add(1, std::memory_order_relaxed);
-      mapped_bytes_.fetch_add(ref.length, std::memory_order_relaxed);
-      return Status::OK();
+  out->resize(last - first + 1);
+  scratch->clear();
+  uint32_t id = first;
+  while (id <= last) {
+    // Greedily take the run of blobs laid out back to back in one file.
+    // Manifest-composed stores (version layer) can place consecutive ids
+    // in different files or at non-adjacent offsets -- such neighbors get
+    // their own read instead of one mis-sized span.
+    const uint32_t file_index = directory_[id].file_index;
+    uint32_t run_end = id;
+    while (run_end < last &&
+           directory_[run_end + 1].file_index == file_index &&
+           directory_[run_end + 1].offset ==
+               directory_[run_end].offset + directory_[run_end].length) {
+      ++run_end;
     }
-    if (verified.code() != StatusCode::kUnavailable) return verified;
-    // Unavailable = the file was just quarantined; retry through pread.
+    const uint64_t begin = directory_[id].offset;
+    const uint64_t end =
+        directory_[run_end].offset + directory_[run_end].length;
+    const RandomAccessFile& file = *files_[file_index];
+    bool from_mapping = mapped_ && !FileQuarantined(file_index);
+    for (uint32_t b = id;
+         from_mapping && options_.verify_checksums && b <= run_end; ++b) {
+      Status verified = EnsureMappedBlobVerified(b, directory_[b]);
+      // Unavailable = the first touch SIGBUSed and the file was just
+      // quarantined; serve this run through pread instead.
+      if (verified.code() == StatusCode::kUnavailable) {
+        from_mapping = false;
+      } else {
+        WG_RETURN_IF_ERROR(verified);
+      }
+    }
+    const uint8_t* base;
+    if (from_mapping) {
+      base = file.mapped_data() + begin;
+      // Readahead window: a run ending outside the current window opens a
+      // fresh one at the run's start, covering the run and at least
+      // readahead_bytes -- the layout places the rest of the section (and
+      // the next sections of a sweep) right here, so the faults the decode
+      // is about to take are batched instead of page-by-page.
+      const uint64_t window =
+          std::max<uint64_t>(options_.readahead_bytes, end - begin);
+      std::atomic<uint64_t>& edge = *readahead_edge_[file_index];
+      uint64_t seen = edge.load(std::memory_order_relaxed);
+      uint64_t window_start =
+          seen > options_.readahead_bytes ? seen - options_.readahead_bytes
+                                          : 0;
+      if (end > begin && (seen == 0 || end > seen || end < window_start)) {
+        edge.store(begin + window, std::memory_order_relaxed);
+        file.Advise(begin, window, RandomAccessFile::Advice::kWillNeed);
+      }
+    } else {
+      if (end > begin && pread_lock != nullptr && !pread_lock->owns_lock()) {
+        pread_lock->lock();
+      }
+      if (scratch->empty()) {
+        // Later pread runs append here too; reserving the rest of the range
+        // now keeps the spans already handed out valid.
+        uint64_t rest = 0;
+        for (uint32_t b = id; b <= last; ++b) rest += directory_[b].length;
+        scratch->reserve(rest);
+      }
+      size_t at = scratch->size();
+      scratch->resize(at + (end - begin));
+      uint8_t* dst = scratch->data() + at;
+      if (end > begin) {
+        WG_RETURN_IF_ERROR(
+            file.Read(begin, end - begin, reinterpret_cast<char*>(dst)));
+      }
+      base = dst;
+    }
+    for (uint32_t b = id; b <= run_end; ++b) {
+      const BlobRef& ref = directory_[b];
+      const uint8_t* data =
+          ref.length == 0 ? nullptr : base + (ref.offset - begin);
+      if (!from_mapping && options_.verify_checksums && ref.crc != 0 &&
+          ref.length > 0 && Crc32(data, ref.length) != ref.crc) {
+        ++IntegrityCounters::Get().checksum_failures;
+        return Status::Corruption(BlobErrorDetail(
+            "checksum mismatch", b, ref.file_index, ref.offset, ref.length));
+      }
+      (*out)[b - first] = {data, ref.length};
+    }
+    id = run_end + 1;
   }
-  WG_RETURN_IF_ERROR(files_[ref.file_index]->Read(
-      ref.offset, ref.length, reinterpret_cast<char*>(out->data())));
-  if (options_.verify_checksums && ref.crc != 0 &&
-      Crc32(out->data(), ref.length) != ref.crc) {
-    ++IntegrityCounters::Get().checksum_failures;
-    return Status::Corruption(BlobErrorDetail(
-        "checksum mismatch", id, ref.file_index, ref.offset, ref.length));
-  }
+  return Status::OK();
+}
+
+Status GraphStore::ReadBlob(uint32_t id, std::vector<uint8_t>* out) const {
+  std::vector<uint8_t> scratch;
+  std::vector<BlobSpan> span;
+  WG_RETURN_IF_ERROR(ReadBlobs(id, id, &scratch, &span));
+  out->assign(span[0].data, span[0].data + span[0].length);
   return Status::OK();
 }
 
@@ -210,145 +279,11 @@ Status GraphStore::SyncAll() const {
   return Status::OK();
 }
 
-Status GraphStore::ReadBlobSpan(uint32_t id, BlobSpan* span) const {
-  if (id >= directory_.size()) {
-    return Status::OutOfRange("graph store: blob id out of range");
-  }
-  if (!mapped_) {
-    return Status::InvalidArgument("graph store: not memory-mapped");
-  }
-  const BlobRef& ref = directory_[id];
-  if (FileQuarantined(ref.file_index)) {
-    return Status::Unavailable(BlobErrorDetail(
-        "file quarantined to pread", id, ref.file_index, ref.offset,
-        ref.length));
-  }
-  if (options_.verify_checksums && ref.length > 0) {
-    WG_RETURN_IF_ERROR(EnsureMappedBlobVerified(id, ref));
-  }
-  const RandomAccessFile& file = *files_[ref.file_index];
-  span->data = ref.length == 0 ? nullptr : file.mapped_data() + ref.offset;
-  span->length = ref.length;
-  mapped_reads_.fetch_add(1, std::memory_order_relaxed);
-  mapped_bytes_.fetch_add(ref.length, std::memory_order_relaxed);
-  // Readahead window: the first read past the previous window's edge asks
-  // the kernel for the next options_.readahead_bytes in one go -- the
-  // layout places this blob's section right here, so the faults the
-  // decode is about to take are batched instead of page-by-page.
-  if (options_.readahead_bytes > 0 && ref.length > 0) {
-    // The current window covers [edge - readahead_bytes, edge); a read
-    // ending outside it (past the edge, or a jump back to an earlier
-    // region) opens a fresh window at the read's start.
-    std::atomic<uint64_t>& edge = *readahead_edge_[ref.file_index];
-    uint64_t end = ref.offset + ref.length;
-    uint64_t seen = edge.load(std::memory_order_relaxed);
-    uint64_t window_start =
-        seen > options_.readahead_bytes ? seen - options_.readahead_bytes : 0;
-    if (seen == 0 || end > seen || end < window_start) {
-      edge.store(ref.offset + options_.readahead_bytes,
-                 std::memory_order_relaxed);
-      file.Advise(ref.offset, options_.readahead_bytes,
-                  RandomAccessFile::Advice::kWillNeed);
-    }
-  }
-  return Status::OK();
-}
-
-void GraphStore::AdviseBlobs(uint32_t first, uint32_t last,
-                             RandomAccessFile::Advice advice) const {
-  if (!mapped_ || first > last || last >= directory_.size()) return;
-  uint32_t id = first;
-  while (id <= last) {
-    uint32_t file_index = directory_[id].file_index;
-    uint32_t run_end = id;
-    while (run_end < last && directory_[run_end + 1].file_index == file_index &&
-           directory_[run_end + 1].offset ==
-               directory_[run_end].offset + directory_[run_end].length) {
-      ++run_end;
-    }
-    uint64_t begin = directory_[id].offset;
-    uint64_t end = directory_[run_end].offset + directory_[run_end].length;
-    if (end > begin) {
-      files_[file_index]->Advise(begin, end - begin, advice);
-    }
-    id = run_end + 1;
-  }
-}
-
 void GraphStore::EvictFromPageCache() const {
   for (const auto& file : files_) file->EvictFromPageCache();
   for (const auto& edge : readahead_edge_) {
     edge->store(0, std::memory_order_relaxed);
   }
-}
-
-Status GraphStore::ReadBlobRange(uint32_t first, uint32_t last,
-                                 std::vector<std::vector<uint8_t>>* out) const {
-  if (first > last || last >= directory_.size()) {
-    return Status::OutOfRange("graph store: bad blob range");
-  }
-  out->clear();
-  out->resize(last - first + 1);
-  uint32_t id = first;
-  while (id <= last) {
-    // Greedily take the run of blobs laid out back to back in one file.
-    // Manifest-composed stores (version layer) can place consecutive ids
-    // in different files or at non-adjacent offsets -- such neighbors get
-    // their own read instead of one mis-sized span.
-    uint32_t file_index = directory_[id].file_index;
-    uint32_t run_end = id;
-    while (run_end < last &&
-           directory_[run_end + 1].file_index == file_index &&
-           directory_[run_end + 1].offset ==
-               directory_[run_end].offset + directory_[run_end].length) {
-      ++run_end;
-    }
-    uint64_t begin = directory_[id].offset;
-    uint64_t end = directory_[run_end].offset + directory_[run_end].length;
-    if (mapped_ && !FileQuarantined(file_index)) {
-      Status verified;
-      if (options_.verify_checksums) {
-        for (uint32_t b = id; b <= run_end && verified.ok(); ++b) {
-          verified = EnsureMappedBlobVerified(b, directory_[b]);
-        }
-      }
-      if (verified.ok()) {
-        const uint8_t* base = files_[file_index]->mapped_data();
-        files_[file_index]->Advise(begin, end - begin,
-                                   RandomAccessFile::Advice::kWillNeed);
-        for (uint32_t b = id; b <= run_end; ++b) {
-          const BlobRef& ref = directory_[b];
-          (*out)[b - first].assign(base + ref.offset,
-                                   base + ref.offset + ref.length);
-        }
-        mapped_reads_.fetch_add(1, std::memory_order_relaxed);
-        mapped_bytes_.fetch_add(end - begin, std::memory_order_relaxed);
-        id = run_end + 1;
-        continue;
-      }
-      if (verified.code() != StatusCode::kUnavailable) return verified;
-      // File was quarantined mid-run: serve this run through pread.
-    }
-    std::vector<char> buffer(end - begin);
-    if (!buffer.empty()) {
-      WG_RETURN_IF_ERROR(
-          files_[file_index]->Read(begin, buffer.size(), buffer.data()));
-    }
-    for (uint32_t b = id; b <= run_end; ++b) {
-      const BlobRef& ref = directory_[b];
-      auto* dst = &(*out)[b - first];
-      dst->assign(buffer.begin() + (ref.offset - begin),
-                  buffer.begin() + (ref.offset - begin) + ref.length);
-      if (options_.verify_checksums && ref.crc != 0 && ref.length > 0 &&
-          Crc32(dst->data(), dst->size()) != ref.crc) {
-        ++IntegrityCounters::Get().checksum_failures;
-        return Status::Corruption(BlobErrorDetail(
-            "checksum mismatch", b, ref.file_index, ref.offset, ref.length));
-      }
-    }
-    id = run_end + 1;
-  }
-  return Status::OK();
 }
 
 void GraphStore::SerializeDirectory(std::string* payload) const {
@@ -440,12 +375,6 @@ Result<std::unique_ptr<GraphStore>> GraphStore::OpenFiles(
     const std::vector<std::string>& paths,
     std::vector<BlobLocation> directory) {
   return OpenFiles(paths, std::move(directory), Options());
-}
-
-uint64_t GraphStore::read_ops() const {
-  uint64_t total = 0;
-  for (const auto& f : files_) total += f->read_ops();
-  return total;
 }
 
 uint64_t GraphStore::seek_ops() const {

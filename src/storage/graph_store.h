@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,13 @@
 // The directory (blob id -> file, offset, length) is kept in memory and is
 // charged to the representation's resident-index budget, like the paper's
 // PageID/domain indexes.
+//
+// Every read goes through ReadBlobs. The store alone decides, per file,
+// whether bytes come from the mapping or from pread. It verifies every
+// blob's CRC and demotes a file that faults to pread. Callers get spans
+// and never see the fallback. What a read means above this layer belongs
+// to SNodeRepr::ReadSectionBlobs (snode/snode_repr.h): section quarantine,
+// the disk-model lock and the load counters.
 
 namespace wg {
 
@@ -38,10 +46,11 @@ class GraphStore {
     // pread per blob. Ignored by Create (a store being appended cannot be
     // mapped); call MapForRead() once writing is done.
     bool mmap = false;
-    // When a mapped blob is read cold, open an madvise(MADV_WILLNEED)
-    // readahead window of this many bytes starting at the blob -- the
-    // paper's layout places a query's working set immediately after, so
-    // the kernel fetches it while we decode.
+    // When a mapped read ends outside the current readahead window, open
+    // an madvise(MADV_WILLNEED) window of this many bytes (or the read's
+    // length, if longer) starting at the read -- the paper's layout places
+    // a query's working set immediately after, so the kernel fetches it
+    // while we decode.
     uint64_t readahead_bytes = 256 * 1024;
     // Verify each blob's CRC32 on read. pread reads verify every time;
     // mapped reads verify on the first touch of each blob and cache the
@@ -96,26 +105,36 @@ class GraphStore {
   // Rejected on a store attached via OpenExisting.
   Result<uint32_t> Append(const std::vector<uint8_t>& blob);
 
-  // Reads blob `id` into *out.
-  Status ReadBlob(uint32_t id, std::vector<uint8_t>* out) const;
-
-  // Reads the consecutive blobs [first, last] -- appended back to back, so
-  // within one store file this is a single sequential read (one seek).
-  // out[i] receives blob first+i.
-  Status ReadBlobRange(uint32_t first, uint32_t last,
-                       std::vector<std::vector<uint8_t>>* out) const;
-
-  // A borrowed view of one blob's bytes inside a mapped store file; valid
-  // for the life of the store. data is never null for length > 0.
+  // A borrowed view of one blob's bytes: into a mapped store file (valid
+  // for the life of the store) or into a caller's scratch buffer (valid
+  // until that buffer changes). data is never null for length > 0.
   struct BlobSpan {
     const uint8_t* data = nullptr;
     uint32_t length = 0;
   };
 
-  // True once MapForRead() ran; only then can the span reads below
-  // succeed. Individual files may still be demoted to pread (see
-  // FileQuarantined) -- spans into those fail with Unavailable and the
-  // caller falls back to ReadBlob.
+  // The store's one read path: points (*out)[i] at blob first+i for every
+  // blob in [first, last], CRC-verified.
+  //  * A blob in a mapped file is served zero-copy from the mapping. It is
+  //    verified on its first touch (the verdict is cached per blob) and
+  //    covered by a readahead window.
+  //  * Any other run of blobs laid out back to back in one file is read
+  //    with one pread into *scratch and verified on every read: an
+  //    unmapped store, a file quarantined to pread, or a file that
+  //    SIGBUSes under the first touch (quarantined on the spot).
+  // Callers never see Unavailable. When `pread_lock` is given and not yet
+  // held, it is locked before the first pread and left locked on return,
+  // so a caller can serialize physical reads and read the disk-model
+  // counters under the same lock.
+  Status ReadBlobs(uint32_t first, uint32_t last,
+                   std::vector<uint8_t>* scratch, std::vector<BlobSpan>* out,
+                   std::unique_lock<std::mutex>* pread_lock = nullptr) const;
+
+  // Copies blob `id` into *out (ReadBlobs of one blob).
+  Status ReadBlob(uint32_t id, std::vector<uint8_t>* out) const;
+
+  // True once MapForRead() ran. Individual files may still be demoted to
+  // pread (see FileQuarantined); ReadBlobs routes around them.
   bool mapped() const { return mapped_; }
 
   // Maps all files read-only. Valid on any store that is done being
@@ -127,15 +146,6 @@ class GraphStore {
   // is bumped. MapForRead itself only fails on invariant violations, not
   // on per-file fallbacks.
   Status MapForRead();
-
-  // Points *span at blob `id` inside the mapping (zero-copy; no syscall).
-  // On the first touch of a readahead window this also issues
-  // madvise(MADV_WILLNEED) for options.readahead_bytes following bytes.
-  // With verify_checksums the first touch of each blob CRC-checks the
-  // mapped bytes under a SIGBUS guard: a fault quarantines the file
-  // (returns Unavailable -- retry via ReadBlob), a mismatch returns
-  // Corruption. Fails unless mapped().
-  Status ReadBlobSpan(uint32_t id, BlobSpan* span) const;
 
   // True when `file_index` is served by pread only: its mapping was
   // refused at MapForRead (short file) or revoked after a SIGBUS.
@@ -154,25 +164,9 @@ class GraphStore {
   // the store's state changes, only its durability.)
   Status SyncAll() const;
 
-  // madvise over the physical byte ranges of blobs [first, last] (the
-  // decode-ahead executor and the warmer use kWillNeed/kSequential ahead
-  // of decoding; kDontNeed drops residency). No-op when not mapped.
-  void AdviseBlobs(uint32_t first, uint32_t last,
-                   RandomAccessFile::Advice advice) const;
-
   // Best-effort page-cache eviction of every store file (cold-read
   // benchmarks; see RandomAccessFile::EvictFromPageCache).
   void EvictFromPageCache() const;
-
-  // Bytes served through ReadBlobSpan (mapped, zero-copy reads) -- kept
-  // separate from the pread counters so exposition can tell demand-paged
-  // I/O from syscall I/O.
-  uint64_t mapped_reads() const {
-    return mapped_reads_.load(std::memory_order_relaxed);
-  }
-  uint64_t mapped_bytes() const {
-    return mapped_bytes_.load(std::memory_order_relaxed);
-  }
 
   size_t num_blobs() const { return directory_.size(); }
   size_t num_files() const { return files_.size(); }
@@ -194,8 +188,6 @@ class GraphStore {
     return directory_.size() * sizeof(BlobRef);
   }
 
-  // Physical read count across all files (for I/O reporting).
-  uint64_t read_ops() const;
   // Disk-model seeks / transferred bytes across all files.
   uint64_t seek_ops() const;
   uint64_t transferred_bytes() const;
@@ -225,8 +217,6 @@ class GraphStore {
   uint64_t total_bytes_ = 0;
   bool read_only_ = false;
   bool mapped_ = false;
-  mutable std::atomic<uint64_t> mapped_reads_{0};
-  mutable std::atomic<uint64_t> mapped_bytes_{0};
   // Last readahead window opened per file (one word per file, relaxed:
   // duplicate WILLNEEDs are harmless, missing one costs a demand fault).
   mutable std::vector<std::unique_ptr<std::atomic<uint64_t>>> readahead_edge_;

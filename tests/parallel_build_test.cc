@@ -9,7 +9,7 @@
 // PagerStats audit note: SNodeRepr::Build never touches a Pager (the
 // buffer pool belongs to the relational baseline), so the only stats
 // reachable from Build's encode workers are ReprStats::graphs_encoded /
-// encoded_bytes -- AtomicCounter, exercised at threads=4 below.
+// encoded_bytes -- obs::Counter, exercised at threads=4 below.
 
 #include <cstdio>
 #include <fstream>

@@ -578,6 +578,187 @@ TEST(SNodeLoadLogTest, RecordsLoadsAndDistinctGraphCounts) {
   EXPECT_EQ(repr.value()->DistinctGraphsLoaded(), after_one);
 }
 
+// Blobs in supernode s's section: its intranode graph plus one superedge
+// graph per outgoing superedge.
+uint64_t SectionBlobCount(const SupernodeGraph& sg, uint32_t s) {
+  return 1 + (sg.offsets[s + 1] - sg.offsets[s]);
+}
+
+// Reads every page of sections s and s+1 in layout order through one
+// cursor: a lone probe of s's first page, then supernode assembly.
+void SweepTwoSections(SNodeRepr* repr, uint32_t s) {
+  const SupernodeGraph& sg = repr->supernode_graph();
+  std::unique_ptr<AdjacencyCursor> cursor = repr->NewCursor();
+  for (PageId nid = sg.page_start[s]; nid < sg.page_start[s + 2]; ++nid) {
+    LinkView view;
+    ASSERT_TRUE(cursor->Links(repr->PageInNaturalOrder(nid), &view).ok());
+  }
+}
+
+// Figure 11/12's "graphs loaded" accounting must see every blob read from
+// the store, including those supernode assembly decodes into scratch
+// without caching them.
+TEST(SNodeLoadLogTest, SweepLogsEveryBlobItReads) {
+  GeneratorOptions gopts;
+  gopts.num_pages = 3000;
+  WebGraph graph = GenerateWebGraph(gopts);
+  SNodeBuildOptions opts;
+  opts.record_load_log = true;
+  auto repr = SNodeRepr::Build(graph, TempPath("snode_log_sweep"), opts);
+  ASSERT_TRUE(repr.ok());
+  const SupernodeGraph& sg = repr.value()->supernode_graph();
+  ASSERT_GE(sg.num_supernodes(), 2u);
+
+  SweepTwoSections(repr.value().get(), 0);
+  uint64_t read = SectionBlobCount(sg, 0) + SectionBlobCount(sg, 1);
+  EXPECT_EQ(repr.value()->stats().graphs_loaded, read);
+  EXPECT_EQ(repr.value()->DistinctGraphsLoaded(), read);
+  std::vector<SNodeRepr::LoadEvent> log = repr.value()->load_log();
+  EXPECT_EQ(std::count_if(log.begin(), log.end(),
+                          [](const SNodeRepr::LoadEvent& e) { return e.load; }),
+            static_cast<std::ptrdiff_t>(read));
+}
+
+// One cache miss per blob a demand read loads from the store -- the same
+// event as wg_cold_blobs_total{source="demand"} -- whether the blob came
+// in through a lone probe's section read or a sweep's supernode assembly.
+TEST(SNodeColdAccountingTest, CacheMissesCountEveryDemandLoad) {
+  GeneratorOptions gopts;
+  gopts.num_pages = 3000;
+  WebGraph graph = GenerateWebGraph(gopts);
+  auto built = SNodeRepr::Build(graph, TempPath("snode_misses"), {});
+  ASSERT_TRUE(built.ok());
+  SNodeRepr* repr = built.value().get();
+  const SupernodeGraph& sg = repr->supernode_graph();
+  ASSERT_GE(sg.num_supernodes(), 2u);
+  struct Loads {
+    uint64_t misses, graphs, demand;
+  };
+  auto now = [repr] {
+    return Loads{repr->stats().cache_misses, repr->stats().graphs_loaded,
+                 repr->cold_stats().demand_blobs};
+  };
+  auto expect_loaded = [&now](const Loads& before, uint64_t blobs) {
+    Loads after = now();
+    EXPECT_EQ(after.graphs - before.graphs, blobs);
+    EXPECT_EQ(after.misses - before.misses, blobs);
+    EXPECT_EQ(after.demand - before.demand, blobs);
+  };
+
+  // A cold lone probe reads its whole section.
+  Loads before = now();
+  {
+    std::unique_ptr<AdjacencyCursor> cursor = repr->NewCursor();
+    LinkView view;
+    ASSERT_TRUE(
+        cursor->Links(repr->PageInNaturalOrder(sg.page_start[0]), &view).ok());
+  }
+  expect_loaded(before, SectionBlobCount(sg, 0));
+
+  // A cold layout-order sweep over two sections.
+  repr->ClearCache();
+  before = now();
+  SweepTwoSections(repr, 0);
+  expect_loaded(before, SectionBlobCount(sg, 0) + SectionBlobCount(sg, 1));
+}
+
+// A mapped store with every other pack file demoted to pread. A tiny
+// max_file_size makes sections straddle files, so one section read mixes
+// zero-copy spans and pread runs. Every read path must answer like the
+// in-memory graph, really take the pread fallback, and leak no pins.
+TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
+  GeneratorOptions gopts;
+  gopts.num_pages = 3000;
+  WebGraph graph = GenerateWebGraph(gopts);
+  SNodeBuildOptions opts;
+  opts.store.max_file_size = 4096;
+  auto built = SNodeRepr::Build(graph, TempPath("snode_fallback"), opts);
+  ASSERT_TRUE(built.ok());
+  SNodeRepr* repr = built.value().get();
+  ASSERT_TRUE(repr->MapStoreForRead().ok());
+  const GraphStore& store = repr->store();
+  ASSERT_TRUE(store.mapped());
+  ASSERT_GE(store.num_files(), 4u);
+  for (uint32_t f = 1; f < store.num_files(); f += 2) store.QuarantineFile(f);
+
+  // Sections by where their blobs live: one straddling two files (so one
+  // mapped and one quarantined), one wholly inside a mapped file.
+  const SupernodeGraph& sg = repr->supernode_graph();
+  uint32_t straddler = UINT32_MAX;
+  uint32_t mapped_only = UINT32_MAX;
+  for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
+    uint32_t first_file = store.Location(sg.intranode_blob[s]).file_index;
+    uint32_t last_file =
+        store.Location(sg.intranode_blob[s] + SectionBlobCount(sg, s) - 1)
+            .file_index;
+    if (first_file != last_file && straddler == UINT32_MAX) straddler = s;
+    if (first_file == last_file && first_file % 2 == 0 &&
+        mapped_only == UINT32_MAX) {
+      mapped_only = s;
+    }
+  }
+  ASSERT_NE(straddler, UINT32_MAX);
+  ASSERT_NE(mapped_only, UINT32_MAX);
+
+  auto links_of = [&graph](PageId p) {
+    auto links = graph.OutLinks(p);
+    return std::vector<PageId>(links.begin(), links.end());
+  };
+  auto probe = [&](uint32_t s) {
+    PageId p = repr->PageInNaturalOrder(sg.page_start[s]);
+    std::unique_ptr<AdjacencyCursor> cursor = repr->NewCursor();
+    LinkView view;
+    ASSERT_TRUE(cursor->Links(p, &view).ok());
+    EXPECT_EQ(view.ToVector(), links_of(p)) << p;
+  };
+  // Runs `read` from a cold cache; it must take at least one pread.
+  auto expect_pread = [&](const char* what, const std::function<void()>& read) {
+    repr->ClearCache();
+    uint64_t before = repr->stats().disk_reads;
+    read();
+    EXPECT_GT(repr->stats().disk_reads, before) << what;
+    EXPECT_EQ(repr->PinnedCacheEntries(), 0u) << what;
+  };
+
+  // Control: a section in a mapped file is served zero-copy.
+  repr->ClearCache();
+  uint64_t before = repr->stats().disk_reads;
+  probe(mapped_only);
+  EXPECT_EQ(repr->stats().disk_reads, before);
+
+  expect_pread("lone probe", [&] { probe(straddler); });
+  expect_pread("layout sweep", [&] {
+    std::unique_ptr<AdjacencyCursor> cursor = repr->NewCursor();
+    for (size_t i = 0; i < graph.num_pages(); ++i) {
+      PageId p = repr->PageInNaturalOrder(i);
+      LinkView view;
+      ASSERT_TRUE(cursor->Links(p, &view).ok());
+      ASSERT_EQ(view.ToVector(), links_of(p)) << p;
+    }
+  });
+  std::vector<PageId> all(graph.num_pages());
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<PageId> sparse;
+  for (PageId p = 0; p < graph.num_pages(); p += 97) sparse.push_back(p);
+  for (const std::vector<PageId>* targets : {&all, &sparse}) {
+    expect_pread(targets == &all ? "dense pushdown" : "sparse pushdown", [&] {
+      ASSERT_TRUE(repr->VisitLinksInto(
+                          all, *targets,
+                          [&](PageId p, const std::vector<PageId>& links) {
+                            std::vector<PageId> want;
+                            for (PageId q : links_of(p)) {
+                              if (std::binary_search(targets->begin(),
+                                                     targets->end(), q)) {
+                                want.push_back(q);
+                              }
+                            }
+                            EXPECT_EQ(links, want) << p;
+                          })
+                      .ok());
+    });
+  }
+}
+
 TEST(SNodeSmallCacheTest, CorrectUnderHeavyEviction) {
   GeneratorOptions gopts;
   gopts.num_pages = 1500;

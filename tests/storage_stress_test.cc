@@ -167,11 +167,15 @@ TEST(GraphStoreRangeTest, RangeEqualsIndividualReads) {
     uint32_t first = static_cast<uint32_t>(gen() % blobs.size());
     uint32_t last =
         first + static_cast<uint32_t>(gen() % (blobs.size() - first));
-    std::vector<std::vector<uint8_t>> range;
-    ASSERT_TRUE(store.value()->ReadBlobRange(first, last, &range).ok());
+    std::vector<uint8_t> scratch;
+    std::vector<GraphStore::BlobSpan> range;
+    ASSERT_TRUE(store.value()->ReadBlobs(first, last, &scratch, &range).ok());
     ASSERT_EQ(range.size(), last - first + 1u);
     for (uint32_t b = first; b <= last; ++b) {
-      ASSERT_EQ(range[b - first], blobs[b]) << b;
+      const GraphStore::BlobSpan& span = range[b - first];
+      ASSERT_EQ(std::vector<uint8_t>(span.data, span.data + span.length),
+                blobs[b])
+          << b;
     }
   }
 }
@@ -180,9 +184,10 @@ TEST(GraphStoreRangeTest, BadRangeRejected) {
   auto store = GraphStore::Create(TempPath("gsr2"), {});
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store.value()->Append({1, 2, 3}).ok());
-  std::vector<std::vector<uint8_t>> out;
-  EXPECT_FALSE(store.value()->ReadBlobRange(0, 5, &out).ok());
-  EXPECT_FALSE(store.value()->ReadBlobRange(1, 0, &out).ok());
+  std::vector<uint8_t> scratch;
+  std::vector<GraphStore::BlobSpan> out;
+  EXPECT_FALSE(store.value()->ReadBlobs(0, 5, &scratch, &out).ok());
+  EXPECT_FALSE(store.value()->ReadBlobs(1, 0, &scratch, &out).ok());
 }
 
 // ---------- Pager cold-buffer behaviour ----------
