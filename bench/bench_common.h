@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generator.h"
@@ -93,6 +94,38 @@ T UnwrapOrDie(Result<T> result) {
     std::abort();
   }
   return std::move(result).value();
+}
+
+// Runs `cmd` through the shell; returns its stdout without trailing
+// newlines ("" when it cannot run).
+inline std::string RunCommand(const char* cmd) {
+  std::string out;
+  if (std::FILE* pipe = ::popen(cmd, "r")) {
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+    ::pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+// Provenance fields for a BENCH_*.json object: the host's core count and
+// the commit of the working directory ("unknown" outside a checkout, a
+// "-dirty" suffix when the tree has uncommitted changes). Emitted as
+// `"nproc": N, "commit": "..."` without surrounding braces.
+inline std::string ProvenanceJsonFields() {
+  std::string commit = RunCommand("git rev-parse --short=12 HEAD 2>/dev/null");
+  if (commit.empty()) {
+    commit = "unknown";
+  } else if (!RunCommand(
+                  "git status --porcelain --untracked-files=no 2>/dev/null")
+                  .empty()) {
+    commit += "-dirty";
+  }
+  return "\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"commit\": \"" + commit + "\"";
 }
 
 inline void PrintHeader(const char* title) {

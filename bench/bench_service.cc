@@ -193,11 +193,12 @@ void WriteMetricsJson(const char* path, const WebGraph& graph,
   std::fprintf(json,
                "{\n"
                "  \"bench\": \"bench_service\",\n"
+               "  %s,\n"
                "  \"pages\": %zu,\n"
                "  \"edges\": %llu,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"regimes\": [\n",
-               graph.num_pages(),
+               bench::ProvenanceJsonFields().c_str(), graph.num_pages(),
                static_cast<unsigned long long>(graph.num_edges()),
                std::thread::hardware_concurrency());
   for (size_t r = 0; r < regimes.size(); ++r) {

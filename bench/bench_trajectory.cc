@@ -21,24 +21,15 @@
 #include <sstream>
 #include <string>
 
+#include "bench/bench_common.h"
+
 namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kTrajectoryFile = "BENCH_trajectory.json";
+using wg::bench::RunCommand;
 
-std::string RunCommand(const char* cmd) {
-  FILE* pipe = ::popen(cmd, "r");
-  if (pipe == nullptr) return "";
-  std::string out;
-  char buf[256];
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-  ::pclose(pipe);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out;
-}
+constexpr const char* kTrajectoryFile = "BENCH_trajectory.json";
 
 std::string ReadFileOrDie(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);

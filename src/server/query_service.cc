@@ -227,37 +227,61 @@ Status QueryService::ExecuteKHop(const Request& request,
   // and each frontier is visited in locality-key order, so pages of one
   // S-Node supernode arrive back-to-back and are served from the cursor's
   // assembled zero-copy views.
+  //
+  // Visited set: one bit per page in a per-thread bitmap, grown to the
+  // largest representation this thread has served and all-zero between
+  // requests. Every bit a request sets is its start page or a page of its
+  // result, and those bits are cleared on every exit, so a request
+  // allocates and zeroes nothing proportional to num_pages.
+  thread_local std::vector<uint64_t> seen;
+  const size_t words = (repr->num_pages() + 63) / 64;
+  if (seen.size() < words) seen.resize(words, 0);
+  auto flip = [](PageId q) { seen[q >> 6] ^= uint64_t{1} << (q & 63); };
+  auto visited = [](PageId q) { return (seen[q >> 6] >> (q & 63)) & 1; };
+
   std::unique_ptr<AdjacencyCursor> cursor = repr->NewCursor();
-  std::vector<uint8_t> seen(repr->num_pages(), 0);
+  std::vector<PageId>& result = response->pages;
+  const size_t first = result.size();
   std::vector<PageId> frontier = {request.page};
   std::vector<PageId> next;
   LinkView links;
-  seen[request.page] = 1;
-  for (int hop = 0; hop < request.k && !frontier.empty(); ++hop) {
+  Status status;
+  bool expired = false;
+  flip(request.page);
+  for (int hop = 0; hop < request.k && !frontier.empty() && status.ok();
+       ++hop) {
     // A deadline can expire mid-expansion; check once per level so a huge
     // neighborhood cannot hold a worker past its budget.
     if (DeadlinePassed(request, std::chrono::steady_clock::now())) {
-      response->pages.clear();
-      response->code = ResponseCode::kDeadlineExceeded;
-      return Status::OK();
+      expired = true;
+      break;
     }
     std::sort(frontier.begin(), frontier.end(), [repr](PageId a, PageId b) {
       return repr->LocalityKey(a) < repr->LocalityKey(b);
     });
     next.clear();
     for (PageId p : frontier) {
-      WG_RETURN_IF_ERROR(cursor->Links(p, &links));
+      status = cursor->Links(p, &links);
+      if (!status.ok()) break;
       for (PageId q : links) {
-        if (!seen[q]) {
-          seen[q] = 1;
+        if (!visited(q)) {
+          flip(q);
           next.push_back(q);
-          response->pages.push_back(q);
+          result.push_back(q);
         }
       }
     }
     frontier.swap(next);
   }
-  std::sort(response->pages.begin(), response->pages.end());
+  flip(request.page);
+  for (size_t i = first; i < result.size(); ++i) flip(result[i]);
+  if (!status.ok()) return status;
+  if (expired) {
+    result.clear();
+    response->code = ResponseCode::kDeadlineExceeded;
+    return Status::OK();
+  }
+  std::sort(result.begin(), result.end());
   return Status::OK();
 }
 

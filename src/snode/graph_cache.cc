@@ -51,9 +51,8 @@ ShardedGraphCache::EntryPtr ShardedGraphCache::Lookup(uint32_t key) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) return nullptr;
-  shard.lru.erase(it->second.lru_it);
-  shard.lru.push_front(key);
-  it->second.lru_it = shard.lru.begin();
+  // Relinks the node in place: a hit frees and allocates nothing.
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   return it->second.entry;
 }
 
@@ -64,9 +63,7 @@ ShardedGraphCache::Claim ShardedGraphCache::BeginLoad(uint32_t key) {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      shard.lru.erase(it->second.lru_it);
-      shard.lru.push_front(key);
-      it->second.lru_it = shard.lru.begin();
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
       return {ClaimKind::kHit, it->second.entry, Status::OK()};
     }
     auto fit = shard.flights.find(key);

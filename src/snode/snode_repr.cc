@@ -34,6 +34,25 @@ constexpr uint32_t kEncodeWindow = 4096;
 // only decode sections destined for eviction before use.
 constexpr size_t kDecodeAheadQueueCapacity = 64;
 
+// Decode scratch for GatherSection, one per thread and shared by lone
+// probes and supernode assembly (so a worker holds at most one section's
+// graphs outside the cache). Slot b holds blob b of the tagged section;
+// the graph objects are grow-only, so their vectors keep their high-water
+// capacity across sections. The tag -- repr instance, section, probe
+// stamp -- scopes reuse to the streak that starts with the stamped probe.
+struct SectionScratch {
+  uint64_t owner = UINT64_MAX;
+  uint32_t supernode = UINT32_MAX;
+  uint64_t stamp = 0;
+  std::vector<ShardedGraphCache::Entry> entries;
+  std::vector<uint8_t> valid;  // slot decoded for the tag
+};
+
+SectionScratch& ThreadScratch() {
+  thread_local SectionScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 void SNodeColdStats::Register(obs::MetricRegistry& registry,
@@ -430,12 +449,21 @@ SNodeRepr::~SNodeRepr() {
 }
 
 void SNodeRepr::StartRuntime() {
-  size_t words = (supernodes_.num_supernodes() + 63) / 64;
+  const size_t n_super = supernodes_.num_supernodes();
+  size_t words = (n_super + 63) / 64;
   section_quarantined_.reset(new std::atomic<uint64_t>[words]());
+  last_probe_.reset(new std::atomic<uint64_t>[n_super]());
+  // An assembled block holds pages + 1 offsets and one target per edge,
+  // 4 bytes each.
+  if (n_super > 0) {
+    assembled_section_bytes_ =
+        4.0 * static_cast<double>(num_pages() + n_super + num_edges_) /
+        static_cast<double>(n_super);
+  }
+  instance_id_ = obs::NextInstanceId();
   cold_stats_.Register(
       obs::MetricRegistry::Default(),
-      {{"scheme", "s-node"},
-       {"instance", std::to_string(obs::NextInstanceId())}});
+      {{"scheme", "s-node"}, {"instance", std::to_string(instance_id_)}});
   if (options_.decode_ahead_sections > 0) {
     decode_ahead_ = std::make_unique<PrefetchExecutor>(
         [this](uint32_t s) {
@@ -641,15 +669,6 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::LoadBlob(uint32_t blob_id,
   return cache_->Publish(blob_id, std::move(entry));
 }
 
-Result<SNodeRepr::EntryPtr> SNodeRepr::FetchIntranode(uint32_t supernode) {
-  return LoadBlob(supernodes_.intranode_blob[supernode], supernode);
-}
-
-Result<SNodeRepr::EntryPtr> SNodeRepr::FetchSuperedge(
-    uint32_t source_supernode, uint32_t edge_index) {
-  return LoadBlob(supernodes_.superedge_blob[edge_index], source_supernode);
-}
-
 bool SNodeRepr::SectionWorthPrefetching(uint32_t supernode,
                                         size_t graphs_needed) const {
   size_t section_graphs =
@@ -712,21 +731,89 @@ size_t SNodeRepr::DistinctGraphsLoaded() const {
   return ids.size();
 }
 
-Status SNodeRepr::CollectPageLinks(PageId p, std::vector<PageId>* out) {
+bool SNodeRepr::ProbeWithinReach(uint32_t supernode, uint64_t* stamp) {
+  const uint64_t now = probe_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t last =
+      last_probe_[supernode].exchange(now, std::memory_order_relaxed);
+  *stamp = now;
+  if (last == 0) return false;
+  const double reach =
+      static_cast<double>(cache_->budget()) / assembled_section_bytes_;
+  return static_cast<double>(now - last) <= reach;
+}
+
+Status SNodeRepr::GatherSection(uint32_t supernode, uint64_t scratch_stamp,
+                                SectionGraphs* graphs) {
+  const uint32_t first = supernodes_.intranode_blob[supernode];
+  const uint32_t num_blobs =
+      1 + (supernodes_.offsets[supernode + 1] - supernodes_.offsets[supernode]);
+  SectionScratch& scratch = ThreadScratch();
+  const bool reuse = scratch_stamp != 0 && scratch.stamp == scratch_stamp &&
+                     scratch.owner == instance_id_ &&
+                     scratch.supernode == supernode;
+  graphs->intranode = nullptr;
+  graphs->superedges.assign(num_blobs - 1, nullptr);
+  graphs->pins.clear();
+  auto use = [graphs](uint32_t b, const ShardedGraphCache::Entry& entry) {
+    if (b == 0) {
+      graphs->intranode = entry.intranode.get();
+    } else {
+      graphs->superedges[b - 1] = entry.superedge.get();
+    }
+  };
+  std::vector<uint32_t> missing;
+  for (uint32_t b = 0; b < num_blobs; ++b) {
+    if (reuse && scratch.valid[b]) {
+      use(b, scratch.entries[b]);
+      continue;
+    }
+    if (EntryPtr cached = cache_->Lookup(first + b); cached != nullptr) {
+      ++stats_.cache_hits;
+      use(b, *cached);
+      graphs->pins.push_back(std::move(cached));
+      continue;
+    }
+    missing.push_back(first + b);
+  }
+  if (missing.empty()) return Status::OK();
+
+  if (!reuse) {
+    scratch.owner = instance_id_;
+    scratch.supernode = supernode;
+    scratch.stamp = scratch_stamp;
+    scratch.valid.assign(num_blobs, 0);
+  }
+  if (scratch.entries.size() < num_blobs) scratch.entries.resize(num_blobs);
+  obs::Span span("snode.decode_section", "cache");
+  span.AddArg("supernode", supernode);
+  span.AddArg("blobs", missing.size());
+  return ReadSectionBlobs(
+      supernode, first, first + num_blobs - 1, missing,
+      SNodeLoadSource::kDemand,
+      [&](uint32_t id, const uint8_t* data, size_t size) {
+        const uint32_t b = id - first;
+        WG_RETURN_IF_ERROR(
+            DecodeSectionBlob(supernode, id, data, size, &scratch.entries[b]));
+        scratch.valid[b] = 1;
+        use(b, scratch.entries[b]);
+        return Status::OK();
+      });
+}
+
+Status SNodeRepr::CollectPageLinks(PageId p, uint64_t stamp,
+                                   std::vector<PageId>* out) {
   PageId nid = new_of_orig_[p];
   uint32_t s = supernodes_.SupernodeOf(nid);
   uint32_t base = supernodes_.page_start[s];
   uint32_t local = nid - base;
   size_t first = out->size();
 
-  // An unrestricted adjacency needs the whole section; fetch it with one
-  // sequential read.
-  WG_RETURN_IF_ERROR(PrefetchSection(s));
+  // An unrestricted adjacency needs the whole section: one sequential
+  // read of whatever the cache does not hold, decoded into scratch.
+  SectionGraphs graphs;
+  WG_RETURN_IF_ERROR(GatherSection(s, stamp, &graphs));
 
-  // Intranode links. The EntryPtr pins the decoded graph against
-  // concurrent eviction while we walk it.
-  WG_ASSIGN_OR_RETURN(EntryPtr intra_entry, FetchIntranode(s));
-  const IntranodeGraph* intra = intra_entry->intranode.get();
+  const IntranodeGraph* intra = graphs.intranode;
   for (uint32_t i = intra->offsets[local]; i < intra->offsets[local + 1];
        ++i) {
     out->push_back(orig_of_new_[base + intra->targets[i]]);
@@ -736,10 +823,8 @@ Status SNodeRepr::CollectPageLinks(PageId p, std::vector<PageId>* out) {
   std::vector<uint32_t> cross;
   for (uint32_t e = supernodes_.offsets[s]; e < supernodes_.offsets[s + 1];
        ++e) {
-    WG_ASSIGN_OR_RETURN(EntryPtr se_entry, FetchSuperedge(s, e));
-    const SuperedgeGraph* se = se_entry->superedge.get();
     cross.clear();
-    se->LinksOf(local, &cross);
+    graphs.superedges[e - supernodes_.offsets[s]]->LinksOf(local, &cross);
     uint32_t tbase = supernodes_.page_start[supernodes_.targets[e]];
     for (uint32_t t : cross) out->push_back(orig_of_new_[tbase + t]);
   }
@@ -752,17 +837,18 @@ uint32_t SNodeRepr::AssembledKey(uint32_t supernode) const {
   return static_cast<uint32_t>(store_->num_blobs()) + supernode;
 }
 
-// One-pass supernode assembly. The old implementation ran the per-page
-// read (CollectPageLinks) once per page, costing pages * (superedges + 1)
-// singleflight cache lookups, a binary search per page per superedge
-// graph, and a scratch vector per page. This version pins each graph of
-// the section exactly once, then builds the CSR directly: count pass ->
-// prefix-sum offsets -> fill pass -> per-page sort. Same bytes out; the
-// cold cost per edge drops to roughly decode + two array writes + sort.
-Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
+// One-pass supernode assembly: gathers each graph of the section exactly
+// once, then builds the CSR directly: count pass -> prefix-sum offsets ->
+// fill pass -> per-page sort. The cold cost per edge is roughly decode +
+// two array writes + sort.
+Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(
+    uint32_t supernode, uint64_t scratch_stamp) {
   const uint32_t key = AssembledKey(supernode);
   ShardedGraphCache::Claim claim = cache_->BeginLoad(key);
-  if (claim.kind == ShardedGraphCache::ClaimKind::kHit) return claim.entry;
+  if (claim.kind == ShardedGraphCache::ClaimKind::kHit) {
+    ++stats_.cache_hits;
+    return claim.entry;
+  }
   if (claim.kind == ShardedGraphCache::ClaimKind::kFailed) return claim.status;
   obs::Span span("snode.assemble_supernode", "cache");
   span.AddArg("supernode", supernode);
@@ -772,59 +858,17 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
   const uint32_t e_begin = supernodes_.offsets[supernode];
   const uint32_t e_end = supernodes_.offsets[supernode + 1];
 
-  // Gather the section's decoded graphs. Blobs already decoded (by
-  // decode-ahead, the warmer, or a lone probe) are pinned out of the cache;
-  // the rest are read with one sequential section read and decoded into
-  // per-thread scratch. Skipping the per-blob singleflight machinery here
-  // matters: the assembled block is the only artifact worth caching on the
-  // streaming path, and routing every blob through BeginLoad/Publish costs
-  // more than the decode it would deduplicate.
-  const uint32_t first_blob = supernodes_.intranode_blob[supernode];
-  const uint32_t num_blobs = 1 + (e_end - e_begin);
-  std::vector<EntryPtr> pins(num_blobs);
-  const IntranodeGraph* ig_ptr = nullptr;
-  std::vector<const SuperedgeGraph*> ses(e_end - e_begin, nullptr);
-  auto use = [&](uint32_t b, const ShardedGraphCache::Entry& entry) {
-    if (b == 0) {
-      ig_ptr = entry.intranode.get();
-    } else {
-      ses[b - 1] = entry.superedge.get();
-    }
-  };
-  std::vector<uint32_t> missing;
-  for (uint32_t b = 0; b < num_blobs; ++b) {
-    EntryPtr cached = cache_->Lookup(first_blob + b);
-    if (cached == nullptr) {
-      missing.push_back(first_blob + b);
-      continue;
-    }
-    use(b, *cached);
-    pins[b] = std::move(cached);
+  // The assembled block is the only artifact worth caching on the
+  // streaming path: graphs the gather decodes stay in per-thread scratch,
+  // and the fill pass below copies everything it needs out of them.
+  SectionGraphs graphs;
+  if (Status read = GatherSection(supernode, scratch_stamp, &graphs);
+      !read.ok()) {
+    cache_->Abort(key, read);
+    return read;
   }
-  if (!missing.empty()) {
-    // Locally decoded graphs land in per-thread scratch entries reused
-    // across supernodes (grow-only, so the inner vectors keep their
-    // high-water capacity); the fill pass below copies everything it needs
-    // into the assembled CSR before the next call overwrites them.
-    thread_local std::vector<ShardedGraphCache::Entry> scratch;
-    if (scratch.size() < missing.size()) scratch.resize(missing.size());
-    size_t next = 0;
-    Status read = ReadSectionBlobs(
-        supernode, first_blob, first_blob + num_blobs - 1, missing,
-        SNodeLoadSource::kDemand,
-        [&](uint32_t id, const uint8_t* data, size_t size) {
-          ShardedGraphCache::Entry& entry = scratch[next++];
-          WG_RETURN_IF_ERROR(
-              DecodeSectionBlob(supernode, id, data, size, &entry));
-          use(id - first_blob, entry);
-          return Status::OK();
-        });
-    if (!read.ok()) {
-      cache_->Abort(key, read);
-      return read;
-    }
-  }
-  const IntranodeGraph& ig = *ig_ptr;
+  const std::vector<const SuperedgeGraph*>& ses = graphs.superedges;
+  const IntranodeGraph& ig = *graphs.intranode;
 
   // Count pass: external out-degree of every local page.
   std::vector<uint32_t> counts(pages, 0);
@@ -931,14 +975,17 @@ Result<SNodeRepr::EntryPtr> SNodeRepr::AssembleSupernode(uint32_t supernode) {
   return cache_->Publish(key, std::move(entry));
 }
 
-// The S-Node streaming cursor. A lone probe runs the classic per-graph
-// decode into cursor scratch -- byte-for-byte the behavior (and counter
-// stream) of the old GetLinks. Once the cursor sees a second consecutive
-// page land in one supernode (a BFS level, a bulk sweep, a locality-sorted
-// batch) it assembles that supernode's external adjacency into a
-// cache-resident CSR and serves every further page of the supernode as a
-// zero-copy view pinned to the cache entry: no decode, no remap, no sort,
-// no allocation.
+// The S-Node streaming cursor. A lone probe decodes its section into
+// per-thread scratch, extracts the page's row, and caches nothing. Once the
+// cursor sees a second consecutive page land in one supernode (a BFS level,
+// a bulk sweep, a locality-sorted batch) it assembles that supernode's
+// external adjacency into a cache-resident CSR -- from the scratch the
+// streak's first probe decoded -- and serves every further page of the
+// supernode as a zero-copy view pinned to the cache entry: no decode, no
+// remap, no sort, no allocation. A lone probe of a section probed recently
+// enough that its block would still be cached assembles it too, so hot
+// sections converge to cache hits while uniform cold traffic decodes each
+// probe once and publishes nothing.
 class SNodeRepr::Cursor : public AdjacencyCursor {
  public:
   explicit Cursor(SNodeRepr* repr) : repr_(repr) {}
@@ -955,21 +1002,26 @@ class SNodeRepr::Cursor : public AdjacencyCursor {
     uint32_t local = nid - repr_->supernodes_.page_start[s];
 
     EntryPtr entry;
+    uint64_t stamp = 0;
     if (assembled_snode_ == s && assembled_entry_ != nullptr) {
       entry = assembled_entry_;
     } else {
       entry = repr_->cache_->Lookup(repr_->AssembledKey(s));
-      if (entry == nullptr &&
-          (s == last_snode_ ||
-           (last_snode_ != UINT32_MAX && s == last_snode_ + 1 &&
-            local == 0))) {
+      if (entry != nullptr) {
+        ++repr_->stats_.cache_hits;
+      } else if (s == last_snode_ ||
+                 (last_snode_ != UINT32_MAX && s == last_snode_ + 1 &&
+                  local == 0)) {
         // Streaming: either a second page in this supernode, or the
         // stream just crossed into the next section at its first page (a
         // layout-order sweep). Assembling now pays for itself across the
         // rest of the streak -- and crossing a section boundary is the
         // decode-ahead signal, so queue the sections after this one.
-        WG_ASSIGN_OR_RETURN(entry, repr_->AssembleSupernode(s));
+        WG_ASSIGN_OR_RETURN(entry,
+                            repr_->AssembleSupernode(s, probe_stamp_));
         repr_->MaybeDecodeAhead(s);
+      } else if (repr_->ProbeWithinReach(s, &stamp)) {
+        WG_ASSIGN_OR_RETURN(entry, repr_->AssembleSupernode(s));
       }
       if (entry != nullptr) {
         assembled_entry_ = entry;
@@ -977,6 +1029,7 @@ class SNodeRepr::Cursor : public AdjacencyCursor {
       }
     }
     last_snode_ = s;
+    probe_stamp_ = entry != nullptr ? 0 : stamp;
 
     if (entry != nullptr) {
       const ShardedGraphCache::AssembledAdjacency& a = *entry->assembled;
@@ -993,7 +1046,7 @@ class SNodeRepr::Cursor : public AdjacencyCursor {
     }
 
     links_.clear();
-    WG_RETURN_IF_ERROR(repr_->CollectPageLinks(p, &links_));
+    WG_RETURN_IF_ERROR(repr_->CollectPageLinks(p, stamp, &links_));
     repr_->stats_.edges_returned += links_.size();
     *view = LinkView(links_.data(), links_.size());
     return Status::OK();
@@ -1002,6 +1055,9 @@ class SNodeRepr::Cursor : public AdjacencyCursor {
  private:
   SNodeRepr* repr_;
   uint32_t last_snode_ = UINT32_MAX;
+  // Stamp of the lone probe the previous Links() call ran (0: none); a
+  // streak continuing it consumes that probe's scratch decode.
+  uint64_t probe_stamp_ = 0;
   uint32_t assembled_snode_ = UINT32_MAX;
   EntryPtr assembled_entry_;
   std::vector<PageId> links_;
@@ -1048,6 +1104,7 @@ Status SNodeRepr::VisitLinksInto(
     // of touching the lower-level graphs at all.
     if (EntryPtr assembled = cache_->Lookup(AssembledKey(s));
         assembled != nullptr) {
+      ++stats_.cache_hits;
       const ShardedGraphCache::AssembledAdjacency& a = *assembled->assembled;
       for (uint32_t i = a.offsets[local]; i < a.offsets[local + 1]; ++i) {
         if (std::binary_search(targets.begin(), targets.end(),
@@ -1072,7 +1129,8 @@ Status SNodeRepr::VisitLinksInto(
 
     auto allowed_it = allowed.find(s);
     if (allowed_it != allowed.end()) {
-      WG_ASSIGN_OR_RETURN(EntryPtr intra_entry, FetchIntranode(s));
+      WG_ASSIGN_OR_RETURN(EntryPtr intra_entry,
+                          LoadBlob(supernodes_.intranode_blob[s], s));
       const IntranodeGraph* intra = intra_entry->intranode.get();
       const auto& locals = allowed_it->second;
       for (uint32_t i = intra->offsets[local]; i < intra->offsets[local + 1];
@@ -1088,7 +1146,8 @@ Status SNodeRepr::VisitLinksInto(
       uint32_t j = supernodes_.targets[e];
       auto jt = allowed.find(j);
       if (jt == allowed.end()) continue;  // pushdown: skip this graph
-      WG_ASSIGN_OR_RETURN(EntryPtr se_entry, FetchSuperedge(s, e));
+      WG_ASSIGN_OR_RETURN(EntryPtr se_entry,
+                          LoadBlob(supernodes_.superedge_blob[e], s));
       const SuperedgeGraph* se = se_entry->superedge.get();
       cross.clear();
       se->LinksOf(local, &cross);

@@ -25,13 +25,16 @@
 //
 // Resident (pinned) state: the supernode graph, the PageID range index,
 // the domain index, and the crawl-order <-> S-Node-order permutations.
-// Lower-level graphs live in the GraphStore on disk and are decoded into a
-// byte-budgeted sharded LRU cache on demand; every load/evict can be
-// recorded (the instrumentation the paper used to explain Figures 11/12).
+// Lower-level graphs live in the GraphStore on disk and are decoded on
+// demand: a lone probe decodes its section into per-thread scratch, and a
+// byte-budgeted sharded LRU cache holds assembled sections (plus the
+// per-graph entries VisitLinksInto, decode-ahead and the warmer load);
+// every load/evict can be recorded (the instrumentation the paper used to
+// explain Figures 11/12).
 //
 // One read path: every byte this repr reads from the store goes through
-// ReadSectionBlobs, whether for a lone probe's single blob, a section
-// prefetch, or a supernode assembly. The store (storage/graph_store.h)
+// ReadSectionBlobs, whether for a lone probe, a section prefetch, or a
+// supernode assembly. The store (storage/graph_store.h)
 // owns where bytes come from: mapping or pread, the fallback between
 // them, and CRC verification. ReadSectionBlobs owns what a read means
 // here: the quarantined-section check and quarantine on corruption,
@@ -186,14 +189,16 @@ class SNodeRepr : public GraphRepresentation {
   size_t num_pages() const override { return new_of_orig_.size(); }
   uint64_t num_edges() const override { return num_edges_; }
 
-  // Streaming cursor (repr/representation.h). Single Links() probes run
-  // the classic per-graph decode into cursor scratch; once a cursor sees
-  // a second consecutive page in the same supernode it assembles that
-  // supernode's full external adjacency into a cache-resident CSR block
-  // and serves zero-copy pinned views straight out of it. Assembled
-  // blocks share the decoded-graph cache (budget, LRU, singleflight);
-  // eviction cannot invalidate live views because the view's pin shares
-  // ownership of the entry.
+  // Streaming cursor (repr/representation.h). A lone Links() probe
+  // decodes its section into per-thread scratch and caches nothing
+  // (CollectPageLinks). A supernode's full external adjacency is
+  // assembled into a cache-resident CSR block -- and every further page
+  // of it served as a zero-copy pinned view -- when the cursor sees a
+  // second consecutive page in it (a streak), or when a probe lands in a
+  // section probed recently enough that its block would still be cached
+  // (ProbeWithinReach). Assembled blocks share the decoded-graph cache
+  // (budget, LRU, singleflight); eviction cannot invalidate live views
+  // because the view's pin shares ownership of the entry.
   std::unique_ptr<AdjacencyCursor> NewCursor() override;
   Status PagesInDomain(const std::string& domain,
                        std::vector<PageId>* out) override;
@@ -284,23 +289,51 @@ class SNodeRepr : public GraphRepresentation {
   uint32_t AssembledKey(uint32_t supernode) const;
 
   // Fully remapped, sorted external adjacency of every page in
-  // `supernode`, built through the ordinary read path (section prefetch +
-  // cache fetches, so disk/cache counters stay honest) and published into
-  // the cache under AssembledKey (singleflighted).
-  Result<EntryPtr> AssembleSupernode(uint32_t supernode);
+  // `supernode`, built from GatherSection's graphs and published into the
+  // cache under AssembledKey (singleflighted). `scratch_stamp` is the
+  // stamp of the cursor's last lone probe, whose scratch decode a streak
+  // consumes instead of reading the section again (0: none).
+  Result<EntryPtr> AssembleSupernode(uint32_t supernode,
+                                     uint64_t scratch_stamp = 0);
+
+  // A section's graphs as GatherSection hands them out: each pointer aims
+  // into a pinned cache entry or the calling thread's scratch (valid until
+  // that thread's next gather).
+  struct SectionGraphs {
+    const IntranodeGraph* intranode = nullptr;
+    std::vector<const SuperedgeGraph*> superedges;  // by outgoing superedge
+    std::vector<EntryPtr> pins;
+  };
+
+  // The one gather of a whole section, shared by lone probes and
+  // assembly. Graphs the calling thread's scratch still holds from the
+  // probe stamped `scratch_stamp` (nonzero) are reused; graphs already in
+  // the cache are pinned; the rest are read with one ReadSectionBlobs call
+  // and decoded into the thread's scratch, which is then stamped with
+  // `scratch_stamp`. Publishes nothing.
+  Status GatherSection(uint32_t supernode, uint64_t scratch_stamp,
+                       SectionGraphs* graphs);
 
   // Appends the full external adjacency of page `p` (sorted) to *out: the
-  // classic S-Node read -- section prefetch, intranode walk, one pass per
-  // outgoing superedge graph. Bumps I/O and cache counters but not the
-  // request/edge counters (callers own those).
-  Status CollectPageLinks(PageId p, std::vector<PageId>* out);
+  // lone probe. Gathers p's section into per-thread scratch under
+  // `stamp`, then walks p's intranode row and its row in every outgoing
+  // superedge graph. Caches nothing. Bumps I/O and cache counters but not
+  // the request/edge counters (callers own those).
+  Status CollectPageLinks(PageId p, uint64_t stamp, std::vector<PageId>* out);
 
-  // Read-through fetches: cache hit, wait on another thread's in-flight
-  // decode, or claim + decode. The returned shared_ptr pins the decoded
-  // graph for the caller regardless of concurrent eviction.
-  Result<EntryPtr> FetchIntranode(uint32_t supernode);
-  Result<EntryPtr> FetchSuperedge(uint32_t source_supernode,
-                                  uint32_t edge_index);
+  // Ticks the probe clock for a lone probe of `supernode` and returns its
+  // stamp in *stamp. True when the section's previous probe lies within
+  // the cache's reach: fewer probes ago than the cache budget holds
+  // assembled sections of mean size (4 bytes per page, supernode and edge,
+  // over the supernode count), so its block would still be cached had that
+  // probe assembled it. A cache smaller than one such section never admits.
+  bool ProbeWithinReach(uint32_t supernode, uint64_t* stamp);
+
+  // Read-through fetch of one graph of `supernode`'s section for
+  // VisitLinksInto: cache hit, wait on another thread's in-flight decode,
+  // or claim + decode + publish a per-blob cache entry. The returned
+  // shared_ptr pins the graph for the caller regardless of concurrent
+  // eviction.
   Result<EntryPtr> LoadBlob(uint32_t blob_id, uint32_t supernode);
 
   // Loads a supernode's whole disk section (intranode graph + all its
@@ -339,8 +372,8 @@ class SNodeRepr : public GraphRepresentation {
 
   // The one decode dispatch: decodes store blob `blob_id` of `supernode`'s
   // section from [data, data+size) into the intranode or superedge graph
-  // of *entry, reusing the graph object already there (assembly's
-  // per-thread scratch) or allocating it (a fresh cache entry).
+  // of *entry, reusing the graph object already there (the per-thread
+  // gather scratch) or allocating it (a fresh cache entry).
   Status DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
                            const uint8_t* data, size_t size,
                            ShardedGraphCache::Entry* entry) const;
@@ -363,6 +396,18 @@ class SNodeRepr : public GraphRepresentation {
 
   // Cold-path attribution counters (wg_cold_* series).
   SNodeColdStats cold_stats_;
+
+  // Process-unique id of this repr (its wg_cold_* instance label); tags
+  // the per-thread gather scratch so no other repr's graphs are reused.
+  uint64_t instance_id_ = 0;
+
+  // Lone-probe admission (ProbeWithinReach): a clock ticked by every
+  // lone probe, the clock value of each section's last probe (0: never),
+  // and the mean assembled-section bytes the reach is measured in. Relaxed
+  // atomics -- a lost race only misjudges one admission.
+  std::atomic<uint64_t> probe_clock_{0};
+  std::unique_ptr<std::atomic<uint64_t>[]> last_probe_;
+  double assembled_section_bytes_ = 0;
 
   // Background decode-ahead executor (null when
   // options_.decode_ahead_sections == 0). Declared after the state its

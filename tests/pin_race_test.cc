@@ -113,5 +113,88 @@ TEST(PinRaceTest, PinnedViewsSurviveConcurrentEviction) {
   EXPECT_EQ(repr->stats().views_pinned.value(), 0.0);
 }
 
+// Lone probes, repeat-probe admission, streak assembly and eviction racing
+// on a few sections through a 64 KiB cache: four threads mix fresh-cursor
+// probes with short streaks over the largest sections, whose assembled
+// blocks overflow the cache. Every answer must match the graph, and no pin
+// may outlive its view.
+TEST(PinRaceTest, ScratchProbesRaceAdmissionAndEviction) {
+  GeneratorOptions opts;
+  opts.num_pages = 4000;
+  opts.seed = 12;
+  WebGraph graph = GenerateWebGraph(opts);
+  SNodeBuildOptions bopts;
+  bopts.buffer_bytes = 64 << 10;
+  auto built = SNodeRepr::Build(graph, TempPath("probe_race"), bopts);
+  ASSERT_TRUE(built.ok());
+  SNodeRepr* repr = built.value().get();
+  const SupernodeGraph& sg = repr->supernode_graph();
+
+  // Sections by assembled size, largest first, until their blocks hold
+  // twice the budget.
+  auto block_bytes = [&](uint32_t s) {
+    size_t bytes = 4 * (sg.page_start[s + 1] - sg.page_start[s] + 1);
+    for (PageId nid = sg.page_start[s]; nid < sg.page_start[s + 1]; ++nid) {
+      bytes += 4 * graph.out_degree(repr->PageInNaturalOrder(nid));
+    }
+    return bytes;
+  };
+  std::vector<uint32_t> sections(sg.num_supernodes());
+  for (uint32_t s = 0; s < sections.size(); ++s) sections[s] = s;
+  std::sort(sections.begin(), sections.end(), [&](uint32_t a, uint32_t b) {
+    return block_bytes(a) > block_bytes(b);
+  });
+  size_t total = 0;
+  size_t chosen = 0;
+  while (chosen < sections.size() && (chosen < 4 || total < 2 * (64 << 10))) {
+    total += block_bytes(sections[chosen++]);
+  }
+  sections.resize(chosen);
+
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 150;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t x = 977 + t;
+      auto next = [&x] {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        return x >> 33;
+      };
+      for (int i = 0; i < kIterations; ++i) {
+        uint32_t s = sections[next() % sections.size()];
+        uint32_t pages = sg.page_start[s + 1] - sg.page_start[s];
+        // One probe (a lone probe), or two or three consecutive pages of
+        // the section (a streak), through a fresh cursor.
+        int reads = 1 + static_cast<int>(next() % 3);
+        uint32_t local = static_cast<uint32_t>(next() % pages);
+        auto cursor = repr->NewCursor();
+        for (int r = 0; r < reads; ++r) {
+          PageId p =
+              repr->PageInNaturalOrder(sg.page_start[s] + (local + r) % pages);
+          LinkView view;
+          if (!cursor->Links(p, &view).ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          auto expected = graph.OutLinks(p);
+          if (!std::equal(view.begin(), view.end(), expected.begin(),
+                          expected.end())) {
+            failures.fetch_add(1);
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(repr->cold_stats().assembles, 0u);
+  EXPECT_EQ(repr->PinnedCacheEntries(), 0u);
+  EXPECT_EQ(repr->stats().views_pinned.value(), 0.0);
+}
+
 }  // namespace
 }  // namespace wg

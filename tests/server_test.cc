@@ -328,7 +328,8 @@ TEST(QueryServiceTest, ConcurrentComplexQueriesMatchSingleThreadedRun) {
 }
 
 TEST(QueryServiceTest, SingleflightDecodesEachGraphOnce) {
-  // A fresh repr so stats/caches are exclusively ours.
+  // A fresh repr so stats/caches are exclusively ours (its default 4 MiB
+  // budget holds the whole store, so every repeat probe is within reach).
   ServerEnv& env = ServerEnv::Get();
   auto built = SNodeRepr::Build(env.graph, TempPath("srv_sf"), {});
   ASSERT_TRUE(built.ok());
@@ -346,25 +347,154 @@ TEST(QueryServiceTest, SingleflightDecodesEachGraphOnce) {
   opts.num_workers = 8;
   QueryService service(ctx, opts);
 
-  // 32 concurrent identical requests; without singleflight, racing misses
-  // would decode the same lower-level graphs repeatedly.
+  // 32 concurrent identical requests. The first probe decodes the section
+  // into its worker's scratch; every later probe is within the cache's
+  // reach, so it assembles the section -- once, behind the assembled key's
+  // singleflight -- or waits for or hits that block. Without singleflight,
+  // racing probes would decode the section over and over.
   Request request;
   request.type = RequestType::kOutNeighbors;
   request.page = 42;
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 32; ++i) futures.push_back(service.Submit(request));
   std::vector<PageId> expected(env.graph.OutLinks(42).begin(),
                                env.graph.OutLinks(42).end());
-  for (auto& future : futures) {
-    Response response = future.get();
-    ASSERT_EQ(response.code, ResponseCode::kOk);
-    EXPECT_EQ(response.pages, expected);
+  auto serve_32 = [&] {
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < 32; ++i) futures.push_back(service.Submit(request));
+    for (auto& future : futures) {
+      Response response = future.get();
+      ASSERT_EQ(response.code, ResponseCode::kOk);
+      EXPECT_EQ(response.pages, expected);
+    }
+  };
+  serve_32();
+  // At most two decodes of the section: the first-touch scratch probe and
+  // the admitted assembly; each read the store once.
+  EXPECT_LE(repr->stats().graphs_loaded, 2 * section_graphs);
+  EXPECT_EQ(repr->stats().cache_misses, repr->stats().graphs_loaded);
+  EXPECT_LE(repr->stats().disk_reads, 2u);
+  EXPECT_EQ(repr->cold_stats().assembles, 1u);
+  // Once the assembled block is published, nothing reads the store again.
+  uint64_t loaded = repr->stats().graphs_loaded;
+  uint64_t reads = repr->stats().disk_reads;
+  serve_32();
+  EXPECT_EQ(repr->stats().graphs_loaded, loaded);
+  EXPECT_EQ(repr->stats().disk_reads, reads);
+  EXPECT_EQ(repr->cold_stats().assembles, 1u);
+}
+
+// Forwards to `base`, except that its cursors fail on `fail_page` and
+// stall for `stall` in their first Links() call -- mid-expansion error and
+// deadline exits for a k-hop request.
+class FaultyRepr : public GraphRepresentation {
+ public:
+  FaultyRepr(GraphRepresentation* base, PageId fail_page,
+             std::chrono::milliseconds stall)
+      : base_(base), fail_page_(fail_page), stall_(stall) {}
+
+  std::string name() const override { return base_->name(); }
+  size_t num_pages() const override { return base_->num_pages(); }
+  uint64_t num_edges() const override { return base_->num_edges(); }
+  uint64_t LocalityKey(PageId p) const override {
+    return base_->LocalityKey(p);
   }
-  EXPECT_EQ(repr->stats().graphs_loaded, section_graphs);
-  // One miss per blob loaded from the store (the section prefetch); every
-  // per-graph fetch of every request is then a hit.
-  EXPECT_EQ(repr->stats().cache_misses, section_graphs);
-  EXPECT_EQ(repr->stats().cache_hits, 32u * section_graphs);
+  std::unique_ptr<AdjacencyCursor> NewCursor() override {
+    return std::make_unique<Cursor>(base_->NewCursor(), fail_page_, stall_);
+  }
+  Status PagesInDomain(const std::string& domain,
+                       std::vector<PageId>* out) override {
+    return base_->PagesInDomain(domain, out);
+  }
+  uint64_t encoded_bits() const override { return base_->encoded_bits(); }
+  size_t resident_memory() const override { return 0; }
+
+ private:
+  class Cursor : public AdjacencyCursor {
+   public:
+    Cursor(std::unique_ptr<AdjacencyCursor> inner, PageId fail_page,
+           std::chrono::milliseconds stall)
+        : inner_(std::move(inner)), fail_page_(fail_page), stall_(stall) {}
+    Status Links(PageId p, LinkView* view) override {
+      std::this_thread::sleep_for(stall_);
+      stall_ = std::chrono::milliseconds(0);
+      if (p == fail_page_) return Status::IOError("injected read failure");
+      return inner_->Links(p, view);
+    }
+
+   private:
+    std::unique_ptr<AdjacencyCursor> inner_;
+    PageId fail_page_;
+    std::chrono::milliseconds stall_;
+  };
+
+  GraphRepresentation* base_;
+  PageId fail_page_;
+  std::chrono::milliseconds stall_;
+};
+
+TEST(QueryServiceTest, KHopVisitedSetStaysCleanAcrossRequests) {
+  // One worker, so every request shares its thread's visited bitmap: a bit
+  // a request failed to clear drops that page from a later answer.
+  ServerEnv& env = ServerEnv::Get();
+  QueryServiceOptions opts;
+  opts.num_workers = 1;
+  QueryService service(env.Context(), opts);
+  auto khop = [&](PageId page, int k, std::chrono::milliseconds budget) {
+    Request request;
+    request.type = RequestType::kKHop;
+    request.page = page;
+    request.k = k;
+    if (budget.count() > 0) {
+      request.deadline = std::chrono::steady_clock::now() + budget;
+    }
+    return service.Submit(request).get();
+  };
+  auto expect_truth = [&](const WebGraph& graph, PageId page, int k) {
+    Response response = khop(page, k, std::chrono::milliseconds(0));
+    ASSERT_EQ(response.code, ResponseCode::kOk)
+        << response.status.ToString();
+    EXPECT_EQ(response.pages, GroundTruthKHop(graph, page, k))
+        << "page " << page << " k " << k;
+  };
+
+  // Back to back over overlapping neighborhoods.
+  for (PageId page = 0; page < 40; page += 4) {
+    for (int k = 1; k <= 3; ++k) expect_truth(env.graph, page, k);
+  }
+
+  // Exits that leave a partial result behind: a read error in the second
+  // level, then a deadline that passes while the first level is read.
+  PageId start = 0;
+  while (env.graph.out_degree(start) < 2) ++start;
+  PageId fail = env.graph.OutLinks(start)[0];
+  if (fail == start) fail = env.graph.OutLinks(start)[1];
+  service.SwapForward(std::make_shared<FaultyRepr>(
+      env.forward.get(), fail, std::chrono::milliseconds(0)));
+  EXPECT_EQ(khop(start, 3, std::chrono::milliseconds(0)).code,
+            ResponseCode::kError);
+  service.SwapForward(std::make_shared<FaultyRepr>(
+      env.forward.get(), kInvalidPage, std::chrono::milliseconds(300)));
+  Response expired = khop(start, 3, std::chrono::milliseconds(100));
+  EXPECT_EQ(expired.code, ResponseCode::kDeadlineExceeded);
+  EXPECT_TRUE(expired.pages.empty());
+  service.SwapForward(nullptr);
+  expect_truth(env.graph, start, 3);
+  expect_truth(env.graph, fail, 2);
+
+  // A generation with more pages grows the bitmap.
+  GeneratorOptions gopts;
+  gopts.num_pages = env.graph.num_pages() + 3000;
+  gopts.seed = 72;
+  WebGraph bigger = GenerateWebGraph(gopts);
+  auto built = SNodeRepr::Build(bigger, TempPath("srv_khop_big"), {});
+  ASSERT_TRUE(built.ok());
+  service.SwapForward(std::shared_ptr<GraphRepresentation>(
+      std::move(built).value()));
+  for (PageId page = 0; page < bigger.num_pages(); page += 997) {
+    for (int k = 1; k <= 3; ++k) expect_truth(bigger, page, k);
+  }
+  expect_truth(bigger, static_cast<PageId>(bigger.num_pages() - 1), 3);
+  service.SwapForward(nullptr);
+  for (PageId page = 0; page < 40; page += 4) expect_truth(env.graph, page, 3);
 }
 
 TEST(QueryServiceTest, MappedStoreWithQuarantinedFilesServesConcurrently) {

@@ -662,6 +662,114 @@ TEST(SNodeColdAccountingTest, CacheMissesCountEveryDemandLoad) {
   expect_loaded(before, SectionBlobCount(sg, 0) + SectionBlobCount(sg, 1));
 }
 
+// Reads page `p` through a fresh cursor (a lone probe) and checks it
+// against the graph; returns whether the view came pinned out of the cache.
+bool ProbeFresh(SNodeRepr* repr, const WebGraph& graph, PageId p) {
+  std::unique_ptr<AdjacencyCursor> cursor = repr->NewCursor();
+  LinkView view;
+  EXPECT_TRUE(cursor->Links(p, &view).ok()) << p;
+  auto expected = graph.OutLinks(p);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), expected.begin(),
+                         expected.end()))
+      << p;
+  return view.pinned();
+}
+
+// Mean bytes of an assembled section: pages + 1 offsets and one target per
+// edge, 4 bytes each.
+double MeanAssembledBytes(const SNodeRepr& repr) {
+  double sections = repr.supernode_graph().num_supernodes();
+  return 4.0 * (repr.num_pages() + sections + repr.num_edges()) / sections;
+}
+
+// A cold lone probe decodes its section into per-thread scratch: one store
+// read, every blob of the section charged as a demand load, and nothing
+// published into the cache.
+TEST(SNodeScratchProbeTest, ColdLoneProbeReadsOnceAndCachesNothing) {
+  GeneratorOptions gopts;
+  gopts.num_pages = 3000;
+  WebGraph graph = GenerateWebGraph(gopts);
+  auto built = SNodeRepr::Build(graph, TempPath("snode_probe"), {});
+  ASSERT_TRUE(built.ok());
+  SNodeRepr* repr = built.value().get();
+  const SupernodeGraph& sg = repr->supernode_graph();
+  uint32_t s = static_cast<uint32_t>(sg.num_supernodes() / 2);
+  const ReprStats& stats = repr->stats();
+  uint64_t reads = stats.disk_reads;
+  uint64_t graphs = stats.graphs_loaded;
+  uint64_t misses = stats.cache_misses;
+  uint64_t demand = repr->cold_stats().demand_blobs;
+
+  EXPECT_FALSE(
+      ProbeFresh(repr, graph, repr->PageInNaturalOrder(sg.page_start[s])));
+  uint64_t blobs = SectionBlobCount(sg, s);
+  EXPECT_EQ(stats.disk_reads - reads, 1u);
+  EXPECT_EQ(stats.graphs_loaded - graphs, blobs);
+  EXPECT_EQ(stats.cache_misses - misses, blobs);
+  EXPECT_EQ(repr->cold_stats().demand_blobs - demand, blobs);
+  EXPECT_EQ(repr->buffer_bytes_used(), 0u);
+  EXPECT_EQ(repr->cold_stats().assembles, 0u);
+}
+
+// Probing a section again while its assembled block would still be cached
+// assembles it; the section's later probes are cache hits that read
+// nothing from the store.
+TEST(SNodeScratchProbeTest, SecondProbeWithinReachAssembles) {
+  GeneratorOptions gopts;
+  gopts.num_pages = 3000;
+  WebGraph graph = GenerateWebGraph(gopts);
+  SNodeBuildOptions opts;
+  opts.buffer_bytes = 64 << 20;  // holds every assembled section
+  auto built = SNodeRepr::Build(graph, TempPath("snode_reach"), opts);
+  ASSERT_TRUE(built.ok());
+  SNodeRepr* repr = built.value().get();
+  const SupernodeGraph& sg = repr->supernode_graph();
+  uint32_t s = static_cast<uint32_t>(sg.num_supernodes() / 2);
+  PageId p = repr->PageInNaturalOrder(sg.page_start[s]);
+
+  EXPECT_FALSE(ProbeFresh(repr, graph, p));
+  EXPECT_EQ(repr->cold_stats().assembles, 0u);
+  EXPECT_TRUE(ProbeFresh(repr, graph, p));
+  EXPECT_EQ(repr->cold_stats().assembles, 1u);
+
+  uint64_t reads = repr->stats().disk_reads;
+  uint64_t graphs = repr->stats().graphs_loaded;
+  uint64_t hits = repr->stats().cache_hits;
+  for (PageId nid = sg.page_start[s]; nid < sg.page_start[s + 1]; ++nid) {
+    EXPECT_TRUE(ProbeFresh(repr, graph, repr->PageInNaturalOrder(nid)));
+  }
+  EXPECT_EQ(repr->stats().disk_reads, reads);
+  EXPECT_EQ(repr->stats().graphs_loaded, graphs);
+  EXPECT_EQ(repr->stats().cache_hits - hits,
+            sg.page_start[s + 1] - sg.page_start[s]);
+  EXPECT_EQ(repr->cold_stats().assembles, 1u);
+}
+
+// A cache smaller than one mean assembled section has no reach: repeated
+// probes keep decoding into scratch, and never assemble or cache anything.
+TEST(SNodeScratchProbeTest, CacheSmallerThanOneSectionNeverAssembles) {
+  GeneratorOptions gopts;
+  gopts.num_pages = 3000;
+  WebGraph graph = GenerateWebGraph(gopts);
+  auto built = SNodeRepr::Build(graph, TempPath("snode_noreach"), {});
+  ASSERT_TRUE(built.ok());
+  SNodeRepr* repr = built.value().get();
+  repr->set_buffer_budget(static_cast<size_t>(MeanAssembledBytes(*repr)) / 2);
+  const SupernodeGraph& sg = repr->supernode_graph();
+  uint32_t s = static_cast<uint32_t>(sg.num_supernodes() / 2);
+  PageId first = repr->PageInNaturalOrder(sg.page_start[s]);
+  PageId last = repr->PageInNaturalOrder(sg.page_start[s + 1] - 1);
+
+  uint64_t reads = repr->stats().disk_reads;
+  constexpr int kProbes = 8;
+  for (int i = 0; i < kProbes; ++i) {
+    EXPECT_FALSE(ProbeFresh(repr, graph, i % 2 == 0 ? first : last));
+  }
+  EXPECT_EQ(repr->stats().disk_reads - reads, static_cast<uint64_t>(kProbes));
+  EXPECT_EQ(repr->cold_stats().assembles, 0u);
+  EXPECT_EQ(repr->buffer_bytes_used(), 0u);
+}
+
 // A mapped store with every other pack file demoted to pread. A tiny
 // max_file_size makes sections straddle files, so one section read mixes
 // zero-copy spans and pread runs. Every read path must answer like the
