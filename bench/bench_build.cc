@@ -113,13 +113,14 @@ int Main() {
   std::fprintf(json,
                "{\n"
                "  \"bench\": \"bench_build\",\n"
+               "  %s,\n"
                "  \"pages\": %zu,\n"
                "  \"edges\": %llu,\n"
                "  \"hardware_threads\": %d,\n"
                "  \"stores_byte_identical\": %s,\n"
                "  \"speedup_8_over_1\": %.3f,\n"
                "  \"runs\": [\n",
-               graph.num_pages(),
+               ProvenanceJsonFields().c_str(), graph.num_pages(),
                static_cast<unsigned long long>(graph.num_edges()),
                ParallelExecutor::HardwareThreads(),
                identical ? "true" : "false", speedup8);

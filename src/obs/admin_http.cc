@@ -295,8 +295,10 @@ void AdminServer::ServeConnection(int fd) {
   if (ok && parsed.method != "HEAD") {
     SendAll(fd, response.body.data(), response.body.size());
   }
-  ::close(fd);
+  // Count before the close: a client that has read its response must
+  // already see it in requests_served().
   requests_.fetch_add(1, std::memory_order_relaxed);
+  ::close(fd);
 }
 
 AdminResponse AdminServer::Dispatch(const AdminRequest& request) {

@@ -66,8 +66,7 @@ struct GaugeCell {
 // bucket 0 also absorbing v <= 1 and bucket 31 the overflow. Upper
 // bounds are *inclusive* — a value exactly at 2^(i+1) lands in bucket i
 // — so the Prometheus `le="2^(i+1)"` cumulative series keeps its <=
-// contract. This is the LatencyHistogram design from server/metrics.h,
-// generalized to unit-agnostic values so one cell type serves latencies
+// contract. Values are unit-agnostic, so one cell type serves latencies
 // (recorded in microseconds), byte sizes, and counts. Quantiles are
 // read from bucket upper bounds, so they are exact to within one power
 // of two.

@@ -1,6 +1,7 @@
 #include "server/query_service.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "obs/trace.h"
@@ -40,8 +41,9 @@ QueryService::QueryService(const QueryContext& ctx,
   bind(errors_, "error");
   queue_depth_ = registry.GetGauge("wg_service_queue_depth", labels,
                                    "Requests waiting at last snapshot");
-  latency_.Bind(registry, "wg_service_latency_us", labels,
-                "Enqueue-to-completion latency (microseconds)");
+  latency_us_ = registry.GetHistogram(
+      "wg_service_latency_us", labels,
+      "Enqueue-to-completion latency (microseconds)");
   size_t n = std::max<size_t>(1, options_.num_workers);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -100,14 +102,12 @@ void QueryService::WorkerLoop() {
     // slow threshold capture the trace id as the latency histogram's
     // exemplar and pin the trace into the /tracez slow list.
     double latency_us = response.latency_seconds * 1e6;
+    latency_us_.Record(latency_us);
     obs::Tracer& tracer = obs::Tracer::Global();
     if (response.trace_id != 0 && tracer.ring_enabled() &&
         latency_us >= tracer.ring().slow_threshold_us()) {
-      latency_.RecordWithExemplar(response.latency_seconds,
-                                  response.trace_id);
+      latency_us_.SetExemplar(latency_us, response.trace_id);
       tracer.ring().MarkSlow(response.trace_id, latency_us);
-    } else {
-      latency_.Record(response.latency_seconds);
     }
     switch (response.code) {
       case ResponseCode::kOk:
@@ -127,13 +127,8 @@ void QueryService::WorkerLoop() {
 }
 
 void QueryService::SwapForward(std::shared_ptr<GraphRepresentation> forward) {
-  {
-    std::lock_guard<std::mutex> lock(forward_mu_);
-    forward_override_ = forward;
-  }
-  // Outside the lock: the hook may do arbitrary work (start a warmer walk
-  // over the new generation) and must not stall request admission.
-  if (options_.on_swap) options_.on_swap(forward);
+  std::lock_guard<std::mutex> lock(forward_mu_);
+  forward_override_ = std::move(forward);
 }
 
 std::shared_ptr<GraphRepresentation> QueryService::CurrentForward() const {
@@ -158,9 +153,6 @@ Response QueryService::Execute(const Request& request) const {
   // with this request flips later requests, never this one mid-flight.
   std::shared_ptr<GraphRepresentation> pinned = CurrentForward();
   GraphRepresentation* forward = pinned ? pinned.get() : ctx_.forward;
-  if (request.simulated_work.count() > 0) {
-    std::this_thread::sleep_for(request.simulated_work);
-  }
   if (DeadlinePassed(request, std::chrono::steady_clock::now())) {
     response.code = ResponseCode::kDeadlineExceeded;
     return response;
@@ -294,8 +286,8 @@ ServiceMetrics QueryService::Snapshot() const {
   m.errors = errors_;
   m.queue_depth = queue_.size();
   queue_depth_.Set(static_cast<double>(m.queue_depth));
-  m.p50_seconds = latency_.Quantile(0.5);
-  m.p99_seconds = latency_.Quantile(0.99);
+  m.p50_seconds = latency_us_.Quantile(0.5) * 1e-6;
+  m.p99_seconds = latency_us_.Quantile(0.99) * 1e-6;
   std::shared_ptr<GraphRepresentation> pinned = CurrentForward();
   GraphRepresentation* forward = pinned ? pinned.get() : ctx_.forward;
   if (forward != nullptr) {
@@ -309,6 +301,24 @@ ServiceMetrics QueryService::Snapshot() const {
                            static_cast<double>(lookups);
   }
   return m;
+}
+
+std::string ServiceMetrics::ToString() const {
+  char buf[384];
+  std::snprintf(
+      buf, sizeof(buf),
+      "submitted=%llu completed=%llu rejected=%llu timed_out=%llu "
+      "errors=%llu queue_depth=%zu p50=%.3fms p99=%.3fms "
+      "cache_hits=%llu cache_misses=%llu hit_rate=%.3f",
+      static_cast<unsigned long long>(submitted),
+      static_cast<unsigned long long>(completed),
+      static_cast<unsigned long long>(rejected),
+      static_cast<unsigned long long>(timed_out),
+      static_cast<unsigned long long>(errors), queue_depth,
+      p50_seconds * 1e3, p99_seconds * 1e3,
+      static_cast<unsigned long long>(cache_hits),
+      static_cast<unsigned long long>(cache_misses), cache_hit_rate);
+  return buf;
 }
 
 }  // namespace wg::server

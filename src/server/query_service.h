@@ -3,17 +3,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "query/queries.h"
 #include "server/bounded_queue.h"
-#include "server/metrics.h"
 #include "server/request.h"
 
 // The serving layer over the S-Node store: a fixed-size worker pool pulls
@@ -34,13 +34,32 @@ namespace wg::server {
 struct QueryServiceOptions {
   size_t num_workers = 4;
   size_t queue_capacity = 256;
-  // Invoked (outside the swap lock) after SwapForward installs a new
-  // forward representation, with the representation just installed --
-  // nullptr when reverting to the constructor-supplied one. This is the
-  // hook the serving binary uses to kick a background cache warmer at
-  // every generation flip, so the first requests against the new
-  // generation don't eat the whole cold-read cliff.
-  std::function<void(const std::shared_ptr<GraphRepresentation>&)> on_swap;
+};
+
+// A point-in-time view of a QueryService. The service's counters and
+// latency distribution live in the metric registry, so the same numbers
+// are exported by MetricRegistry dumps.
+struct ServiceMetrics {
+  uint64_t submitted = 0;
+  uint64_t completed = 0;   // executed to kOk
+  uint64_t rejected = 0;    // refused at admission (queue full / shut down)
+  uint64_t timed_out = 0;   // deadline exceeded
+  uint64_t errors = 0;      // executor returned non-OK
+  size_t queue_depth = 0;   // requests waiting at snapshot time
+
+  // Enqueue-to-completion latency quantiles, read from the
+  // wg_service_latency_us histogram (obs::Histogram's power-of-two
+  // bound: a true quantile t >= 1us reports as v with t <= v <= 2t).
+  double p50_seconds = 0;
+  double p99_seconds = 0;
+
+  // Decoded-graph cache behaviour of the forward representation (the
+  // serving hot path); hit_rate is hits / (hits + misses).
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  double cache_hit_rate = 0;
+
+  std::string ToString() const;
 };
 
 class QueryService {
@@ -119,7 +138,7 @@ class QueryService {
   obs::Counter timed_out_;
   obs::Counter errors_;
   obs::Gauge queue_depth_;
-  LatencyHistogram latency_;
+  obs::Histogram latency_us_;
 };
 
 }  // namespace wg::server

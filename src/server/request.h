@@ -33,12 +33,6 @@ struct Request {
   // k-hop expansion -- completes as kDeadlineExceeded.
   std::chrono::steady_clock::time_point deadline{};
 
-  // Extra time the executor sleeps before running the request, for
-  // workload shaping: lets tests and benchmarks model slow handlers
-  // deterministically (queue-full and deadline paths) without touching
-  // the graph code.
-  std::chrono::microseconds simulated_work{0};
-
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point{};
   }

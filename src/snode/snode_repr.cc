@@ -29,6 +29,10 @@ inline double SecondsSince(std::chrono::steady_clock::time_point t0) {
 // anything inside a window.
 constexpr uint32_t kEncodeWindow = 4096;
 
+// Lock shards of the decoded-graph cache: concurrent readers contend only
+// when their graphs hash to the same shard.
+constexpr size_t kCacheShards = 8;
+
 // Bound on sections queued to the decode-ahead executor at once; beyond
 // this the reader is so far ahead of the worker that more queue would
 // only decode sections destined for eviction before use.
@@ -72,10 +76,6 @@ void SNodeColdStats::Register(obs::MetricRegistry& registry,
   decode_ahead_bytes.Bind(registry, "wg_cold_bytes_total",
                           with_source("decode_ahead"),
                           "Encoded bytes decoded ahead");
-  warmer_blobs.Bind(registry, "wg_cold_blobs_total", with_source("warmer"),
-                    "Blobs decoded by the background warmer");
-  warmer_bytes.Bind(registry, "wg_cold_bytes_total", with_source("warmer"),
-                    "Encoded bytes read by the background warmer");
   assembles.Bind(registry, "wg_cold_assembles_total", labels,
                  "Supernode CSR assemblies (cold cursor work)");
 }
@@ -90,10 +90,6 @@ void SNodeColdStats::Bump(SNodeLoadSource source, uint64_t blobs,
     case SNodeLoadSource::kDecodeAhead:
       decode_ahead_blobs += blobs;
       decode_ahead_bytes += bytes;
-      break;
-    case SNodeLoadSource::kWarmer:
-      warmer_blobs += blobs;
-      warmer_bytes += bytes;
       break;
   }
 }
@@ -140,7 +136,7 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
   std::unique_ptr<SNodeRepr> repr(new SNodeRepr());
   repr->options_ = options;
   repr->base_path_ = base_path;
-  repr->cache_ = std::make_unique<ShardedGraphCache>(options.cache_shards,
+  repr->cache_ = std::make_unique<ShardedGraphCache>(kCacheShards,
                                                      options.buffer_bytes);
   repr->InstallLoadLogListener();
   repr->RegisterStats("s-node");
@@ -413,13 +409,63 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::Open(
                    options);
 }
 
+namespace {
+
+// Parse checks the resident fields one at a time; this checks that they
+// fit together, so a state that is consistent but wrong (a writer bug, a
+// crafted manifest) fails the attach instead of a later probe. Readers
+// index by these arrays, and DecodeSectionBlob derives a superedge's index
+// from `blob_id - intranode_blob[s]`, hence the contiguity check.
+Status ValidateResidentShape(const SNodeResidentState& state,
+                             size_t num_blobs) {
+  const SupernodeGraph& sg = state.supernodes;
+  const size_t n_super = sg.intranode_blob.size();
+  auto bad = [](const std::string& what) {
+    return Status::Corruption("snode meta: " + what);
+  };
+  if (state.orig_of_new.size() != state.new_of_orig.size() ||
+      sg.page_start.size() != n_super + 1 || sg.offsets.size() != n_super + 1 ||
+      sg.superedge_blob.size() != sg.targets.size()) {
+    return bad("resident arrays disagree in size");
+  }
+  if (sg.page_start.front() != 0 ||
+      sg.page_start.back() != state.new_of_orig.size() ||
+      !std::is_sorted(sg.page_start.begin(), sg.page_start.end())) {
+    return bad("page ranges do not ascend from 0 to the page count");
+  }
+  if (sg.offsets.front() != 0 || sg.offsets.back() != sg.targets.size() ||
+      !std::is_sorted(sg.offsets.begin(), sg.offsets.end())) {
+    return bad("superedge offsets do not ascend to the superedge count");
+  }
+  for (uint32_t t : sg.targets) {
+    if (t >= n_super) return bad("superedge target past the last supernode");
+  }
+  for (size_t s = 0; s < n_super; ++s) {
+    const uint64_t first = sg.intranode_blob[s];
+    const uint32_t edges = sg.offsets[s + 1] - sg.offsets[s];
+    if (first + edges >= num_blobs) {
+      return bad("section " + std::to_string(s) + " lies outside the store");
+    }
+    for (uint32_t k = 0; k < edges; ++k) {
+      if (sg.superedge_blob[sg.offsets[s] + k] != first + 1 + k) {
+        return bad("section " + std::to_string(s) +
+                   " blobs are not contiguous");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<SNodeRepr>> SNodeRepr::FromParts(
     SNodeResidentState state, std::unique_ptr<GraphStore> store,
     const std::string& base_path, const SNodeBuildOptions& options) {
+  WG_RETURN_IF_ERROR(ValidateResidentShape(state, store->num_blobs()));
   std::unique_ptr<SNodeRepr> repr(new SNodeRepr());
   repr->options_ = options;
   repr->base_path_ = base_path;
-  repr->cache_ = std::make_unique<ShardedGraphCache>(options.cache_shards,
+  repr->cache_ = std::make_unique<ShardedGraphCache>(kCacheShards,
                                                      options.buffer_bytes);
   repr->InstallLoadLogListener();
   repr->RegisterStats("s-node");
@@ -428,17 +474,6 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::FromParts(
   repr->supernodes_ = std::move(state.supernodes);
   repr->num_edges_ = state.num_edges;
   repr->store_ = std::move(store);
-  // Sanity: every pointer must resolve inside the store.
-  for (uint32_t b : repr->supernodes_.intranode_blob) {
-    if (b >= repr->store_->num_blobs()) {
-      return Status::Corruption("snode meta: dangling intranode pointer");
-    }
-  }
-  for (uint32_t b : repr->supernodes_.superedge_blob) {
-    if (b >= repr->store_->num_blobs()) {
-      return Status::Corruption("snode meta: dangling superedge pointer");
-    }
-  }
   repr->StartRuntime();
   return repr;
 }
@@ -494,22 +529,6 @@ Status SNodeRepr::MapStoreForRead() { return store_->MapForRead(); }
 void SNodeRepr::DropToColdState() {
   cache_->Clear();
   store_->EvictFromPageCache();
-}
-
-Status SNodeRepr::WarmSection(uint32_t supernode, SNodeLoadSource source) {
-  if (supernode >= supernodes_.num_supernodes()) {
-    return Status::OutOfRange("supernode out of range");
-  }
-  return PrefetchSection(supernode, source);
-}
-
-uint64_t SNodeRepr::SectionBytes(uint32_t supernode) const {
-  uint32_t first = supernodes_.intranode_blob[supernode];
-  uint32_t last = first + (supernodes_.offsets[supernode + 1] -
-                           supernodes_.offsets[supernode]);
-  uint64_t total = 0;
-  for (uint32_t b = first; b <= last; ++b) total += store_->blob_size(b);
-  return total;
 }
 
 bool SNodeRepr::SectionQuarantined(uint32_t supernode) const {
@@ -625,6 +644,13 @@ Status SNodeRepr::DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
       entry->intranode = std::make_unique<IntranodeGraph>();
     }
     WG_RETURN_IF_ERROR(DecodeIntranode(data, size, entry->intranode.get()));
+    if (entry->intranode->num_pages != supernodes_.pages_in(supernode)) {
+      return Status::Corruption(
+          "intranode graph of section " + std::to_string(supernode) +
+          " has " + std::to_string(entry->intranode->num_pages) +
+          " pages, its page range " +
+          std::to_string(supernodes_.pages_in(supernode)));
+    }
     entry->bytes = entry->intranode->MemoryUsage();
     return Status::OK();
   }

@@ -28,7 +28,7 @@
 // Lower-level graphs live in the GraphStore on disk and are decoded on
 // demand: a lone probe decodes its section into per-thread scratch, and a
 // byte-budgeted sharded LRU cache holds assembled sections (plus the
-// per-graph entries VisitLinksInto, decode-ahead and the warmer load);
+// per-graph entries VisitLinksInto and decode-ahead load);
 // every load/evict can be recorded (the instrumentation the paper used to
 // explain Figures 11/12).
 //
@@ -66,9 +66,6 @@ struct SNodeBuildOptions {
   int threads = 1;
   // Budget for decoded lower-level graphs.
   size_t buffer_bytes = 4 << 20;
-  // Lock shards of the decoded-graph cache (concurrent readers contend
-  // only when their graphs hash to the same shard).
-  size_t cache_shards = 8;
   bool record_load_log = false;
   // Locality decode-ahead: when a cursor takes a cold miss into a
   // supernode section, a background executor decodes the next N sections
@@ -113,17 +110,16 @@ struct SNodeBuildSource {
   std::function<std::string(PageId)> domain_name_of;
 };
 
-// Who initiated a cold blob load -- demand read (a query is waiting),
-// decode-ahead (the locality executor running ahead of a cursor), or the
-// background warmer. Exposition splits the wg_cold_* series by this so a
-// dashboard can tell a cold-read cliff from deliberate warming I/O.
-enum class SNodeLoadSource { kDemand = 0, kDecodeAhead = 1, kWarmer = 2 };
+// Who initiated a cold blob load -- demand read (a query is waiting) or
+// decode-ahead (the locality executor running ahead of a cursor).
+// Exposition splits the wg_cold_* series by this so a dashboard can tell a
+// cold-read cliff from speculative decode I/O.
+enum class SNodeLoadSource { kDemand = 0, kDecodeAhead = 1 };
 
 // Cold-path counters (registry series wg_cold_*), split by load source.
 struct SNodeColdStats {
   obs::Counter demand_blobs, demand_bytes;
   obs::Counter decode_ahead_blobs, decode_ahead_bytes;
-  obs::Counter warmer_blobs, warmer_bytes;
   obs::Counter assembles;  // supernode CSR assemblies (cold cursor work)
   void Register(obs::MetricRegistry& registry, const obs::Labels& labels);
   void Bump(SNodeLoadSource source, uint64_t blobs, uint64_t bytes);
@@ -167,8 +163,12 @@ class SNodeRepr : public GraphRepresentation {
   // an open store whose blob ids the state's pointers index. This is how
   // a snapshot generation becomes queryable -- the manifest supplies the
   // store (possibly spanning pack files from several generations) and the
-  // embedded resident payload. Only runtime options (buffer budget, cache
-  // shards, load logging) from `options` apply.
+  // embedded resident payload. Only runtime options (buffer budget, load
+  // logging, decode-ahead) from `options` apply. Returns Corruption when
+  // the state's shape is inconsistent: page ranges or superedge offsets
+  // that do not ascend to their totals, a superedge target past the last
+  // supernode, or a section whose blobs are not contiguous inside the
+  // store.
   static Result<std::unique_ptr<SNodeRepr>> FromParts(
       SNodeResidentState state, std::unique_ptr<GraphStore> store,
       const std::string& base_path, const SNodeBuildOptions& options);
@@ -230,16 +230,6 @@ class SNodeRepr : public GraphRepresentation {
   // clear: the true cold state a first query after process start sees.
   // Used by cold-read benchmarks.
   void DropToColdState();
-
-  // Decodes supernode `s`'s whole section (intranode + outgoing superedge
-  // graphs) into the cache, attributed to `source` in the wg_cold_*
-  // series. This is the warmer's and the decode-ahead executor's entry
-  // point; safe to call concurrently with readers.
-  Status WarmSection(uint32_t supernode, SNodeLoadSource source);
-
-  // Encoded bytes of supernode `s`'s section on disk (the warmer's rate
-  // limiter charges this before sleeping).
-  uint64_t SectionBytes(uint32_t supernode) const;
 
   const SNodeColdStats& cold_stats() const { return cold_stats_; }
 
@@ -373,7 +363,10 @@ class SNodeRepr : public GraphRepresentation {
   // The one decode dispatch: decodes store blob `blob_id` of `supernode`'s
   // section from [data, data+size) into the intranode or superedge graph
   // of *entry, reusing the graph object already there (the per-thread
-  // gather scratch) or allocating it (a fresh cache entry).
+  // gather scratch) or allocating it (a fresh cache entry). An intranode
+  // graph whose page count differs from the section's page range is
+  // Corruption, so ReadSectionBlobs quarantines the section instead of a
+  // reader indexing past the graph.
   Status DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
                            const uint8_t* data, size_t size,
                            ShardedGraphCache::Entry* entry) const;

@@ -6,6 +6,7 @@
 // labels; the TSan sweep runs the in-process parts under the sanitizer.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -481,6 +482,36 @@ TEST(WgserveSmokeTest, AdminPlaneServesUnderLoad) {
   ASSERT_TRUE(profile.ok);
   EXPECT_EQ(200, profile.status);
   EXPECT_FALSE(profile.body.empty());
+}
+
+// Runs wgserve with `args` to completion, output discarded; returns its
+// exit status (-1 when it did not exit normally).
+int RunServe(const std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>(WGSERVE_BIN_PATH));
+  for (const std::string& arg : args) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
+  pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(null_fd, STDERR_FILENO);
+    ::execv(WGSERVE_BIN_PATH, argv.data());
+    _exit(127);
+  }
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(WgserveSmokeTest, BadNumericFlagsExitWithUsage) {
+  // Garbage and out-of-range values both exit 2 before any store is
+  // built -- not a silent 0 from an unchecked strtoul.
+  EXPECT_EQ(2, RunServe({"--pages", "400", "--workers", "abc"}));
+  EXPECT_EQ(2, RunServe({"--pages", "400", "--admin-port", "70000"}));
 }
 
 #endif  // WGSERVE_BIN_PATH

@@ -232,6 +232,80 @@ TEST(HistogramTest, PowerOfTwoSamplesLandInInclusiveBucket) {
   EXPECT_NE(std::string::npos, text.find("bound_us_bucket{le=\"4\"} 1"));
 }
 
+// The latency contract of the power-of-two buckets, in microseconds (the
+// unit wg_service_latency_us records): empty, single sample, q=0/q=1,
+// sub-unit samples, the overflow bucket, and the t <= v <= 2t bound.
+
+TEST(LatencyHistogramTest, EmptyReportsZero) {
+  Histogram h;
+  EXPECT_EQ(0u, h.count());
+  EXPECT_DOUBLE_EQ(0.0, h.Quantile(0.0));
+  EXPECT_DOUBLE_EQ(0.0, h.Quantile(0.5));
+  EXPECT_DOUBLE_EQ(0.0, h.Quantile(1.0));
+}
+
+TEST(LatencyHistogramTest, SingleSampleBucketUpperBound) {
+  Histogram h;
+  h.Record(3.0);  // 3us -> bucket (2us, 4us] -> reports 4us
+  EXPECT_EQ(1u, h.count());
+  for (double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(4.0, h.Quantile(q)) << "q=" << q;
+  }
+}
+
+TEST(LatencyHistogramTest, ExactnessBoundNeverUnderReports) {
+  // For t >= 1us the report v satisfies t <= v <= 2t.
+  for (double t : {1.0, 1.5, 7.0, 100.0, 0.25e6, 30e6}) {
+    Histogram fresh;
+    fresh.Record(t);
+    double v = fresh.Quantile(1.0);
+    EXPECT_GE(v, t) << t;
+    EXPECT_LE(v, 2 * t + 1e-6) << t;
+  }
+}
+
+TEST(LatencyHistogramTest, QuantileEndpointsOnMixedData) {
+  Histogram h;
+  // 90 fast samples at ~3us, 10 slow at ~1ms.
+  for (int i = 0; i < 90; ++i) h.Record(3.0);
+  for (int i = 0; i < 10; ++i) h.Record(1000.0);
+  EXPECT_EQ(100u, h.count());
+  EXPECT_DOUBLE_EQ(4.0, h.Quantile(0.0));  // first bucket's bound
+  EXPECT_DOUBLE_EQ(4.0, h.Quantile(0.5));
+  EXPECT_DOUBLE_EQ(4.0, h.Quantile(0.89));
+  // Rank 90 of 100 is the first slow sample: 1ms -> bucket (512us, 1024us]
+  // -> reports 1024us.
+  EXPECT_DOUBLE_EQ(1024.0, h.Quantile(0.9));
+  EXPECT_DOUBLE_EQ(1024.0, h.Quantile(0.99));
+  EXPECT_DOUBLE_EQ(1024.0, h.Quantile(1.0));
+}
+
+TEST(LatencyHistogramTest, SubMicrosecondSharesFirstBucket) {
+  Histogram h;
+  h.Record(0.5);  // 0.5us -> bucket 0 -> reports 2us
+  EXPECT_DOUBLE_EQ(2.0, h.Quantile(1.0));
+}
+
+TEST(LatencyHistogramTest, OverflowBucketCapsTheReport) {
+  Histogram h;
+  h.Record(4e9);  // 4e9 us, beyond 2^31 us -> overflow bucket
+  // Overflow reports the last bucket's upper bound 2^32 us (~71.6 min).
+  EXPECT_DOUBLE_EQ(4294967296.0, h.Quantile(1.0));
+}
+
+TEST(LatencyHistogramTest, QuantilesAreOrderedAndBracketSamples) {
+  Histogram h;
+  for (int i = 0; i < 99; ++i) h.Record(100.0);  // ~100us
+  h.Record(50e3);                                // one 50ms outlier
+  EXPECT_EQ(h.count(), 100u);
+  double p50 = h.Quantile(0.5);
+  double p99 = h.Quantile(0.99);
+  EXPECT_LE(p50, p99);
+  EXPECT_GE(p50, 100.0 / 2);
+  EXPECT_LE(p50, 1e3);
+  EXPECT_GE(p99, 25e3);
+}
+
 // --- exposition ----------------------------------------------------------
 
 TEST(RegistryTest, PrometheusText) {

@@ -13,7 +13,6 @@
 #include "graph/generator.h"
 #include "obs/metrics.h"
 #include "server/bounded_queue.h"
-#include "server/metrics.h"
 #include "server/query_service.h"
 #include "server/workload.h"
 #include "snode/snode_repr.h"
@@ -26,7 +25,6 @@ namespace wg {
 namespace {
 
 using server::BoundedQueue;
-using server::LatencyHistogram;
 using server::QueryService;
 using server::QueryServiceOptions;
 using server::Request;
@@ -91,21 +89,6 @@ TEST(BoundedQueueTest, ManyProducersManyConsumersDeliverEverything) {
   int total = kProducers * kPerProducer;
   EXPECT_EQ(popped.load(), total);
   EXPECT_EQ(sum.load(), static_cast<int64_t>(total) * (total - 1) / 2);
-}
-
-// ---------- LatencyHistogram ----------
-
-TEST(LatencyHistogramTest, QuantilesAreOrderedAndBracketSamples) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 99; ++i) hist.Record(100e-6);  // ~100us
-  hist.Record(50e-3);                                // one 50ms outlier
-  EXPECT_EQ(hist.count(), 100u);
-  double p50 = hist.Quantile(0.5);
-  double p99 = hist.Quantile(0.99);
-  EXPECT_LE(p50, p99);
-  EXPECT_GE(p50, 100e-6 / 2);
-  EXPECT_LE(p50, 1e-3);
-  EXPECT_GE(p99, 25e-3);
 }
 
 // ---------- Workload ----------
@@ -384,7 +367,8 @@ TEST(QueryServiceTest, SingleflightDecodesEachGraphOnce) {
 
 // Forwards to `base`, except that its cursors fail on `fail_page` and
 // stall for `stall` in their first Links() call -- mid-expansion error and
-// deadline exits for a k-hop request.
+// deadline exits for a k-hop request, and a slow handler (one stall per
+// request) for the queue-full and deadline paths.
 class FaultyRepr : public GraphRepresentation {
  public:
   FaultyRepr(GraphRepresentation* base, PageId fail_page,
@@ -550,13 +534,14 @@ TEST(QueryServiceTest, QueueFullRequestsAreRejectedWithStatus) {
   opts.num_workers = 1;
   opts.queue_capacity = 2;
   QueryService service(env.Context(), opts);
+  service.SwapForward(std::make_shared<FaultyRepr>(
+      env.forward.get(), kInvalidPage, std::chrono::milliseconds(200)));
 
   // The worker parks on the first request for 200ms; the queue holds two
   // more; everything past that must be refused at admission.
   Request slow;
   slow.type = RequestType::kOutNeighbors;
   slow.page = 1;
-  slow.simulated_work = std::chrono::milliseconds(200);
   std::vector<std::future<Response>> futures;
   futures.push_back(service.Submit(slow));
   Request fast;
@@ -587,11 +572,12 @@ TEST(QueryServiceTest, ExpiredDeadlineSkipsExecution) {
   opts.num_workers = 1;
   opts.queue_capacity = 16;
   QueryService service(env.Context(), opts);
+  service.SwapForward(std::make_shared<FaultyRepr>(
+      env.forward.get(), kInvalidPage, std::chrono::milliseconds(100)));
 
   Request slow;
   slow.type = RequestType::kOutNeighbors;
   slow.page = 1;
-  slow.simulated_work = std::chrono::milliseconds(100);
   auto slow_future = service.Submit(slow);
 
   // Expires while waiting behind the slow request.

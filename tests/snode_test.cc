@@ -13,6 +13,7 @@
 #include "snode/refinement.h"
 #include "snode/snode_repr.h"
 #include "storage/file.h"
+#include "storage/serial.h"
 
 namespace wg {
 namespace {
@@ -865,6 +866,172 @@ TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
                       .ok());
     });
   }
+}
+
+// ---------- Resident state shape ----------
+
+// The resident state and store of a saved repr, parsed the way Open
+// parses them, for FromParts to attach after a test edits the state.
+struct ParsedMeta {
+  SNodeResidentState state;
+  std::unique_ptr<GraphStore> store;
+};
+
+ParsedMeta ParseMeta(const std::string& base) {
+  static const char kMetaMagic[4] = {'S', 'N', 'M', '2'};
+  auto payload = ReadFramedFile(base + ".meta", kMetaMagic);
+  WG_CHECK(payload.ok());
+  SerialCursor cursor(payload.value());
+  auto state = SNodeResidentState::Parse(&cursor);
+  WG_CHECK(state.ok());
+  auto store = GraphStore::OpenExisting(base, {}, &cursor);
+  WG_CHECK(store.ok());
+  return {std::move(state).value(), std::move(store).value()};
+}
+
+class SNodeResidentShapeTest : public testing::Test {
+ protected:
+  static const WebGraph& Graph() {
+    static WebGraph* graph = [] {
+      GeneratorOptions gopts;
+      gopts.num_pages = 20000;
+      gopts.seed = 41;
+      return new WebGraph(GenerateWebGraph(gopts));
+    }();
+    return *graph;
+  }
+
+  // A saved store of Graph().
+  static const std::string& Base() {
+    static std::string* base = [] {
+      auto* path = new std::string(TempPath("snode_shape"));
+      auto built = SNodeRepr::Build(Graph(), *path, {});
+      WG_CHECK(built.ok() && built.value()->SaveMeta().ok());
+      return path;
+    }();
+    return *base;
+  }
+};
+
+// A state whose page ranges still ascend but disagree with the blobs: the
+// first page of section 1 is moved into section 0. Attaching succeeds;
+// probing the moved page must fail with Corruption and quarantine only
+// section 0 -- not read past section 0's intranode graph -- while pages
+// of sections that reach neither moved range keep answering correctly.
+TEST_F(SNodeResidentShapeTest, PageRangeDisagreeingWithBlobsIsCorruption) {
+  ParsedMeta meta = ParseMeta(Base());
+  SupernodeGraph& sg = meta.state.supernodes;
+  ASSERT_GE(sg.num_supernodes(), 3u);
+  ASSERT_LT(sg.page_start[1] + 1, sg.page_start[2]);
+  const PageId moved_id = sg.page_start[1];
+  ++sg.page_start[1];
+  // A section other than 0 and 1 with no superedge into either.
+  uint32_t other = UINT32_MAX;
+  for (uint32_t s = 2; s < sg.num_supernodes() && other == UINT32_MAX; ++s) {
+    bool reaches = false;
+    for (uint32_t e = sg.offsets[s]; e < sg.offsets[s + 1]; ++e) {
+      reaches = reaches || sg.targets[e] <= 1;
+    }
+    if (!reaches) other = s;
+  }
+  ASSERT_NE(other, UINT32_MAX);
+  const PageId other_id = sg.page_start[other];
+
+  auto attached = SNodeRepr::FromParts(std::move(meta.state),
+                                       std::move(meta.store), Base(), {});
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  SNodeRepr& repr = *attached.value();
+
+  std::unique_ptr<AdjacencyCursor> cursor = repr.NewCursor();
+  LinkView view;
+  Status probe = cursor->Links(repr.PageInNaturalOrder(moved_id), &view);
+  EXPECT_EQ(probe.code(), StatusCode::kCorruption) << probe.ToString();
+  EXPECT_TRUE(repr.SectionQuarantined(0));
+  EXPECT_EQ(repr.QuarantinedSectionCount(), 1u);
+
+  const PageId page = repr.PageInNaturalOrder(other_id);
+  cursor = repr.NewCursor();
+  ASSERT_TRUE(cursor->Links(page, &view).ok());
+  auto expected = Graph().OutLinks(page);
+  EXPECT_EQ(view.ToVector(),
+            std::vector<PageId>(expected.begin(), expected.end()));
+  EXPECT_EQ(repr.QuarantinedSectionCount(), 1u);
+}
+
+// Every shape violation of the resident state fails the attach.
+TEST_F(SNodeResidentShapeTest, ShapeViolationsFailFromParts) {
+  struct Case {
+    const char* name;
+    std::function<void(SNodeResidentState*, size_t num_blobs)> mutate;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"permutations of different sizes",
+       [](SNodeResidentState* st, size_t) { st->orig_of_new.pop_back(); },
+       "disagree in size"},
+      {"page ranges start past 0",
+       [](SNodeResidentState* st, size_t) {
+         st->supernodes.page_start[0] = 1;
+       },
+       "page ranges"},
+      {"page ranges decrease",
+       [](SNodeResidentState* st, size_t) {
+         st->supernodes.page_start[1] = st->supernodes.page_start[2] + 1;
+       },
+       "page ranges"},
+      {"page ranges stop short of the page count",
+       [](SNodeResidentState* st, size_t) {
+         --st->supernodes.page_start.back();
+       },
+       "page ranges"},
+      {"superedge offsets decrease",
+       [](SNodeResidentState* st, size_t) {
+         st->supernodes.offsets[1] = st->supernodes.offsets[2] + 1;
+       },
+       "superedge offsets"},
+      {"superedge offsets end past the superedges",
+       [](SNodeResidentState* st, size_t) {
+         ++st->supernodes.offsets.back();
+       },
+       "superedge offsets"},
+      {"superedge target past the last supernode",
+       [](SNodeResidentState* st, size_t) {
+         st->supernodes.targets[0] =
+             static_cast<uint32_t>(st->supernodes.num_supernodes());
+       },
+       "superedge target"},
+      {"section blobs not contiguous",
+       [](SNodeResidentState* st, size_t) {
+         SupernodeGraph& sg = st->supernodes;
+         uint32_t s = 0;
+         while (sg.offsets[s + 1] == sg.offsets[s]) ++s;
+         sg.superedge_blob[sg.offsets[s]] += 1;
+       },
+       "not contiguous"},
+      {"section past the end of the store",
+       [](SNodeResidentState* st, size_t num_blobs) {
+         st->supernodes.intranode_blob.back() =
+             static_cast<uint32_t>(num_blobs);
+       },
+       "outside the store"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ParsedMeta meta = ParseMeta(Base());
+    c.mutate(&meta.state, meta.store->num_blobs());
+    auto attached = SNodeRepr::FromParts(std::move(meta.state),
+                                         std::move(meta.store), Base(), {});
+    ASSERT_FALSE(attached.ok());
+    EXPECT_EQ(attached.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(attached.status().ToString().find(c.message),
+              std::string::npos)
+        << attached.status().ToString();
+  }
+  // The unedited state attaches.
+  ParsedMeta meta = ParseMeta(Base());
+  EXPECT_TRUE(SNodeRepr::FromParts(std::move(meta.state),
+                                   std::move(meta.store), Base(), {})
+                  .ok());
 }
 
 TEST(SNodeSmallCacheTest, CorrectUnderHeavyEviction) {

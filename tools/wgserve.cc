@@ -39,16 +39,9 @@
 //                      "query <1..6>"; '#' comments)
 //   --deadline-ms D   attach a deadline of now+D ms to every request
 //   --buffer BYTES    decoded-graph cache budget per representation
-//   --shards N        cache shards per representation (default 8)
 //   --mmap            serve store reads through a read-only mmap of the
 //                     pack files (zero-copy decode + madvise readahead)
 //                     instead of buffered pread
-//   --warm-on-open    walk the store in layout order on open -- and on
-//                     every generation flip in --snapshot mode -- decoding
-//                     sections into the cache at a bounded rate, so early
-//                     requests skip the cold-read cliff
-//   --warm-rate B     warmer ceiling in encoded bytes/sec (default 64 MiB;
-//                     0 = unthrottled)
 //   --decode-ahead N  on a streaming cursor miss, background-decode the
 //                     next N sections in layout order (default 0 = off)
 //   --admin-port P    serve the live introspection plane on
@@ -83,12 +76,17 @@
 //   --trace-sample N  trace every Nth request (default 16; 1 = all;
 //                     must be >= 1)
 //
+// A numeric flag whose value is not a number, or lies outside the flag's
+// range, prints the usage and exits 2 before anything is built.
+//
 // Prints a per-outcome tally, service metrics (queue depth, p50/p99,
-// cache hit rate), and end-to-end throughput.
+// cache hit rate), and end-to-end throughput. Everything but flag parsing,
+// the local store build and the closed-loop request loop lives in
+// server::Server (src/server/server.h).
 
 #include <unistd.h>
 
-#include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -97,27 +95,21 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "graph/generator.h"
 #include "graph/graph_io.h"
-#include "obs/admin_http.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
 #include "server/query_service.h"
+#include "server/server.h"
 #include "server/workload.h"
 #include "snode/snode_repr.h"
-#include "snode/warmer.h"
 #include "storage/file.h"
-#include "storage/integrity.h"
 #include "text/corpus.h"
 #include "text/inverted_index.h"
 #include "text/pagerank.h"
-#include "version/snapshot.h"
 
 namespace wg {
 namespace {
@@ -130,8 +122,7 @@ int Usage() {
                "               [--workers W] [--queue C] [--requests R]\n"
                "               [--theta T] [--khop K] [--file PATH]\n"
                "               [--deadline-ms D] [--buffer BYTES]\n"
-               "               [--shards N] [--mmap] [--warm-on-open]\n"
-               "               [--warm-rate BYTES] [--decode-ahead N]\n"
+               "               [--mmap] [--decode-ahead N]\n"
                "               [--admin-port P] [--profile-hz H]\n"
                "               [--slow-us T] [--linger S]\n"
                "               [--health-file FILE] [--metrics-out FILE]\n"
@@ -159,189 +150,114 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-// Write-temp-then-rename: probes and scrapers reading `path` see either
-// the previous complete dump or the new complete dump, never a torn one,
-// and a crash mid-write leaves the previous dump intact. RenameFile goes
-// through the Env seam, so fault-injection tests see these writes too.
-Status WriteFileAtomic(const std::string& path, const std::string& content) {
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return Status::IOError("open " + tmp + " failed");
-  bool ok =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    RemoveFileIfExists(tmp);
-    return Status::IOError("write " + tmp + " failed");
-  }
-  return RenameFile(tmp, path);
+std::string StringFlag(int argc, char** argv, const char* flag) {
+  const char* value = FlagValue(argc, argv, flag);
+  return value != nullptr ? value : "";
 }
 
-// The process health surface, shared by the snapshot poller (writer), the
-// --health-file, and the /healthz endpoint -- one source of truth so
-// external probes and the admin plane always agree.
-struct HealthState {
-  std::mutex mu;
-  bool degraded = false;
-  std::string reason;      // last refused-flip error; empty when healthy
-  uint64_t generation = 0;  // live generation (0 outside snapshot mode)
-
-  // First line of both the health file and /healthz:
-  //   ok generation=7
-  //   degraded generation=7 reason=<text>
-  std::string Line() {
-    std::lock_guard<std::mutex> lock(mu);
-    std::string line = degraded ? "degraded" : "ok";
-    line += " generation=" + std::to_string(generation);
-    if (degraded && !reason.empty()) line += " reason=" + reason;
-    return line;
+// The one parser of numeric flags: `fallback` when `flag` is absent; a
+// value that is not entirely a number of type T, or lies outside
+// [min, max], prints the usage and exits 2.
+template <typename T>
+T NumericFlag(int argc, char** argv, const char* flag, T fallback, T min,
+              T max) {
+  const char* text = FlagValue(argc, argv, flag);
+  if (text == nullptr) return fallback;
+  const char* end = text + std::strlen(text);
+  T value{};
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || ptr == text || value < min ||
+      value > max) {
+    auto show = [](T v) {
+      if constexpr (std::is_floating_point_v<T>) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", v);
+        return std::string(buf);
+      } else {
+        return std::to_string(v);
+      }
+    };
+    std::fprintf(stderr, "error: %s wants a number in [%s, %s], got \"%s\"\n",
+                 flag, show(min).c_str(), show(max).c_str(), text);
+    std::exit(Usage());
   }
-};
+  return value;
+}
 
 int Main(int argc, char** argv) {
   const char* pages = FlagValue(argc, argv, "--pages");
   const char* crawl = FlagValue(argc, argv, "--crawl");
-  const char* snapshot = FlagValue(argc, argv, "--snapshot");
-  if (snapshot != nullptr) {
+  server::ServerOptions sopts;
+  sopts.snapshot = StringFlag(argc, argv, "--snapshot");
+  const bool snapshot = !sopts.snapshot.empty();
+  if (snapshot) {
     if (pages != nullptr || crawl != nullptr) return Usage();
   } else if ((pages == nullptr) == (crawl == nullptr)) {
     return Usage();
   }
 
-  // Validate before the expensive store build so a bad flag fails fast.
-  uint64_t trace_interval = 16;
-  if (const char* s = FlagValue(argc, argv, "--trace-sample")) {
-    char* end = nullptr;
-    trace_interval = std::strtoull(s, &end, 10);
-    // 0 would disable sampling entirely, silently producing an empty
-    // trace despite --trace-out; reject it along with garbage input.
-    if (end == s || *end != '\0' || trace_interval == 0) {
-      std::fprintf(stderr,
-                   "error: --trace-sample wants a positive integer, "
-                   "got \"%s\"\n",
-                   s);
-      return Usage();
-    }
+  // Validate every flag before the expensive store build.
+  constexpr uint32_t kMaxPages = UINT32_MAX - 1;
+  const size_t num_pages_flag =
+      NumericFlag<size_t>(argc, argv, "--pages", 0, 1, kMaxPages);
+  const uint64_t seed =
+      NumericFlag<uint64_t>(argc, argv, "--seed", GeneratorOptions().seed, 0,
+                            UINT64_MAX);
+  sopts.auto_compact_backlog = NumericFlag<uint64_t>(
+      argc, argv, "--auto-compact-backlog", 0, 1, UINT64_MAX);
+  if (sopts.auto_compact_backlog > 0 && !snapshot) {
+    std::fprintf(stderr,
+                 "wgserve: --auto-compact-backlog requires --snapshot\n");
+    return 1;
   }
-  const bool admin_enabled = HasFlag(argc, argv, "--admin-port");
-  long admin_port = 0;
-  if (const char* p = FlagValue(argc, argv, "--admin-port")) {
-    char* end = nullptr;
-    admin_port = std::strtol(p, &end, 10);
-    if (end == p || *end != '\0' || admin_port < 0 || admin_port > 65535) {
-      std::fprintf(stderr, "error: --admin-port wants 0..65535, got \"%s\"\n",
-                   p);
-      return Usage();
-    }
-  }
-  long profile_hz = admin_enabled ? 97 : 0;
-  if (const char* hz = FlagValue(argc, argv, "--profile-hz")) {
-    char* end = nullptr;
-    profile_hz = std::strtol(hz, &end, 10);
-    if (end == hz || *end != '\0' || profile_hz < 0 || profile_hz > 1000) {
-      std::fprintf(stderr, "error: --profile-hz wants 0..1000, got \"%s\"\n",
-                   hz);
-      return Usage();
-    }
-  }
-  double slow_us = 10000;
-  if (const char* s = FlagValue(argc, argv, "--slow-us")) {
-    slow_us = std::strtod(s, nullptr);
-  }
-  long linger_seconds = 0;
-  if (const char* s = FlagValue(argc, argv, "--linger")) {
-    linger_seconds = std::strtol(s, nullptr, 10);
-  }
-  long metrics_interval = 10;
-  if (const char* s = FlagValue(argc, argv, "--metrics-interval")) {
-    metrics_interval = std::strtol(s, nullptr, 10);
-  }
+  sopts.workers = NumericFlag<size_t>(argc, argv, "--workers", 4, 1, 1024);
+  sopts.queue = NumericFlag<size_t>(argc, argv, "--queue", 256, 1, 1 << 24);
+  sopts.buffer_bytes = NumericFlag<size_t>(argc, argv, "--buffer", 4 << 20,
+                                           0, size_t{1} << 40);
+  sopts.mmap = HasFlag(argc, argv, "--mmap");
+  sopts.decode_ahead =
+      NumericFlag<int>(argc, argv, "--decode-ahead", 0, 0, 1 << 20);
+  const bool admin = HasFlag(argc, argv, "--admin-port");
+  sopts.admin_port =
+      admin ? NumericFlag<int>(argc, argv, "--admin-port", 0, 0, 65535) : -1;
+  // The profiler runs by default whenever the admin plane does.
+  sopts.profile_hz =
+      NumericFlag<int>(argc, argv, "--profile-hz", admin ? 97 : 0, 0, 1000);
+  sopts.slow_us = NumericFlag<double>(argc, argv, "--slow-us", 10000, 0, 1e12);
+  sopts.health_file = StringFlag(argc, argv, "--health-file");
+  sopts.metrics_out = StringFlag(argc, argv, "--metrics-out");
+  sopts.metrics_interval =
+      NumericFlag<int>(argc, argv, "--metrics-interval", 10, 0, 1 << 24);
+  sopts.trace_out = StringFlag(argc, argv, "--trace-out");
+  // 0 would disable sampling entirely, silently producing an empty trace
+  // despite --trace-out.
+  sopts.trace_sample = NumericFlag<uint64_t>(argc, argv, "--trace-sample", 16,
+                                             1, UINT64_MAX);
+  server::WorkloadOptions wopts;
+  wopts.num_requests = NumericFlag<size_t>(argc, argv, "--requests", 20000, 1,
+                                           size_t{1} << 32);
+  wopts.zipf_theta =
+      NumericFlag<double>(argc, argv, "--theta", wopts.zipf_theta, 0, 100);
+  wopts.khop_k = NumericFlag<int>(argc, argv, "--khop", wopts.khop_k, 1, 64);
+  const long deadline_ms =
+      NumericFlag<long>(argc, argv, "--deadline-ms", 0, 0, 1L << 31);
+  const long linger_seconds =
+      NumericFlag<long>(argc, argv, "--linger", 0, 0, 1L << 31);
 
-  SNodeBuildOptions bopts;
-  if (const char* buffer = FlagValue(argc, argv, "--buffer")) {
-    bopts.buffer_bytes = std::strtoull(buffer, nullptr, 10);
-  }
-  if (const char* shards = FlagValue(argc, argv, "--shards")) {
-    bopts.cache_shards = std::strtoul(shards, nullptr, 10);
-  }
-  if (const char* ahead = FlagValue(argc, argv, "--decode-ahead")) {
-    bopts.decode_ahead_sections = std::atoi(ahead);
-  }
-  const bool use_mmap = HasFlag(argc, argv, "--mmap");
-  const bool warm_on_open = HasFlag(argc, argv, "--warm-on-open");
-  WarmerOptions warm_opts;
-  if (const char* rate = FlagValue(argc, argv, "--warm-rate")) {
-    warm_opts.rate_bytes_per_sec = std::strtoll(rate, nullptr, 10);
-  }
-
+  // Local-build mode: the crawl, its transpose and text stack, and both
+  // S-Node stores live here for the server's whole life.
   WebGraph graph;
   WebGraph transpose;
   Corpus corpus;
   InvertedIndex index;
   std::vector<double> pagerank;
-  std::shared_ptr<SNodeRepr> forward;
-  std::shared_ptr<SNodeRepr> backward;
-  std::unique_ptr<version::SnapshotManager> manager;
-  size_t num_pages = 0;
-  auto start_time = std::chrono::steady_clock::now();
-
-  // Degraded-mode surface: wg_degraded is 1 while CURRENT names a
-  // generation this process refused to install (its pre-install scrub
-  // failed) and the last good one keeps serving. Bound in every mode so
-  // a scraper can always tell "healthy" from "series not wired"; outside
-  // snapshot mode it simply never leaves 0. The health file and /healthz
-  // read the same HealthState, so all three surfaces agree.
-  const char* health_file = FlagValue(argc, argv, "--health-file");
-  obs::Gauge degraded_gauge;
-  degraded_gauge.Bind(obs::MetricRegistry::Default(), "wg_degraded", {},
-                      "1 while serving a stale generation because the "
-                      "newest failed verification");
-  HealthState health;
-  auto write_health = [&](bool degraded, const std::string& reason) {
-    degraded_gauge.Set(degraded ? 1 : 0);
-    {
-      std::lock_guard<std::mutex> lock(health.mu);
-      health.degraded = degraded;
-      health.reason = degraded ? reason : "";
-    }
-    if (health_file == nullptr) return;
-    Status written = WriteFileAtomic(health_file, health.Line() + "\n");
-    if (!written.ok()) {
-      std::fprintf(stderr, "warning: health file: %s\n",
-                   written.ToString().c_str());
-    }
-  };
-
-  // Materialize the wg_integrity_* series at zero: a dashboard must be
-  // able to tell "no corruption seen" from "counters not wired".
-  IntegrityCounters::Get();
-
-  QueryContext ctx;
-  if (snapshot != nullptr) {
-    version::SnapshotOptions vopts;
-    vopts.build = bopts;
-    vopts.store.mmap = use_mmap;
-    // Serving tier: never install a generation whose pack bytes don't
-    // match their manifest CRCs; keep serving the last good one instead.
-    vopts.verify_before_install = true;
-    auto opened = version::SnapshotManager::Open(snapshot, vopts);
+  std::unique_ptr<SNodeRepr> forward;
+  std::unique_ptr<SNodeRepr> backward;
+  std::unique_ptr<server::Server> server;
+  if (snapshot) {
+    auto opened = server::Server::OpenSnapshot(sopts);
     if (!opened.ok()) return Fail(opened.status());
-    manager = std::move(opened).value();
-    version::GenerationPtr generation = manager->current();
-    {
-      std::lock_guard<std::mutex> lock(health.mu);
-      health.generation = generation->manifest.generation;
-    }
-    write_health(false, "");
-    num_pages = generation->repr->num_pages();
-    std::printf("snapshot %s: generation %llu, %zu pages, %llu links, "
-                "%llu pending deltas\n",
-                snapshot,
-                static_cast<unsigned long long>(
-                    generation->manifest.generation),
-                num_pages,
-                static_cast<unsigned long long>(generation->repr->num_edges()),
-                static_cast<unsigned long long>(manager->pending_records()));
+    server = std::move(opened).value();
   } else {
     if (crawl != nullptr) {
       auto loaded = LoadWebGraph(crawl);
@@ -349,13 +265,10 @@ int Main(int argc, char** argv) {
       graph = std::move(loaded).value();
     } else {
       GeneratorOptions gopts;
-      gopts.num_pages = std::strtoul(pages, nullptr, 10);
-      if (const char* seed = FlagValue(argc, argv, "--seed")) {
-        gopts.seed = std::strtoull(seed, nullptr, 10);
-      }
+      gopts.num_pages = num_pages_flag;
+      gopts.seed = seed;
       graph = GenerateWebGraph(gopts);
     }
-    num_pages = graph.num_pages();
     std::printf("graph: %zu pages, %llu links\n", graph.num_pages(),
                 static_cast<unsigned long long>(graph.num_edges()));
 
@@ -367,393 +280,55 @@ int Main(int argc, char** argv) {
     std::string dir = "/tmp/wgserve_" + std::to_string(getpid());
     Status mk = EnsureDirectory(dir);
     if (!mk.ok()) return Fail(mk);
+    SNodeBuildOptions bopts;
+    bopts.buffer_bytes = sopts.buffer_bytes;
+    bopts.decode_ahead_sections = sopts.decode_ahead;
     auto fwd = SNodeRepr::Build(graph, dir + "/fwd", bopts);
     if (!fwd.ok()) return Fail(fwd.status());
     forward = std::move(fwd).value();
     auto bwd = SNodeRepr::Build(transpose, dir + "/bwd", bopts);
     if (!bwd.ok()) return Fail(bwd.status());
     backward = std::move(bwd).value();
-    if (use_mmap) {
+    if (sopts.mmap) {
       Status mapped = forward->MapStoreForRead();
       if (mapped.ok()) mapped = backward->MapStoreForRead();
       if (!mapped.ok()) return Fail(mapped);
     }
-    if (health_file != nullptr) write_health(false, "");
-    std::printf("s-node: %u supernodes, cache budget %zu bytes x%zu shards\n",
+    std::printf("s-node: %u supernodes, cache budget %zu bytes\n",
                 forward->supernode_graph().num_supernodes(),
-                bopts.buffer_bytes, bopts.cache_shards);
+                bopts.buffer_bytes);
 
-    ctx.forward = forward.get();
-    ctx.backward = backward.get();
-    ctx.graph = &graph;
-    ctx.corpus = &corpus;
-    ctx.index = &index;
-    ctx.pagerank = &pagerank;
-  }
-
-  server::QueryServiceOptions sopts;
-  if (const char* workers = FlagValue(argc, argv, "--workers")) {
-    sopts.num_workers = std::strtoul(workers, nullptr, 10);
-  }
-  if (const char* queue = FlagValue(argc, argv, "--queue")) {
-    sopts.queue_capacity = std::strtoul(queue, nullptr, 10);
-  }
-
-  // One warmer follows whichever S-Node store is serving: started on
-  // open, restarted on every generation flip via the swap hook. The old
-  // walk is stopped; its shared_ptr keeps the old generation alive until
-  // the walk thread joins.
-  std::mutex warmer_mu;
-  std::shared_ptr<StoreWarmer> warmer;
-  auto start_warmer = [&](std::shared_ptr<SNodeRepr> repr) {
-    auto next = std::make_shared<StoreWarmer>(std::move(repr), warm_opts);
-    next->Start();
-    std::shared_ptr<StoreWarmer> old;
-    {
-      std::lock_guard<std::mutex> lock(warmer_mu);
-      old = warmer;
-      warmer = next;
-    }
-    if (old != nullptr) old->Stop();
-  };
-  if (warm_on_open) {
-    sopts.on_swap = [&](const std::shared_ptr<GraphRepresentation>& fwd) {
-      auto* sn = dynamic_cast<SNodeRepr*>(fwd.get());
-      if (sn == nullptr) return;
-      // Aliasing pointer: shares the generation's control block.
-      start_warmer(std::shared_ptr<SNodeRepr>(fwd, sn));
-    };
+    QueryContext query;
+    query.graph = &graph;
+    query.corpus = &corpus;
+    query.index = &index;
+    query.pagerank = &pagerank;
+    auto served = server::Server::ServeBuilt(sopts, forward.get(),
+                                             backward.get(), query);
+    if (!served.ok()) return Fail(served.status());
+    server = std::move(served).value();
   }
 
   std::vector<server::Request> requests;
   if (const char* file = FlagValue(argc, argv, "--file")) {
-    auto parsed = server::ParseRequestFile(file, num_pages);
+    auto parsed = server::ParseRequestFile(file, server->num_pages());
     if (!parsed.ok()) return Fail(parsed.status());
     requests = std::move(parsed).value();
   } else {
-    server::WorkloadOptions wopts;
-    wopts.num_pages = num_pages;
+    wopts.num_pages = server->num_pages();
     // A snapshot store is forward-only (no transpose generation yet).
-    if (snapshot != nullptr) wopts.in_weight = 0;
-    if (const char* n = FlagValue(argc, argv, "--requests")) {
-      wopts.num_requests = std::strtoul(n, nullptr, 10);
-    }
-    if (const char* theta = FlagValue(argc, argv, "--theta")) {
-      wopts.zipf_theta = std::strtod(theta, nullptr);
-    }
-    if (const char* k = FlagValue(argc, argv, "--khop")) {
-      wopts.khop_k = std::atoi(k);
-    }
+    if (snapshot) wopts.in_weight = 0;
     requests = server::SyntheticWorkload(wopts);
   }
-  long deadline_ms = 0;
-  if (const char* d = FlagValue(argc, argv, "--deadline-ms")) {
-    deadline_ms = std::strtol(d, nullptr, 10);
-  }
-
-  obs::Tracer& tracer = obs::Tracer::Global();
-  const char* trace_out = FlagValue(argc, argv, "--trace-out");
-  if (trace_out != nullptr) {
-    tracer.set_sample_interval(trace_interval);
-    Status opened = tracer.OpenSink(trace_out);
-    if (!opened.ok()) return Fail(opened);
-    std::printf("tracing 1-in-%llu requests to %s\n",
-                static_cast<unsigned long long>(trace_interval), trace_out);
-  }
-  if (admin_enabled) {
-    // The /tracez ring: every request collects its span tree in memory;
-    // the ring keeps the last N plus everything over the slow threshold.
-    obs::TraceRingOptions ring_opts;
-    ring_opts.slow_threshold_us = slow_us;
-    tracer.EnableRing(ring_opts);
-  }
-  if (profile_hz > 0) {
-    Status started =
-        obs::Profiler::Global().Start(static_cast<int>(profile_hz));
-    if (!started.ok()) return Fail(started);
-  }
-
-  long auto_compact_backlog = 0;
-  if (const char* n = FlagValue(argc, argv, "--auto-compact-backlog")) {
-    auto_compact_backlog = std::strtol(n, nullptr, 10);
-    if (auto_compact_backlog <= 0) {
-      std::fprintf(stderr, "wgserve: --auto-compact-backlog must be > 0\n");
-      return 1;
-    }
-    if (snapshot == nullptr) {
-      std::fprintf(stderr,
-                   "wgserve: --auto-compact-backlog requires --snapshot\n");
-      return 1;
-    }
-  }
-
-  server::QueryService service(ctx, sopts);
-  // In snapshot mode the forward representation is the live generation,
-  // installed via SwapForward so later flips follow the same path; a
-  // poller watches CURRENT and flips when another process compacts.
-  std::atomic<bool> stop_poller{false};
-  std::thread poller;
-  if (snapshot != nullptr) {
-    service.SwapForward(version::ReprOf(manager->current()));
-    poller = std::thread([&] {
-      uint64_t live = manager->current()->manifest.generation;
-      bool degraded_state = false;
-      int compact_backoff = 0;
-      while (!stop_poller.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        if (auto_compact_backlog > 0) {
-          // Fold the delta backlog in-process once it crosses the
-          // threshold. Compact() installs the new generation in this
-          // manager, so the Refresh below sees it and runs the exact
-          // same flip path an external `wgtool compact` would take.
-          // Tail the on-disk log first: the backlog usually grows in
-          // another process (wgtool delta-apply), invisible to this
-          // manager's in-memory record count until tailed. A failed
-          // tail only leaves the count stale for this tick.
-          if (compact_backoff > 0) {
-            --compact_backoff;
-          } else if (manager->TailLog().ok() &&
-                     manager->pending_records() >=
-                         static_cast<uint64_t>(auto_compact_backlog)) {
-            uint64_t backlog = manager->pending_records();
-            auto compacted = manager->Compact();
-            if (!compacted.ok()) {
-              // Persistent failures (full disk, corrupt log) must not
-              // hot-loop a compaction every tick: back off ~5 s.
-              compact_backoff = 50;
-              std::fprintf(stderr, "auto-compact failed, backing off: %s\n",
-                           compacted.status().ToString().c_str());
-            } else {
-              std::printf(
-                  "auto-compact: folded %llu pending records into "
-                  "generation %llu\n",
-                  static_cast<unsigned long long>(backlog),
-                  static_cast<unsigned long long>(
-                      compacted.value()->manifest.generation));
-            }
-          }
-        }
-        auto refreshed = manager->Refresh();
-        if (!refreshed.ok()) {
-          // A non-corruption failure is a mid-publish race; retry next
-          // tick. Corruption means the new generation failed its
-          // pre-install scrub: hold the last good one and flag degraded.
-          if (refreshed.status().code() == StatusCode::kCorruption &&
-              !degraded_state) {
-            degraded_state = true;
-            write_health(true, refreshed.status().ToString());
-            std::fprintf(stderr,
-                         "degraded: keeping generation %llu; refused flip: "
-                         "%s\n",
-                         static_cast<unsigned long long>(live),
-                         refreshed.status().ToString().c_str());
-          }
-          continue;
-        }
-        if (degraded_state) {
-          degraded_state = false;
-          write_health(false, "");
-          std::printf("recovered: flip path healthy again\n");
-        }
-        uint64_t generation = refreshed.value()->manifest.generation;
-        if (generation == live) continue;
-        live = generation;
-        {
-          std::lock_guard<std::mutex> lock(health.mu);
-          health.generation = generation;
-        }
-        if (health_file != nullptr || admin_enabled) {
-          // Re-publish the health line so probes see the new generation.
-          bool dg;
-          {
-            std::lock_guard<std::mutex> lock(health.mu);
-            dg = health.degraded;
-          }
-          write_health(dg, "");
-        }
-        service.SwapForward(version::ReprOf(refreshed.value()));
-        std::printf("flipped to generation %llu (%zu pages, %llu links)\n",
-                    static_cast<unsigned long long>(generation),
-                    refreshed.value()->repr->num_pages(),
-                    static_cast<unsigned long long>(
-                        refreshed.value()->repr->num_edges()));
-      }
-    });
-  }
-  if (warm_on_open && snapshot == nullptr) start_warmer(forward);
-
-  // The serving repr the introspection plane reports on: the live
-  // generation in snapshot mode (aliasing pointer keeps it pinned for the
-  // duration of one handler call), the built store otherwise.
-  auto current_snode = [&]() -> std::shared_ptr<SNodeRepr> {
-    if (manager != nullptr) {
-      version::GenerationPtr generation = manager->current();
-      return std::shared_ptr<SNodeRepr>(generation,
-                                        generation->repr.get());
-    }
-    return forward;
-  };
-
-  // ---- Live introspection plane (--admin-port) ----
-  obs::MetricRegistry& registry = obs::MetricRegistry::Default();
-  std::unique_ptr<obs::AdminServer> admin;
-  if (admin_enabled) {
-    obs::AdminServerOptions aopts;
-    aopts.port = static_cast<uint16_t>(admin_port);
-    admin = std::make_unique<obs::AdminServer>(aopts);
-    obs::RegisterIntrospection(*admin, registry);
-    admin->Handle("/healthz", [&](const obs::AdminRequest&) {
-      obs::AdminResponse response;
-      bool degraded;
-      std::string reason;
-      uint64_t generation;
-      {
-        std::lock_guard<std::mutex> lock(health.mu);
-        degraded = health.degraded;
-        reason = health.reason;
-        generation = health.generation;
-      }
-      IntegrityCounters& integrity = IntegrityCounters::Get();
-      std::shared_ptr<SNodeRepr> repr = current_snode();
-      char buf[512];
-      int n = std::snprintf(
-          buf, sizeof(buf),
-          "%s generation=%llu%s%s\n"
-          "generation: %llu\n"
-          "degraded: %d\n"
-          "reason: %s\n"
-          "quarantined_sections: %zu\n"
-          "checksum_failures: %llu\n"
-          "sigbus_faults: %llu\n"
-          "mmap_fallbacks: %llu\n",
-          degraded ? "degraded" : "ok",
-          static_cast<unsigned long long>(generation),
-          degraded && !reason.empty() ? " reason=" : "",
-          degraded ? reason.c_str() : "",
-          static_cast<unsigned long long>(generation), degraded ? 1 : 0,
-          reason.empty() ? "-" : reason.c_str(),
-          repr != nullptr ? repr->QuarantinedSectionCount() : 0,
-          static_cast<unsigned long long>(integrity.checksum_failures),
-          static_cast<unsigned long long>(integrity.sigbus_faults),
-          static_cast<unsigned long long>(integrity.mmap_fallbacks));
-      response.body.assign(buf, n);
-      if (degraded) response.status = 503;
-      return response;
-    });
-    admin->Handle("/statusz", [&](const obs::AdminRequest&) {
-      obs::AdminResponse response;
-      double uptime = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start_time)
-                          .count();
-      std::string& body = response.body;
-      char buf[256];
-      body += "wgserve statusz\n";
-      std::snprintf(buf, sizeof(buf), "uptime_s: %.1f\n", uptime);
-      body += buf;
-      std::snprintf(buf, sizeof(buf), "build: %s, C++ %ld\n", __VERSION__,
-                    static_cast<long>(__cplusplus));
-      body += buf;
-      std::snprintf(buf, sizeof(buf), "mode: %s\n",
-                    manager != nullptr ? "snapshot" : "local-build");
-      body += buf;
-      {
-        std::lock_guard<std::mutex> lock(health.mu);
-        std::snprintf(buf, sizeof(buf), "generation: %llu\n",
-                      static_cast<unsigned long long>(health.generation));
-        body += buf;
-      }
-      std::shared_ptr<SNodeRepr> repr = current_snode();
-      if (repr != nullptr) {
-        std::snprintf(buf, sizeof(buf), "pages: %zu\nedges: %llu\n",
-                      repr->num_pages(),
-                      static_cast<unsigned long long>(repr->num_edges()));
-        body += buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "cache_bytes: %zu / %zu (%.1f%%)\npinned_entries: %zu\n",
-            repr->buffer_bytes_used(), repr->buffer_budget(),
-            repr->buffer_budget() == 0
-                ? 0.0
-                : 100.0 * static_cast<double>(repr->buffer_bytes_used()) /
-                      static_cast<double>(repr->buffer_budget()),
-            repr->PinnedCacheEntries());
-        body += buf;
-      }
-      std::snprintf(buf, sizeof(buf), "workers: %zu\nqueue_capacity: %zu\n",
-                    service.num_workers(), sopts.queue_capacity);
-      body += buf;
-      {
-        std::lock_guard<std::mutex> lock(warmer_mu);
-        if (warmer != nullptr) {
-          StoreWarmer::Progress progress = warmer->progress();
-          std::snprintf(buf, sizeof(buf),
-                        "warmer: %s, %llu sections, %llu bytes%s\n",
-                        progress.finished ? "finished" : "walking",
-                        static_cast<unsigned long long>(progress.sections),
-                        static_cast<unsigned long long>(progress.bytes),
-                        progress.hit_high_water ? " (hit high water)" : "");
-          body += buf;
-        } else {
-          body += "warmer: off\n";
-        }
-      }
-      obs::Profiler& profiler = obs::Profiler::Global();
-      std::snprintf(buf, sizeof(buf), "profiler: %s, %d hz, %llu samples\n",
-                    profiler.running() ? "on" : "off", profiler.hz(),
-                    static_cast<unsigned long long>(profiler.samples()));
-      body += buf;
-      std::snprintf(
-          buf, sizeof(buf), "tracez: %s, %llu traces\n",
-          tracer.ring_enabled() ? "on" : "off",
-          static_cast<unsigned long long>(tracer.ring().traces_seen()));
-      body += buf;
-      std::snprintf(buf, sizeof(buf), "metric_series: %zu\n",
-                    registry.num_series());
-      body += buf;
-      return response;
-    });
-    Status started = admin->Start();
-    if (!started.ok()) return Fail(started);
-    std::printf("admin: listening on 127.0.0.1:%u\n", admin->port());
-    std::fflush(stdout);  // piped probes parse this line before scraping
-  }
-
-  // ---- Periodic metrics dump (--metrics-out) ----
-  const char* metrics_out = FlagValue(argc, argv, "--metrics-out");
-  auto dump_metrics = [&]() -> Status {
-    if (metrics_out == nullptr) return Status::OK();
-    std::string path = metrics_out;
-    bool json = path.size() >= 5 &&
-                path.compare(path.size() - 5, 5, ".json") == 0;
-    return WriteFileAtomic(path,
-                           json ? registry.JsonText()
-                                : registry.PrometheusText());
-  };
-  std::atomic<bool> stop_metrics_writer{false};
-  std::thread metrics_writer;
-  if (metrics_out != nullptr && metrics_interval > 0) {
-    metrics_writer = std::thread([&] {
-      auto last = std::chrono::steady_clock::now();
-      while (!stop_metrics_writer.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        auto now = std::chrono::steady_clock::now();
-        if (now - last < std::chrono::seconds(metrics_interval)) continue;
-        last = now;
-        Status written = dump_metrics();
-        if (!written.ok()) {
-          std::fprintf(stderr, "warning: metrics dump: %s\n",
-                       written.ToString().c_str());
-        }
-      }
-    });
-  }
+  server->StartPoller();
 
   std::printf("serving %zu requests on %zu workers (queue %zu)...\n",
-              requests.size(), sopts.num_workers, sopts.queue_capacity);
+              requests.size(), sopts.workers, sopts.queue);
 
   // Closed-loop driver: keep at most one queue's worth of requests
   // outstanding so the admission queue exercises depth, not overflow.
   // (Overflow behaviour is what --deadline-ms and the tests poke at.)
+  server::QueryService& service = server->service();
   auto start = std::chrono::steady_clock::now();
   size_t tally[4] = {0, 0, 0, 0};
   uint64_t pages_returned = 0;
@@ -770,7 +345,7 @@ int Main(int argc, char** argv) {
       request.deadline = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(deadline_ms);
     }
-    if (outstanding.size() >= sopts.queue_capacity) harvest();
+    if (outstanding.size() >= sopts.queue) harvest();
     outstanding.push_back(service.Submit(request));
   }
   while (!outstanding.empty()) harvest();
@@ -782,36 +357,10 @@ int Main(int argc, char** argv) {
     std::printf("lingering %ld s (admin plane stays up)...\n",
                 linger_seconds);
     std::fflush(stdout);
-    auto until = std::chrono::steady_clock::now() +
-                 std::chrono::seconds(linger_seconds);
-    while (std::chrono::steady_clock::now() < until) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+    std::this_thread::sleep_for(std::chrono::seconds(linger_seconds));
   }
 
-  if (poller.joinable()) {
-    stop_poller.store(true, std::memory_order_relaxed);
-    poller.join();
-  }
-  service.Shutdown();
-  {
-    std::shared_ptr<StoreWarmer> last;
-    {
-      std::lock_guard<std::mutex> lock(warmer_mu);
-      last = warmer;
-      warmer = nullptr;
-    }
-    if (last != nullptr) {
-      last->Stop();
-      StoreWarmer::Progress progress = last->progress();
-      std::printf("warmer: %llu sections, %llu bytes%s\n",
-                  static_cast<unsigned long long>(progress.sections),
-                  static_cast<unsigned long long>(progress.bytes),
-                  progress.hit_high_water ? " (stopped at cache high water)"
-                                          : "");
-    }
-  }
-
+  server->Drain();
   std::printf("\noutcome:\n");
   for (int c = 0; c < 4; ++c) {
     std::printf("  %-18s %zu\n",
@@ -822,51 +371,8 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(pages_returned));
   std::printf("wall time:          %.3f s (%.0f req/s)\n", seconds,
               total / seconds);
-  // Every request's views were dropped with its response, so no cache
-  // entry may still be pinned (and the live-view gauges must be back to
-  // zero); nonzero here means a leaked pin.
-  if (snapshot != nullptr) {
-    std::printf("pinned cache entries after drain: %zu (generation %llu)\n",
-                manager->current()->repr->PinnedCacheEntries(),
-                static_cast<unsigned long long>(
-                    manager->current()->manifest.generation));
-  } else {
-    std::printf("pinned cache entries after drain: %zu fwd, %zu bwd\n",
-                forward->PinnedCacheEntries(),
-                backward->PinnedCacheEntries());
-  }
-  std::printf("\n%s\n", service.Snapshot().ToString().c_str());
-
-  if (admin != nullptr) {
-    std::printf("admin: served %llu requests\n",
-                static_cast<unsigned long long>(admin->requests_served()));
-    admin->Stop();
-  }
-  if (profile_hz > 0) obs::Profiler::Global().Stop();
-  if (metrics_writer.joinable()) {
-    stop_metrics_writer.store(true, std::memory_order_relaxed);
-    metrics_writer.join();
-  }
-
-  if (trace_out != nullptr) {
-    uint64_t spans = tracer.spans_written();
-    Status closed = tracer.Close();
-    if (!closed.ok()) return Fail(closed);
-    std::printf("trace: %llu spans -> %s\n",
-                static_cast<unsigned long long>(spans), trace_out);
-  }
-  if (metrics_out != nullptr) {
-    Status written = dump_metrics();
-    if (!written.ok()) return Fail(written);
-    std::printf("metrics: %zu series -> %s (%s)\n", registry.num_series(),
-                metrics_out,
-                std::string(metrics_out).size() >= 5 &&
-                        std::string(metrics_out).compare(
-                            std::string(metrics_out).size() - 5, 5,
-                            ".json") == 0
-                    ? "json"
-                    : "prometheus");
-  }
+  Status stopped = server->Stop();
+  if (!stopped.ok()) return Fail(stopped);
   return 0;
 }
 
