@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -126,9 +128,23 @@ void QueryService::WorkerLoop() {
   }
 }
 
+namespace {
+
+// Cache hits and misses of `repr` so far (zeros for none).
+std::pair<uint64_t, uint64_t> CacheCounts(const GraphRepresentation* repr) {
+  if (repr == nullptr) return {0, 0};
+  return {repr->stats().cache_hits, repr->stats().cache_misses};
+}
+
+}  // namespace
+
 void QueryService::SwapForward(std::shared_ptr<GraphRepresentation> forward) {
   std::lock_guard<std::mutex> lock(forward_mu_);
+  auto [hits, misses] = CacheCounts(LiveForward());
+  retired_cache_hits_ += hits - live_base_hits_;
+  retired_cache_misses_ += misses - live_base_misses_;
   forward_override_ = std::move(forward);
+  std::tie(live_base_hits_, live_base_misses_) = CacheCounts(LiveForward());
 }
 
 std::shared_ptr<GraphRepresentation> QueryService::CurrentForward() const {
@@ -288,18 +304,16 @@ ServiceMetrics QueryService::Snapshot() const {
   queue_depth_.Set(static_cast<double>(m.queue_depth));
   m.p50_seconds = latency_us_.Quantile(0.5) * 1e-6;
   m.p99_seconds = latency_us_.Quantile(0.99) * 1e-6;
-  std::shared_ptr<GraphRepresentation> pinned = CurrentForward();
-  GraphRepresentation* forward = pinned ? pinned.get() : ctx_.forward;
-  if (forward != nullptr) {
-    const ReprStats& stats = forward->stats();
-    m.cache_hits = stats.cache_hits;
-    m.cache_misses = stats.cache_misses;
-    uint64_t lookups = m.cache_hits + m.cache_misses;
-    m.cache_hit_rate =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(m.cache_hits) /
-                           static_cast<double>(lookups);
+  {
+    std::lock_guard<std::mutex> lock(forward_mu_);
+    auto [hits, misses] = CacheCounts(LiveForward());
+    m.cache_hits = retired_cache_hits_ + hits - live_base_hits_;
+    m.cache_misses = retired_cache_misses_ + misses - live_base_misses_;
   }
+  uint64_t lookups = m.cache_hits + m.cache_misses;
+  m.cache_hit_rate = lookups == 0 ? 0.0
+                                  : static_cast<double>(m.cache_hits) /
+                                        static_cast<double>(lookups);
   return m;
 }
 

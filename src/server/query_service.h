@@ -54,7 +54,8 @@ struct ServiceMetrics {
   double p99_seconds = 0;
 
   // Decoded-graph cache behaviour of the forward representation (the
-  // serving hot path); hit_rate is hits / (hits + misses).
+  // serving hot path), summed over every generation it has served, each
+  // for as long as it was installed; hit_rate is hits / (hits + misses).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   double cache_hit_rate = 0;
@@ -112,6 +113,10 @@ class QueryService {
   };
 
   void WorkerLoop();
+  // The forward representation requests start on; forward_mu_ held.
+  GraphRepresentation* LiveForward() const {
+    return forward_override_ ? forward_override_.get() : ctx_.forward;
+  }
   static Status CollectNeighbors(GraphRepresentation* repr, PageId page,
                                  std::vector<PageId>* out);
   Status ExecuteKHop(const Request& request, GraphRepresentation* repr,
@@ -122,6 +127,14 @@ class QueryService {
   // entry, so an old generation drains naturally after a flip.
   mutable std::mutex forward_mu_;
   std::shared_ptr<GraphRepresentation> forward_override_;
+  // Cache counters across flips, guarded by forward_mu_: what the
+  // swapped-out representations counted while installed, and the live
+  // one's counters when it was installed. Hits an old generation takes
+  // while its in-flight requests drain after a flip are not counted.
+  uint64_t retired_cache_hits_ = 0;
+  uint64_t retired_cache_misses_ = 0;
+  uint64_t live_base_hits_ = 0;
+  uint64_t live_base_misses_ = 0;
   QueryServiceOptions options_;
   BoundedQueue<Job> queue_;
   std::vector<std::thread> workers_;

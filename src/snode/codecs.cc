@@ -1,7 +1,7 @@
 #include "snode/codecs.h"
 
 #include <algorithm>
-#include <cstring>
+#include <string>
 
 #include "snode/reference_encoding.h"
 #include "util/bitstream.h"
@@ -11,27 +11,6 @@
 namespace wg {
 
 namespace {
-
-// Splits `list` against `ref` into copy bits + residuals.
-void Diff(const std::vector<uint32_t>& list, const std::vector<uint32_t>& ref,
-          std::vector<uint8_t>* copy_bits, std::vector<uint32_t>* residuals) {
-  copy_bits->assign(ref.size(), 0);
-  residuals->clear();
-  size_t i = 0, j = 0;
-  while (i < list.size() && j < ref.size()) {
-    if (list[i] == ref[j]) {
-      (*copy_bits)[j] = 1;
-      ++i;
-      ++j;
-    } else if (list[i] < ref[j]) {
-      residuals->push_back(list[i]);
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  for (; i < list.size(); ++i) residuals->push_back(list[i]);
-}
 
 // Stand-alone list: gamma count, first value in minimal binary over
 // [0, universe), then gamma-coded gaps-minus-one. Must stay in lockstep
@@ -110,15 +89,7 @@ void AppendMergedRuns(uint32_t ref_off, uint32_t ref_len, bool first_bit,
 // Per-thread decode scratch: the decoders run thousands of times per
 // cold sweep, and re-growing these buffers from empty on every blob is
 // pure allocator churn. Capacities stick at their high-water mark.
-struct ListSpan {
-  uint32_t off = 0;
-  uint32_t len = 0;
-};
-
 struct DecodeScratch {
-  std::vector<uint32_t> pool;
-  std::vector<ListSpan> spans;
-  std::vector<char> seen;
   std::vector<uint32_t> runs;
   std::vector<uint32_t> residuals;
 };
@@ -126,6 +97,88 @@ struct DecodeScratch {
 DecodeScratch& Scratch() {
   thread_local DecodeScratch scratch;
   return scratch;
+}
+
+Status Corrupt(const char* graph_kind, const char* what) {
+  return Status::Corruption(std::string(graph_kind) + ": " + what);
+}
+
+// ---------- The list codec both graph kinds share ----------
+//
+// Lists go out in local order. Each is a reference flag, then either the
+// stand-alone list, or gamma(back - 1) naming the list `back` positions
+// earlier, the RLE copy bits over that list and the stand-alone
+// residuals. List k thus costs its flag bit plus its share of
+// plan.total_cost_bits.
+
+// Writes every list of `lists` as `plan` says. `prefix(k)` runs before
+// list k, for whatever the graph kind stores per list (a superedge
+// graph's source id).
+template <typename Prefix>
+void WriteLists(BitWriter* w, const std::vector<std::vector<uint32_t>>& lists,
+                const ReferencePlan& plan, uint32_t universe, Prefix prefix) {
+  std::vector<uint8_t> copy_bits;
+  std::vector<uint32_t> residuals;
+  for (size_t k = 0; k < lists.size(); ++k) {
+    prefix(k);
+    int ref = plan.reference[k];
+    w->WriteBit(ref != kNoReference);
+    if (ref == kNoReference) {
+      WriteStandalone(w, lists[k], universe);
+      continue;
+    }
+    WriteGamma(w, k - static_cast<size_t>(ref) - 1);
+    DiffAgainstReference(lists[k], lists[ref], &copy_bits, &residuals);
+    WriteRleBits(w, copy_bits);
+    WriteStandalone(w, residuals, universe);
+  }
+}
+
+// Reads `count` lists written by WriteLists straight into a CSR: list k
+// lands in targets[offsets[k], offsets[k + 1]), and a reference resolves
+// against the lists already there. `prefix(k)` reads what WriteLists'
+// prefix wrote. `graph_kind` names the codec in Corruption messages.
+template <typename Prefix>
+Status ReadLists(BitReader* r, const char* graph_kind, uint64_t count,
+                 uint32_t universe, Prefix prefix,
+                 std::vector<uint32_t>* offsets,
+                 std::vector<uint32_t>* targets) {
+  offsets->clear();
+  offsets->reserve(count + 1);
+  offsets->push_back(0);
+  targets->clear();
+  DecodeScratch& sc = Scratch();
+  for (uint64_t k = 0; k < count; ++k) {
+    WG_RETURN_IF_ERROR(prefix(k));
+    if (!r->ReadBit()) {
+      if (!ReadStandalone(r, universe, targets)) {
+        return Corrupt(graph_kind, "bad list count");
+      }
+    } else {
+      uint64_t back = ReadGamma(r) + 1;
+      if (back > k) return Corrupt(graph_kind, "bad reference");
+      uint32_t ref_off = (*offsets)[k - back];
+      uint32_t ref_len = (*offsets)[k - back + 1] - ref_off;
+      sc.runs.clear();
+      bool first_bit = ReadRleRuns(r, ref_len, &sc.runs);
+      sc.residuals.clear();
+      if (!ReadStandalone(r, universe, &sc.residuals)) {
+        return Corrupt(graph_kind, "bad residual count");
+      }
+      AppendMergedRuns(ref_off, ref_len, first_bit, sc.runs, sc.residuals,
+                       targets);
+    }
+    offsets->push_back(static_cast<uint32_t>(targets->size()));
+    if (!r->ok()) return Corrupt(graph_kind, "truncated");
+  }
+  // Range-check with one linear max scan (vectorizes) instead of a branch
+  // per decoded element.
+  uint32_t max_t = 0;
+  for (uint32_t t : *targets) max_t = std::max(max_t, t);
+  if (!targets->empty() && max_t >= universe) {
+    return Corrupt(graph_kind, "target out of range");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -139,101 +192,25 @@ std::vector<uint8_t> EncodeIntranode(
                            options.use_reference_encoding);
   BitWriter w;
   WriteGamma(&w, lists.size());
-  std::vector<uint8_t> copy_bits;
-  std::vector<uint32_t> residuals;
-  for (uint32_t local : plan.order) {
-    WriteGamma(&w, local);
-    int ref = plan.reference[local];
-    if (ref == kNoReference) {
-      w.WriteBit(false);
-      WriteStandalone(&w, lists[local], universe);
-    } else {
-      w.WriteBit(true);
-      int delta = static_cast<int>(local) - ref;
-      w.WriteBit(delta < 0);
-      WriteGamma(&w, static_cast<uint64_t>(std::abs(delta)) - 1);
-      Diff(lists[local], lists[ref], &copy_bits, &residuals);
-      WriteRleBits(&w, copy_bits);
-      WriteStandalone(&w, residuals, universe);
-    }
-  }
+  WriteLists(&w, lists, plan, universe, [](size_t) {});
   return w.Finish();
 }
 
-Status DecodeIntranode(const uint8_t* data, size_t size,
+Status DecodeIntranode(const uint8_t* data, size_t size, uint32_t num_pages,
                        IntranodeGraph* out) {
   BitReader r(data, size);
   uint64_t n = ReadGamma(&r);
-  if (!r.ok() || n > (1u << 28)) {
-    return Status::Corruption("intranode: bad page count");
+  if (!r.ok() || n != num_pages) {
+    return Status::Corruption("intranode: blob holds " + std::to_string(n) +
+                              " pages, expected " +
+                              std::to_string(num_pages));
   }
-  // Decoded lists live back to back in `pool` in stream order;
-  // spans[local] locates a list for reference resolution and the final
-  // CSR pass. One growing buffer instead of a heap vector per list.
-  DecodeScratch& sc = Scratch();
-  std::vector<uint32_t>& pool = sc.pool;
-  pool.clear();
-  std::vector<ListSpan>& spans = sc.spans;
-  spans.assign(n, ListSpan{});
-  std::vector<char>& seen = sc.seen;
-  seen.assign(n, 0);
-  std::vector<uint32_t>& runs = sc.runs;
-  std::vector<uint32_t>& residuals = sc.residuals;
-  for (uint64_t k = 0; k < n; ++k) {
-    uint64_t local = ReadGamma(&r);
-    if (!r.ok() || local >= n || seen[local]) {
-      return Status::Corruption("intranode: bad local id");
-    }
-    seen[local] = 1;
-    bool has_ref = r.ReadBit();
-    uint32_t off = static_cast<uint32_t>(pool.size());
-    if (!has_ref) {
-      if (!ReadStandalone(&r, static_cast<uint32_t>(n), &pool)) {
-        return Status::Corruption("intranode: bad list count");
-      }
-    } else {
-      bool forward = r.ReadBit();
-      uint64_t dist = ReadGamma(&r) + 1;
-      int64_t ref = forward ? static_cast<int64_t>(local) + dist
-                            : static_cast<int64_t>(local) - dist;
-      if (ref < 0 || ref >= static_cast<int64_t>(n) || !seen[ref]) {
-        return Status::Corruption("intranode: bad reference");
-      }
-      const ListSpan rs = spans[static_cast<size_t>(ref)];
-      runs.clear();
-      bool first_bit = ReadRleRuns(&r, rs.len, &runs);
-      residuals.clear();
-      if (!ReadStandalone(&r, static_cast<uint32_t>(n), &residuals)) {
-        return Status::Corruption("intranode: bad residual count");
-      }
-      AppendMergedRuns(rs.off, rs.len, first_bit, runs, residuals, &pool);
-    }
-    spans[local] = {off, static_cast<uint32_t>(pool.size()) - off};
-    if (!r.ok()) return Status::Corruption("intranode: truncated");
-  }
+  out->num_pages = num_pages;
+  WG_RETURN_IF_ERROR(ReadLists(
+      &r, "intranode", n, num_pages, [](uint64_t) { return Status::OK(); },
+      &out->offsets, &out->targets));
   if (r.position() + 8 <= r.size_bits()) {
     return Status::Corruption("intranode: trailing garbage");
-  }
-  out->num_pages = static_cast<uint32_t>(n);
-  out->offsets.resize(n + 1);
-  out->offsets[0] = 0;
-  out->targets.resize(pool.size());
-  uint32_t w = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    const ListSpan sp = spans[i];
-    if (sp.len > 0) {
-      std::memcpy(out->targets.data() + w, pool.data() + sp.off,
-                  static_cast<size_t>(sp.len) * sizeof(uint32_t));
-      w += sp.len;
-    }
-    out->offsets[i + 1] = w;
-  }
-  // Range-check with one linear max scan (vectorizes) instead of a branch
-  // per copied element.
-  uint32_t max_t = 0;
-  for (uint32_t t : out->targets) max_t = std::max(max_t, t);
-  if (!out->targets.empty() && max_t >= n) {
-    return Status::Corruption("intranode: target out of range");
   }
   return Status::OK();
 }
@@ -320,48 +297,20 @@ std::vector<uint8_t> EncodeSuperedge(
   // ni and nj are NOT stored: the resident supernode graph knows both at
   // decode time, and with tens of superedge graphs per supernode the header
   // savings are significant.
+  ReferencePlan plan =
+      ComputeReferencePlan(enc_lists, num_target_pages,
+                           options.reference_window,
+                           options.use_reference_encoding);
   BitWriter w;
   w.WriteBit(positive);
   WriteGamma(&w, enc_sources.size());
-  std::vector<uint8_t> copy_bits, best_copy_bits;
-  std::vector<uint32_t> residuals, best_residuals;
-  uint32_t prev_src = 0;
-  for (size_t k = 0; k < enc_sources.size(); ++k) {
+  WriteLists(&w, enc_lists, plan, num_target_pages, [&](size_t k) {
     if (k == 0) {
       WriteMinimalBinary(&w, enc_sources[0], num_source_pages);
     } else {
-      WriteGamma(&w, enc_sources[k] - prev_src - 1);
+      WriteGamma(&w, enc_sources[k] - enc_sources[k - 1] - 1);
     }
-    prev_src = enc_sources[k];
-    // Choose the best reference among the previous `window` sources.
-    uint64_t best_cost = StandaloneCostBits(enc_lists[k], num_target_pages);
-    int best_ref = -1;
-    int window = std::min<int>(options.reference_window, static_cast<int>(k));
-    if (options.use_reference_encoding) {
-      for (int back = 1; back <= window; ++back) {
-        const auto& ref = enc_lists[k - back];
-        if (ref.empty()) continue;
-        Diff(enc_lists[k], ref, &copy_bits, &residuals);
-        uint64_t cost = GammaCost(back - 1) + RleBitsCost(copy_bits) +
-                        StandaloneCostBits(residuals, num_target_pages);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_ref = back;
-          best_copy_bits = copy_bits;
-          best_residuals = residuals;
-        }
-      }
-    }
-    if (best_ref < 0) {
-      w.WriteBit(false);
-      WriteStandalone(&w, enc_lists[k], num_target_pages);
-    } else {
-      w.WriteBit(true);
-      WriteGamma(&w, best_ref - 1);
-      WriteRleBits(&w, best_copy_bits);
-      WriteStandalone(&w, best_residuals, num_target_pages);
-    }
-  }
+  });
   return w.Finish();
 }
 
@@ -377,20 +326,8 @@ Status DecodeSuperedge(const uint8_t* data, size_t size,
   }
   out->sources.clear();
   out->sources.reserve(present);
-  out->offsets.clear();
-  out->offsets.reserve(present + 1);
-  out->offsets.push_back(0);
-  // Lists decode in encoded-source order, which is exactly CSR order --
-  // so decode straight into out->targets, and out->offsets doubles as
-  // the span table for reference resolution (list k-back occupies
-  // [offsets[k-back], offsets[k-back+1])).
-  std::vector<uint32_t>& pool = out->targets;
-  pool.clear();
   uint32_t src = 0;
-  DecodeScratch& sc = Scratch();
-  std::vector<uint32_t>& runs = sc.runs;
-  std::vector<uint32_t>& residuals = sc.residuals;
-  for (uint64_t k = 0; k < present; ++k) {
+  auto read_source = [&](uint64_t k) {
     if (k == 0) {
       src = static_cast<uint32_t>(ReadMinimalBinary(&r, num_source_pages));
     } else {
@@ -400,33 +337,10 @@ Status DecodeSuperedge(const uint8_t* data, size_t size,
       return Status::Corruption("superedge: source out of range");
     }
     out->sources.push_back(src);
-    bool has_ref = r.ReadBit();
-    if (!has_ref) {
-      if (!ReadStandalone(&r, num_target_pages, &pool)) {
-        return Status::Corruption("superedge: bad list count");
-      }
-    } else {
-      uint64_t back = ReadGamma(&r) + 1;
-      if (back > k) return Status::Corruption("superedge: bad reference");
-      uint32_t ref_off = out->offsets[k - back];
-      uint32_t ref_len = out->offsets[k - back + 1] - ref_off;
-      runs.clear();
-      bool first_bit = ReadRleRuns(&r, ref_len, &runs);
-      residuals.clear();
-      if (!ReadStandalone(&r, num_target_pages, &residuals)) {
-        return Status::Corruption("superedge: bad residual count");
-      }
-      AppendMergedRuns(ref_off, ref_len, first_bit, runs, residuals, &pool);
-    }
-    out->offsets.push_back(static_cast<uint32_t>(pool.size()));
-    if (!r.ok()) return Status::Corruption("superedge: truncated");
-  }
-  uint32_t max_t = 0;
-  for (uint32_t t : pool) max_t = std::max(max_t, t);
-  if (!pool.empty() && max_t >= num_target_pages) {
-    return Status::Corruption("superedge: target out of range");
-  }
-  return Status::OK();
+    return Status::OK();
+  };
+  return ReadLists(&r, "superedge", present, num_target_pages, read_source,
+                   &out->offsets, &out->targets);
 }
 
 }  // namespace wg

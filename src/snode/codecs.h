@@ -10,18 +10,20 @@
 // representation (Section 2 of the paper):
 //
 //  * Intranode graphs: links among the pages of one partition element, in
-//    local ids [0, n). Lists are reference-encoded per the arborescence
-//    plan (snode/reference_encoding.h), serialized parent-first so a
-//    single sequential pass decodes, with RLE copy bit-vectors and gamma
-//    gap codes -- the "easy to decode bit level compression techniques"
-//    of Section 3.3.
+//    local ids [0, n).
 //
 //  * Superedge graphs: the bipartite links from element i to element j.
 //    Encoded positively (lists of present links) or negatively (lists of
 //    absent links), whichever direction has fewer edges; a source absent
 //    from a negative graph points to ALL of N_j (Figure 4 semantics).
-//    Source lists are reference-encoded against the previous encoded
-//    source within a small window.
+//
+// Both kinds write their lists in local order through one list codec.
+// Each list is stand-alone or reference-encoded against one of the few
+// lists just before it, as the plan in snode/reference_encoding.h says
+// (the minimum arborescence of the backward-window affinity graph): RLE
+// copy bit-vectors and gamma gap codes -- the "easy to decode bit level
+// compression techniques" of Section 3.3. A single sequential pass
+// decodes straight into the graph's CSR.
 //
 // Thread-safety contract: every Encode/Decode function here is a pure
 // function of its arguments -- no global or function-local mutable state
@@ -60,13 +62,16 @@ std::vector<uint8_t> EncodeIntranode(
     const std::vector<std::vector<uint32_t>>& lists,
     const IntranodeEncodeOptions& options);
 
-// Span form borrows `data` only for the duration of the call (used by the
+// num_pages is supplied by the caller (the section's page range); a blob
+// whose header disagrees is Corruption before anything is allocated. The
+// span form borrows `data` only for the duration of the call (used by the
 // mmap read path to decode straight out of the mapped store file).
-Status DecodeIntranode(const uint8_t* data, size_t size, IntranodeGraph* out);
+Status DecodeIntranode(const uint8_t* data, size_t size, uint32_t num_pages,
+                       IntranodeGraph* out);
 
 inline Status DecodeIntranode(const std::vector<uint8_t>& blob,
-                              IntranodeGraph* out) {
-  return DecodeIntranode(blob.data(), blob.size(), out);
+                              uint32_t num_pages, IntranodeGraph* out) {
+  return DecodeIntranode(blob.data(), blob.size(), num_pages, out);
 }
 
 // ---------- Superedge ----------

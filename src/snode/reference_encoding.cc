@@ -1,11 +1,9 @@
 #include "snode/reference_encoding.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/coding.h"
 #include "util/rle.h"
-#include "util/status.h"
 
 namespace wg {
 
@@ -20,281 +18,55 @@ uint64_t StandaloneCostBits(const std::vector<uint32_t>& list,
   return bits;
 }
 
-uint64_t ReferencedCostBits(const std::vector<uint32_t>& list,
-                            const std::vector<uint32_t>& ref,
-                            uint32_t universe) {
-  // Copy bit-vector over ref (RLE) + stand-alone residuals.
-  uint64_t bits = 0;
-  std::vector<uint8_t> copy_bits(ref.size(), 0);
-  std::vector<uint32_t> residuals;
+void DiffAgainstReference(const std::vector<uint32_t>& list,
+                          const std::vector<uint32_t>& ref,
+                          std::vector<uint8_t>* copy_bits,
+                          std::vector<uint32_t>* residuals) {
+  copy_bits->assign(ref.size(), 0);
+  residuals->clear();
   size_t i = 0, j = 0;
   while (i < list.size() && j < ref.size()) {
     if (list[i] == ref[j]) {
-      copy_bits[j] = 1;
+      (*copy_bits)[j] = 1;
       ++i;
       ++j;
     } else if (list[i] < ref[j]) {
-      residuals.push_back(list[i]);
+      residuals->push_back(list[i]);
       ++i;
     } else {
       ++j;
     }
   }
-  for (; i < list.size(); ++i) residuals.push_back(list[i]);
-  bits += RleBitsCost(copy_bits);
-  bits += StandaloneCostBits(residuals, universe);
-  return bits;
-}
-
-namespace {
-
-struct WorkEdge {
-  int from;
-  int to;
-  int64_t weight;
-  int original;  // index into the caller's edge array
-};
-
-constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
-
-// Recursive Chu-Liu/Edmonds on the current (possibly contracted) graph.
-// Returns the set of original edge indices forming the arborescence.
-void EdmondsRecurse(int n, int root, std::vector<WorkEdge> edges,
-                    const std::vector<ArborescenceEdge>& original,
-                    std::vector<char>* chosen) {
-  // Cheapest incoming edge per node.
-  std::vector<int> best(n, -1);
-  for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
-    const WorkEdge& we = edges[e];
-    if (we.from == we.to || we.to == root) continue;
-    if (best[we.to] == -1 || we.weight < edges[best[we.to]].weight) {
-      best[we.to] = e;
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    WG_CHECK(v == root || best[v] != -1);  // guaranteed by root edges
-  }
-
-  // Detect a cycle among the chosen incoming edges.
-  std::vector<int> visit_tag(n, -1);
-  std::vector<int> cycle_id(n, -1);
-  int num_cycles = 0;
-  for (int v = 0; v < n; ++v) {
-    if (v == root) continue;
-    // Walk predecessors until we revisit something tagged this walk.
-    int u = v;
-    while (u != root && visit_tag[u] == -1 && cycle_id[u] == -1) {
-      visit_tag[u] = v;
-      u = edges[best[u]].from;
-    }
-    if (u != root && visit_tag[u] == v && cycle_id[u] == -1) {
-      // Found a fresh cycle through u.
-      int w = u;
-      do {
-        cycle_id[w] = num_cycles;
-        w = edges[best[w]].from;
-      } while (w != u);
-      ++num_cycles;
-    }
-  }
-
-  if (num_cycles == 0) {
-    for (int v = 0; v < n; ++v) {
-      if (v != root) (*chosen)[edges[best[v]].original] = 1;
-    }
-    return;
-  }
-
-  // Contract every cycle into a super-node.
-  std::vector<int> new_id(n, -1);
-  int next = 0;
-  for (int v = 0; v < n; ++v) {
-    if (cycle_id[v] == -1) new_id[v] = next++;
-  }
-  int cycle_base = next;
-  for (int v = 0; v < n; ++v) {
-    if (cycle_id[v] != -1) new_id[v] = cycle_base + cycle_id[v];
-  }
-  int new_n = cycle_base + num_cycles;
-  int new_root = new_id[root];
-
-  std::vector<WorkEdge> new_edges;
-  new_edges.reserve(edges.size());
-  // For each contracted edge entering a cycle we must remember which
-  // cycle-internal edge it displaces; we do that by re-weighting and
-  // keeping the original id of the *entering* edge. After the recursion
-  // picks entering edges, cycle edges are added for all cycle nodes except
-  // the one the chosen entering edge points to.
-  std::vector<int> entering_original(edges.size(), -1);
-  for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
-    const WorkEdge& we = edges[e];
-    int nf = new_id[we.from];
-    int nt = new_id[we.to];
-    if (nf == nt) continue;  // intra-cycle or self edge
-    WorkEdge ne;
-    ne.from = nf;
-    ne.to = nt;
-    ne.original = we.original;
-    if (cycle_id[we.to] != -1) {
-      ne.weight = we.weight - edges[best[we.to]].weight;
-    } else {
-      ne.weight = we.weight;
-    }
-    new_edges.push_back(ne);
-  }
-
-  // Map: original edge id -> the in-cycle node it enters (to know which
-  // cycle edge gets displaced when that edge is chosen).
-  // original ids are unique per call level, so a flat map works.
-  std::vector<std::pair<int, int>> enters;  // (original id, node entered)
-  for (const WorkEdge& we : edges) {
-    if (we.from != we.to && cycle_id[we.to] != -1 &&
-        new_id[we.from] != new_id[we.to]) {
-      enters.emplace_back(we.original, we.to);
-    }
-  }
-
-  EdmondsRecurse(new_n, new_root, std::move(new_edges), original, chosen);
-
-  // For every cycle, find the chosen entering edge (exactly one per cycle
-  // supernode) and add all cycle edges except the displaced one.
-  std::vector<int> displaced(num_cycles, -1);
-  for (const auto& [orig_id, node] : enters) {
-    if ((*chosen)[orig_id]) {
-      WG_CHECK(displaced[cycle_id[node]] == -1 ||
-               displaced[cycle_id[node]] == node);
-      displaced[cycle_id[node]] = node;
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    if (cycle_id[v] != -1 && displaced[cycle_id[v]] != v) {
-      (*chosen)[edges[best[v]].original] = 1;
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<int> MinimumArborescence(
-    int n, int root, const std::vector<ArborescenceEdge>& edges) {
-  std::vector<WorkEdge> work(edges.size());
-  for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
-    work[e] = {edges[e].from, edges[e].to, edges[e].weight, e};
-  }
-  std::vector<char> chosen(edges.size(), 0);
-  EdmondsRecurse(n, root, std::move(work), edges, &chosen);
-  std::vector<int> incoming(n, -1);
-  for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
-    if (chosen[e]) {
-      WG_CHECK(incoming[edges[e].to] == -1);
-      incoming[edges[e].to] = e;
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    WG_CHECK(v == root || incoming[v] != -1);
-  }
-  return incoming;
+  for (; i < list.size(); ++i) residuals->push_back(list[i]);
 }
 
 ReferencePlan ComputeReferencePlan(
     const std::vector<std::vector<uint32_t>>& lists, uint32_t universe,
     int window, bool use_reference_encoding) {
-  int n = static_cast<int>(lists.size());
   ReferencePlan plan;
-  plan.reference.assign(n, kNoReference);
-  plan.order.resize(n);
-  for (int i = 0; i < n; ++i) plan.order[i] = static_cast<uint32_t>(i);
-  if (n == 0) return plan;
-
-  std::vector<uint64_t> standalone(n);
-  for (int i = 0; i < n; ++i) {
-    standalone[i] = StandaloneCostBits(lists[i], universe);
-  }
-
-  if (!use_reference_encoding || n == 1) {
-    for (int i = 0; i < n; ++i) plan.total_cost_bits += standalone[i];
-    return plan;
-  }
-
-  if (n > 20000) {
-    // Very large graphs (a refinement abort left a huge element): fall back
-    // to greedy backward-window references, which are cycle-free by
-    // construction and need no arborescence. The paper only applies the
-    // affinity-graph machinery to small graphs.
-    for (int i = 0; i < n; ++i) {
-      int64_t best = static_cast<int64_t>(standalone[i]);
-      int best_ref = kNoReference;
-      for (int x = std::max(0, i - window); x < i; ++x) {
-        if (lists[x].empty() || lists[i].empty()) continue;
-        int64_t cost = static_cast<int64_t>(
-                           ReferencedCostBits(lists[i], lists[x], universe)) +
-                       GammaCost(static_cast<uint64_t>(i - x) - 1) + 1;
-        if (cost < best) {
-          best = cost;
-          best_ref = x;
-        }
-      }
-      plan.reference[i] = best_ref;
-      plan.total_cost_bits += static_cast<uint64_t>(best);
-    }
-    return plan;  // identity order is already parent-first
-  }
-
-  // Sparse affinity graph: root edges + window candidates both directions.
-  int root = n;
-  std::vector<ArborescenceEdge> edges;
-  edges.reserve(static_cast<size_t>(n) * (2 * window + 1));
-  for (int i = 0; i < n; ++i) {
-    edges.push_back({root, i, static_cast<int64_t>(standalone[i])});
-  }
-  for (int i = 0; i < n; ++i) {
-    if (lists[i].empty()) continue;  // empty list is never worth referencing
-    int lo = std::max(0, i - window);
-    int hi = std::min(n - 1, i + window);
-    for (int x = lo; x <= hi; ++x) {
-      if (x == i || lists[x].empty()) continue;
-      // Overhead of naming the reference: signed gamma of the offset.
-      int64_t overhead = GammaCost(static_cast<uint64_t>(
-                             std::abs(i - x) - 1)) + 1;
-      int64_t cost = static_cast<int64_t>(
-                         ReferencedCostBits(lists[i], lists[x], universe)) +
-                     overhead;
-      if (cost < static_cast<int64_t>(standalone[i])) {
-        edges.push_back({x, i, cost});
+  plan.reference.assign(lists.size(), kNoReference);
+  // Reused across candidates: allocating them per Diff doubles encode time.
+  std::vector<uint8_t> copy_bits;
+  std::vector<uint32_t> residuals;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    uint64_t best = StandaloneCostBits(lists[i], universe);
+    // An empty list costs one bit stand-alone, which no reference beats.
+    int candidates = use_reference_encoding && !lists[i].empty()
+                         ? std::min(window, static_cast<int>(i))
+                         : 0;
+    for (int back = 1; back <= candidates; ++back) {
+      const std::vector<uint32_t>& ref = lists[i - back];
+      if (ref.empty()) continue;
+      DiffAgainstReference(lists[i], ref, &copy_bits, &residuals);
+      uint64_t cost = GammaCost(back - 1) + RleBitsCost(copy_bits) +
+                      StandaloneCostBits(residuals, universe);
+      if (cost < best) {
+        best = cost;
+        plan.reference[i] = static_cast<int>(i) - back;
       }
     }
+    plan.total_cost_bits += best;
   }
-
-  std::vector<int> incoming = MinimumArborescence(n + 1, root, edges);
-  plan.total_cost_bits = 0;
-  for (int i = 0; i < n; ++i) {
-    const ArborescenceEdge& e = edges[incoming[i]];
-    plan.reference[i] = e.from == root ? kNoReference : e.from;
-    plan.total_cost_bits += static_cast<uint64_t>(e.weight);
-  }
-
-  // Topological (parent-first) order over the reference forest.
-  std::vector<std::vector<int>> children(n);
-  std::vector<int> roots;
-  for (int i = 0; i < n; ++i) {
-    if (plan.reference[i] == kNoReference) {
-      roots.push_back(i);
-    } else {
-      children[plan.reference[i]].push_back(i);
-    }
-  }
-  plan.order.clear();
-  plan.order.reserve(n);
-  std::vector<int> stack(roots.rbegin(), roots.rend());
-  while (!stack.empty()) {
-    int v = stack.back();
-    stack.pop_back();
-    plan.order.push_back(static_cast<uint32_t>(v));
-    for (auto it = children[v].rbegin(); it != children[v].rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-  WG_CHECK(plan.order.size() == static_cast<size_t>(n));
   return plan;
 }
 

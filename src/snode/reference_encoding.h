@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/webgraph.h"
-
 // Reference-encoding plan computation (Section 3.1 of the paper, after
 // Adler & Mitzenmacher [2]): given the adjacency lists of a small graph
 // (an intranode or superedge graph), build the affinity graph -- edge
@@ -16,9 +14,12 @@
 //
 // Adler & Mitzenmacher's full affinity graph is quadratic; the paper makes
 // it tractable by only applying the scheme to small lower-level graphs and
-// by grouping similar pages first. We additionally restrict affinity-graph
-// candidates to a window of neighbours in local (URL-sorted) order, which
-// is where Property 1/3 of the paper puts the similar lists.
+// by grouping similar pages first. We additionally restrict the candidates
+// for list y to the `window` lists just before it in local (URL-sorted)
+// order, which is where Property 1/3 of the paper puts the similar lists.
+// With backward-only candidates the affinity graph is a DAG, so its
+// minimum arborescence is simply each list's cheapest incoming edge, and
+// the lists serialize in local order with no per-list id.
 //
 // Thread-safety contract: plan computation is a pure, deterministic
 // function of the input lists (no globals, no RNG). The parallel encode
@@ -30,14 +31,11 @@ namespace wg {
 inline constexpr int kNoReference = -1;
 
 struct ReferencePlan {
-  // reference[i] = index of the list used as reference for list i, or
-  // kNoReference for stand-alone encoding.
+  // reference[i] = index (< i) of the list used as reference for list i,
+  // or kNoReference for stand-alone encoding.
   std::vector<int> reference;
-  // Topological order of the reference forest: every list appears after
-  // its reference. Encoders must serialize in this order so a single
-  // sequential pass can decode.
-  std::vector<uint32_t> order;
-  // Total planned cost in bits (arborescence weight).
+  // Total planned cost in bits (arborescence weight). Excludes the
+  // one-bit reference flag that every list carries.
   uint64_t total_cost_bits = 0;
 };
 
@@ -46,32 +44,26 @@ struct ReferencePlan {
 uint64_t StandaloneCostBits(const std::vector<uint32_t>& list,
                             uint32_t universe);
 
-// Cost in bits of encoding `list` with `ref` as reference (copy bit-vector
-// over ref, RLE'd, + residuals), excluding the reference-id overhead.
-uint64_t ReferencedCostBits(const std::vector<uint32_t>& list,
-                            const std::vector<uint32_t>& ref,
-                            uint32_t universe);
+// Splits `list` against `ref` (both sorted ascending) into a copy
+// bit-vector over ref (1 = that ref entry is also in list) and the
+// residual entries of list that ref lacks. Encoding `list` with `ref` as
+// reference costs RleBitsCost(copy bits) + StandaloneCostBits(residuals),
+// plus gamma(back - 1) to name the reference `back` lists earlier.
+void DiffAgainstReference(const std::vector<uint32_t>& list,
+                          const std::vector<uint32_t>& ref,
+                          std::vector<uint8_t>* copy_bits,
+                          std::vector<uint32_t>* residuals);
 
-// Computes the reference plan for `lists` (each sorted ascending).
-// Candidates for list i are the lists within `window` positions of i.
-// If `use_reference_encoding` is false (ablation), every list is root-
-// attached.
+// Computes the reference plan for `lists` (each sorted ascending). List i
+// is encoded stand-alone or against one of the `window` lists before it,
+// whichever costs least: a reference must be strictly cheaper than
+// stand-alone, equal-cost candidates go to the nearest, and an empty list
+// is never a reference. If `use_reference_encoding` is false (ablation),
+// every list is stand-alone.
 // `universe` bounds every list entry (the target element's page count).
 ReferencePlan ComputeReferencePlan(
     const std::vector<std::vector<uint32_t>>& lists, uint32_t universe,
     int window, bool use_reference_encoding = true);
-
-// Exact minimum-weight arborescence (Chu-Liu/Edmonds) rooted at `root`
-// over nodes [0, n). Every non-root node must have at least one incoming
-// edge. Returns, for each node, the index into `edges` of its chosen
-// incoming edge (root gets -1). Exposed for direct testing.
-struct ArborescenceEdge {
-  int from;
-  int to;
-  int64_t weight;
-};
-std::vector<int> MinimumArborescence(int n, int root,
-                                     const std::vector<ArborescenceEdge>& edges);
 
 }  // namespace wg
 

@@ -272,8 +272,10 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
 
 
 namespace {
-// Bumped to SNM2 when the blob directory gained per-blob CRCs (PR 8).
-constexpr char kMetaMagic[4] = {'S', 'N', 'M', '2'};
+// Bumped to SNM2 when the blob directory gained per-blob CRCs, and to
+// SNM3 when intranode lists dropped their per-list id (pack blobs written
+// under SNM2 decode differently).
+constexpr char kMetaMagic[4] = {'S', 'N', 'M', '3'};
 }  // namespace
 
 void SNodeResidentState::Serialize(std::string* out) const {
@@ -643,14 +645,9 @@ Status SNodeRepr::DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
     if (entry->intranode == nullptr) {
       entry->intranode = std::make_unique<IntranodeGraph>();
     }
-    WG_RETURN_IF_ERROR(DecodeIntranode(data, size, entry->intranode.get()));
-    if (entry->intranode->num_pages != supernodes_.pages_in(supernode)) {
-      return Status::Corruption(
-          "intranode graph of section " + std::to_string(supernode) +
-          " has " + std::to_string(entry->intranode->num_pages) +
-          " pages, its page range " +
-          std::to_string(supernodes_.pages_in(supernode)));
-    }
+    WG_RETURN_IF_ERROR(DecodeIntranode(data, size,
+                                       supernodes_.pages_in(supernode),
+                                       entry->intranode.get()));
     entry->bytes = entry->intranode->MemoryUsage();
     return Status::OK();
   }

@@ -6,8 +6,10 @@
 namespace wg::version {
 
 namespace {
-// Bumped to WGM2 when blob entries gained per-blob CRCs (PR 8).
-constexpr char kManifestMagic[4] = {'W', 'G', 'M', '2'};
+// Bumped to WGM2 when blob entries gained per-blob CRCs, and to WGM3 when
+// intranode lists dropped their per-list id (pack blobs written under WGM2
+// decode differently).
+constexpr char kManifestMagic[4] = {'W', 'G', 'M', '3'};
 }  // namespace
 
 Status Manifest::WriteTo(const std::string& path) const {

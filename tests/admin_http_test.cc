@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -360,6 +361,11 @@ TEST(ProfilerTest, EmptyWindowCollapsesToEmpty) {
 
 #ifdef WGSERVE_BIN_PATH
 
+// Where a local-build wgserve keeps its stores.
+std::string ServeStoreDir(pid_t pid) {
+  return "/tmp/wgserve_" + std::to_string(pid);
+}
+
 struct ServeProcess {
   pid_t pid = -1;
   std::FILE* out = nullptr;
@@ -370,6 +376,9 @@ struct ServeProcess {
       ::kill(pid, SIGKILL);
       int status = 0;
       ::waitpid(pid, &status, 0);
+      // A killed wgserve cannot clean up after itself.
+      std::error_code ignored;
+      std::filesystem::remove_all(ServeStoreDir(pid), ignored);
     }
   }
 };
@@ -485,8 +494,9 @@ TEST(WgserveSmokeTest, AdminPlaneServesUnderLoad) {
 }
 
 // Runs wgserve with `args` to completion, output discarded; returns its
-// exit status (-1 when it did not exit normally).
-int RunServe(const std::vector<std::string>& args) {
+// exit status (-1 when it did not exit normally) and, if `child` is set,
+// stores the child's pid there.
+int RunServe(const std::vector<std::string>& args, pid_t* child = nullptr) {
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(WGSERVE_BIN_PATH));
   for (const std::string& arg : args) {
@@ -502,6 +512,7 @@ int RunServe(const std::vector<std::string>& args) {
     ::execv(WGSERVE_BIN_PATH, argv.data());
     _exit(127);
   }
+  if (child != nullptr) *child = pid;
   int status = 0;
   if (::waitpid(pid, &status, 0) != pid) return -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -512,6 +523,15 @@ TEST(WgserveSmokeTest, BadNumericFlagsExitWithUsage) {
   // built -- not a silent 0 from an unchecked strtoul.
   EXPECT_EQ(2, RunServe({"--pages", "400", "--workers", "abc"}));
   EXPECT_EQ(2, RunServe({"--pages", "400", "--admin-port", "70000"}));
+}
+
+TEST(WgserveSmokeTest, LocalBuildRemovesItsStoreDirectory) {
+  pid_t child = -1;
+  ASSERT_EQ(0, RunServe({"--pages", "400", "--requests", "200", "--workers",
+                         "1"},
+                        &child));
+  ASSERT_GT(child, 0);
+  EXPECT_FALSE(std::filesystem::exists(ServeStoreDir(child)));
 }
 
 #endif  // WGSERVE_BIN_PATH

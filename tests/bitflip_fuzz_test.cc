@@ -29,17 +29,13 @@
 #include "storage/fault_env.h"
 #include "storage/file.h"
 #include "version/scrub.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
 std::string TempBase(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_bitflip_" +
-                    std::to_string(getpid()) + "_" + name +
-                    std::to_string(counter++);
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/base";
+  return test::TempDirFor(name) + "/base";
 }
 
 WebGraph SmallGraph(size_t pages = 600) {

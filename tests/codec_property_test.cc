@@ -59,7 +59,7 @@ TEST_P(IntranodeSweep, RoundTrip) {
     options.use_reference_encoding = use_ref;
     auto blob = EncodeIntranode(lists, options);
     IntranodeGraph decoded;
-    ASSERT_TRUE(DecodeIntranode(blob, &decoded).ok());
+    ASSERT_TRUE(DecodeIntranode(blob, n, &decoded).ok());
     ASSERT_EQ(decoded.num_pages, static_cast<uint32_t>(n));
     for (int i = 0; i < n; ++i) {
       ASSERT_EQ(decoded.ListOf(i), lists[i])
@@ -160,7 +160,7 @@ TEST_P(CorruptionFuzz, IntranodeDecoderNeverCrashes) {
     IntranodeGraph decoded;
     // Must return (either OK with some graph, or Corruption) -- and if it
     // returns OK, the result must be internally consistent.
-    Status status = DecodeIntranode(mutated, &decoded);
+    Status status = DecodeIntranode(mutated, 64, &decoded);
     if (status.ok()) {
       ASSERT_EQ(decoded.offsets.size(), decoded.num_pages + 1u);
       for (uint32_t t : decoded.targets) ASSERT_LT(t, decoded.num_pages);

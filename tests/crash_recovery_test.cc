@@ -34,6 +34,7 @@
 #include "version/delta_log.h"
 #include "version/scrub.h"
 #include "version/snapshot.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -42,14 +43,7 @@ using version::DeltaRecord;
 using version::ScrubReport;
 using version::SnapshotManager;
 
-std::string TempDirFor(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_crash_" +
-                    std::to_string(getpid()) + "_" + name +
-                    std::to_string(counter++);
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir;
-}
+using test::TempDirFor;
 
 WebGraph CrashGraph() {
   GeneratorOptions opts;

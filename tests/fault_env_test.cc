@@ -20,6 +20,7 @@
 #include "storage/env.h"
 #include "storage/fault_env.h"
 #include "storage/file.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -32,11 +33,7 @@ class ScopedEnv {
   ~ScopedEnv() { Env::Install(nullptr); }
 };
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  return testing::TempDir() + "wg_fault_" + std::to_string(getpid()) + "_" +
-         name + std::to_string(counter++);
-}
+using test::TempPath;
 
 TEST(FaultEnvTest, HardReadErrorSurfacesAsStatus) {
   std::string path = TempPath("read_eio");

@@ -18,6 +18,7 @@
 #include "storage/fault_env.h"
 #include "storage/file.h"
 #include "storage/spill.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -28,13 +29,7 @@ class ScopedEnv {
   ~ScopedEnv() { Env::Install(nullptr); }
 };
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir =
-      testing::TempDir() + "wg_fault_spill_" + std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 GeneratorOptions CrawlOptions() {
   GeneratorOptions opts;

@@ -17,17 +17,12 @@
 #include "text/corpus.h"
 #include "text/inverted_index.h"
 #include "text/pagerank.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_integration_" +
-                    std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 TEST(PipelineIntegrationTest, FullLifecycle) {
   // 1. Generate and persist a crawl.

@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "test_temp_dir.h"
 
 namespace wg::obs {
 namespace {
@@ -435,9 +436,7 @@ double JsonNumber(const std::string& line, const std::string& key) {
   return std::strtod(line.c_str() + pos + key.size() + 3, nullptr);
 }
 
-std::string TempPath(const char* name) {
-  return "/tmp/wg_obs_test_" + std::to_string(getpid()) + "_" + name;
-}
+using test::TempPath;
 
 TEST(TracerTest, SpansInactiveWithoutSink) {
   ASSERT_FALSE(Tracer::Global().sink_open());

@@ -14,13 +14,12 @@
 
 #include "gtest/gtest.h"
 #include "storage/pager.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPagerPath() {
-  return "/tmp/wg_pager_race_test_" + std::to_string(getpid()) + ".db";
-}
+std::string TempPagerPath() { return test::TempPath("pager_race") + ".db"; }
 
 TEST(PagerRaceTest, StatsReadableWhilePagerWorks) {
   std::string path = TempPagerPath();

@@ -23,17 +23,12 @@
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "util/parallel.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir =
-      testing::TempDir() + "wg_parallel_" + std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 // Reads a whole file; empty optional-style flag via second member.
 bool ReadFile(const std::string& path, std::string* out) {

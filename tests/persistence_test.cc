@@ -8,17 +8,12 @@
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "storage/serial.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_persist_" +
-                    std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 // ---------- Framed files ----------
 
@@ -197,6 +192,20 @@ TEST_F(SNodePersistenceTest, CorruptMetaRejected) {
   byte ^= 0xff;
   ASSERT_TRUE(file.value()->Write(100, &byte, 1).ok());
   EXPECT_FALSE(SNodeRepr::Open(base_path_, {}).ok());
+}
+
+// A store saved in the previous format (SNM2 .meta: intranode lists with
+// a per-list id) must not open, because its pack blobs decode differently.
+TEST_F(SNodePersistenceTest, PreviousFormatMagicRejected) {
+  ASSERT_TRUE(built_->SaveMeta().ok());
+  auto file = RandomAccessFile::Open(base_path_ + ".meta");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(file.value()->Write(0, "SNM2", 4).ok());
+  auto opened = SNodeRepr::Open(base_path_, {});
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.status().ToString().find("bad magic"), std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST_F(SNodePersistenceTest, AttachedStoreRejectsAppends) {

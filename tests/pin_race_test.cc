@@ -19,17 +19,12 @@
 #include "graph/generator.h"
 #include "snode/snode_repr.h"
 #include "storage/file.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_pin_" +
-                    std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 TEST(PinRaceTest, PinnedViewsSurviveConcurrentEviction) {
   GeneratorOptions opts;

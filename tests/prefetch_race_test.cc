@@ -20,17 +20,12 @@
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "version/snapshot.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_prefetch_" +
-                    std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 WebGraph TestGraph(size_t pages = 3000) {
   GeneratorOptions opts;

@@ -14,16 +14,12 @@
 #include "text/corpus.h"
 #include "text/inverted_index.h"
 #include "text/pagerank.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_query_" + std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 // Shared workload: one graph + corpus + indexes, representations on demand.
 class QueryEnv {

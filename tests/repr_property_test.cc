@@ -26,17 +26,12 @@
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "util/rng.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_reprprop_" +
-                    std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 // One workload (graph) shared across schemes, keyed by (pages, seed).
 const WebGraph& Workload(size_t pages, uint64_t seed) {

@@ -25,6 +25,7 @@
 #include "version/gc.h"
 #include "version/scrub.h"
 #include "version/snapshot.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -34,14 +35,7 @@ using version::ScrubReport;
 using version::SnapshotManager;
 using version::SnapshotOptions;
 
-std::string TempDirFor(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_scrub_" +
-                    std::to_string(getpid()) + "_" + name +
-                    std::to_string(counter++);
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir;
-}
+using test::TempDirFor;
 
 WebGraph ScrubGraph() {
   GeneratorOptions opts;

@@ -33,6 +33,7 @@
 #include "storage/fault_env.h"
 #include "storage/file.h"
 #include "version/snapshot.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -46,14 +47,7 @@ using server::ServerOptions;
 using version::DeltaRecord;
 using version::SnapshotManager;
 
-std::string TempDirFor(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_lifecycle_" +
-                    std::to_string(getpid()) + "_" + name +
-                    std::to_string(counter++);
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir;
-}
+using test::TempDirFor;
 
 WebGraph BaseGraph() {
   GeneratorOptions opts;

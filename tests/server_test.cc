@@ -20,6 +20,7 @@
 #include "text/corpus.h"
 #include "text/inverted_index.h"
 #include "text/pagerank.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -32,13 +33,7 @@ using server::RequestType;
 using server::Response;
 using server::ResponseCode;
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir =
-      testing::TempDir() + "wg_server_" + std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 // ---------- BoundedQueue ----------
 
@@ -479,6 +474,50 @@ TEST(QueryServiceTest, KHopVisitedSetStaysCleanAcrossRequests) {
   expect_truth(bigger, static_cast<PageId>(bigger.num_pages() - 1), 3);
   service.SwapForward(nullptr);
   for (PageId page = 0; page < 40; page += 4) expect_truth(env.graph, page, 3);
+}
+
+// Snapshot() counts the decoded-graph cache across a generation flip:
+// what generation A counted before the swap plus what B counted after.
+TEST(QueryServiceTest, CacheCountersSpanGenerationFlips) {
+  ServerEnv& env = ServerEnv::Get();
+  SNodeBuildOptions opts;
+  opts.buffer_bytes = 256 << 10;
+  auto built_a = SNodeRepr::Build(env.graph, TempPath("srv_gen_a"), opts);
+  auto built_b = SNodeRepr::Build(env.graph, TempPath("srv_gen_b"), opts);
+  ASSERT_TRUE(built_a.ok() && built_b.ok());
+  std::shared_ptr<SNodeRepr> gen_a = std::move(built_a).value();
+  std::shared_ptr<SNodeRepr> gen_b = std::move(built_b).value();
+
+  QueryServiceOptions service_opts;
+  service_opts.queue_capacity = 512;
+  QueryService service(QueryContext{}, service_opts);
+  auto serve = [&](uint64_t seed) {
+    server::WorkloadOptions wopts;
+    wopts.num_requests = 500;
+    wopts.seed = seed;
+    wopts.num_pages = env.graph.num_pages();
+    wopts.in_weight = 0;  // forward-only, like a snapshot generation
+    std::vector<std::future<Response>> futures;
+    for (const Request& request : server::SyntheticWorkload(wopts)) {
+      futures.push_back(service.Submit(request));
+    }
+    for (auto& future : futures) {
+      ASSERT_EQ(future.get().code, ResponseCode::kOk);
+    }
+  };
+  service.SwapForward(gen_a);
+  serve(1);
+  const uint64_t a_hits = gen_a->stats().cache_hits;
+  const uint64_t a_misses = gen_a->stats().cache_misses;
+  EXPECT_GT(a_hits, 0u);
+  EXPECT_GT(a_misses, 0u);
+  service.SwapForward(gen_b);
+  serve(2);
+  EXPECT_GT(gen_b->stats().cache_hits, 0u);
+
+  server::ServiceMetrics metrics = service.Snapshot();
+  EXPECT_EQ(metrics.cache_hits, a_hits + gen_b->stats().cache_hits);
+  EXPECT_EQ(metrics.cache_misses, a_misses + gen_b->stats().cache_misses);
 }
 
 TEST(QueryServiceTest, MappedStoreWithQuarantinedFilesServesConcurrently) {

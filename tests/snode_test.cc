@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <set>
@@ -14,23 +15,30 @@
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "storage/serial.h"
+#include "util/bitstream.h"
+#include "util/coding.h"
+#include "util/rle.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_snode_" + std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
-// ---------- Minimum arborescence ----------
+// ---------- Reference plan ----------
+
+// One edge of an affinity graph: encoding list `to` against `from` (or
+// stand-alone, from the virtual root) costs `weight` bits.
+struct AffinityEdge {
+  int from;
+  int to;
+  int64_t weight;
+};
 
 // Brute force: try all parent assignments (tiny n) and keep the cheapest
 // one that forms an arborescence (every node reaches the root upward).
 int64_t BruteForceArborescence(int n, int root,
-                               const std::vector<ArborescenceEdge>& edges) {
+                               const std::vector<AffinityEdge>& edges) {
   std::vector<std::vector<int>> incoming(n);
   for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
     incoming[edges[e].to].push_back(e);
@@ -69,57 +77,65 @@ int64_t BruteForceArborescence(int n, int root,
   return best;
 }
 
-int64_t ArborescenceCost(int n, int root,
-                         const std::vector<ArborescenceEdge>& edges) {
-  std::vector<int> incoming = MinimumArborescence(n, root, edges);
-  int64_t total = 0;
-  for (int v = 0; v < n; ++v) {
-    if (v != root) total += edges[incoming[v]].weight;
+// The paper's affinity graph restricted to backward windows: a root edge
+// per list at its stand-alone cost, plus x -> i for every non-empty list
+// x among the `window` lists before i, at the cost of encoding i against
+// x (naming x costs gamma(i - x - 1)).
+std::vector<AffinityEdge> BackwardWindowAffinityGraph(
+    const std::vector<std::vector<uint32_t>>& lists, uint32_t universe,
+    int window) {
+  int n = static_cast<int>(lists.size());
+  std::vector<AffinityEdge> edges;
+  std::vector<uint8_t> copy_bits;
+  std::vector<uint32_t> residuals;
+  for (int i = 0; i < n; ++i) {
+    edges.push_back({n, i, static_cast<int64_t>(
+                               StandaloneCostBits(lists[i], universe))});
+    for (int x = std::max(0, i - window); x < i; ++x) {
+      if (lists[x].empty()) continue;
+      DiffAgainstReference(lists[i], lists[x], &copy_bits, &residuals);
+      edges.push_back({x, i, GammaCost(i - x - 1) +
+                                 static_cast<int64_t>(
+                                     RleBitsCost(copy_bits) +
+                                     StandaloneCostBits(residuals, universe))});
+    }
   }
-  return total;
+  return edges;
 }
 
-TEST(ArborescenceTest, SimpleChain) {
-  // root -> 0 -> 1, with an expensive direct root -> 1.
-  std::vector<ArborescenceEdge> edges = {
-      {2, 0, 5}, {0, 1, 1}, {2, 1, 10}};
-  std::vector<int> incoming = MinimumArborescence(3, 2, edges);
-  EXPECT_EQ(edges[incoming[0]].from, 2);
-  EXPECT_EQ(edges[incoming[1]].from, 0);
-  EXPECT_EQ(ArborescenceCost(3, 2, edges), 6);
-}
-
-TEST(ArborescenceTest, BreaksCycle) {
-  // 0 and 1 prefer each other (cheap cycle); one must attach to root.
-  std::vector<ArborescenceEdge> edges = {
-      {2, 0, 10}, {2, 1, 12}, {0, 1, 1}, {1, 0, 1}};
-  EXPECT_EQ(ArborescenceCost(3, 2, edges), 11);  // root->0 (10) + 0->1 (1)
-}
-
-TEST(ArborescenceTest, MatchesBruteForceOnRandomGraphs) {
+TEST(ReferencePlanTest, MatchesBruteForceArborescence) {
   std::mt19937_64 gen(21);
   for (int trial = 0; trial < 200; ++trial) {
-    int n = 2 + static_cast<int>(gen() % 5);  // nodes 0..n-1, root = n-1
-    int root = n - 1;
-    std::vector<ArborescenceEdge> edges;
-    // Guarantee feasibility with root edges.
-    for (int v = 0; v < root; ++v) {
-      edges.push_back({root, v, static_cast<int64_t>(gen() % 50 + 1)});
+    int n = 1 + static_cast<int>(gen() % 6);
+    uint32_t universe = 1 + static_cast<uint32_t>(gen() % 24);
+    int window = 1 + static_cast<int>(gen() % 4);
+    // Lists drawn around a shared base, so references often pay off.
+    std::vector<uint32_t> base;
+    for (uint32_t v = 0; v < universe; ++v) {
+      if (gen() % 3 == 0) base.push_back(v);
     }
-    int extra = static_cast<int>(gen() % 10);
-    for (int e = 0; e < extra; ++e) {
-      int from = static_cast<int>(gen() % n);
-      int to = static_cast<int>(gen() % root);
-      if (from == to) continue;
-      edges.push_back({from, to, static_cast<int64_t>(gen() % 50 + 1)});
+    std::vector<std::vector<uint32_t>> lists(n);
+    for (auto& list : lists) {
+      for (uint32_t v = 0; v < universe; ++v) {
+        bool in_base = std::binary_search(base.begin(), base.end(), v);
+        if (gen() % 8 < (in_base ? 6u : 1u)) list.push_back(v);
+      }
+      if (gen() % 5 == 0) list.clear();
     }
-    EXPECT_EQ(ArborescenceCost(n, root, edges),
-              BruteForceArborescence(n, root, edges))
+    ReferencePlan plan = ComputeReferencePlan(lists, universe, window);
+    auto edges = BackwardWindowAffinityGraph(lists, universe, window);
+    EXPECT_EQ(static_cast<int64_t>(plan.total_cost_bits),
+              BruteForceArborescence(n + 1, n, edges))
         << "trial " << trial;
+    for (int i = 0; i < n; ++i) {
+      int ref = plan.reference[i];
+      if (ref == kNoReference) continue;
+      EXPECT_LT(ref, i);
+      EXPECT_GE(ref, i - window);
+      EXPECT_FALSE(lists[ref].empty());
+    }
   }
 }
-
-// ---------- Reference plan ----------
 
 TEST(ReferencePlanTest, IdenticalListsGetReferences) {
   std::vector<std::vector<uint32_t>> lists(6, {1, 5, 9, 12, 40, 77});
@@ -129,26 +145,6 @@ TEST(ReferencePlanTest, IdenticalListsGetReferences) {
     if (r != kNoReference) ++referenced;
   }
   EXPECT_EQ(referenced, 5);  // all but one root
-}
-
-TEST(ReferencePlanTest, OrderIsParentFirst) {
-  std::mt19937_64 gen(5);
-  std::vector<std::vector<uint32_t>> lists;
-  for (int i = 0; i < 40; ++i) {
-    std::vector<uint32_t> list;
-    for (int j = 0; j < 10; ++j) list.push_back(gen() % 200);
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    lists.push_back(list);
-  }
-  ReferencePlan plan = ComputeReferencePlan(lists, 200, 8);
-  std::vector<int> position(lists.size());
-  for (size_t k = 0; k < plan.order.size(); ++k) position[plan.order[k]] = k;
-  for (size_t i = 0; i < lists.size(); ++i) {
-    if (plan.reference[i] != kNoReference) {
-      EXPECT_LT(position[plan.reference[i]], position[i]);
-    }
-  }
 }
 
 TEST(ReferencePlanTest, PlanNeverWorseThanStandalone) {
@@ -189,7 +185,7 @@ TEST(IntranodeCodecTest, RoundTripRandom) {
     auto lists = RandomLists(&gen, n, static_cast<uint32_t>(n), 12);
     auto blob = EncodeIntranode(lists, {});
     IntranodeGraph decoded;
-    ASSERT_TRUE(DecodeIntranode(blob, &decoded).ok());
+    ASSERT_TRUE(DecodeIntranode(blob, n, &decoded).ok());
     ASSERT_EQ(decoded.num_pages, n);
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(decoded.ListOf(i), lists[i]) << "trial " << trial << " i=" << i;
@@ -200,7 +196,7 @@ TEST(IntranodeCodecTest, RoundTripRandom) {
 TEST(IntranodeCodecTest, EmptyGraph) {
   auto blob = EncodeIntranode({}, {});
   IntranodeGraph decoded;
-  ASSERT_TRUE(DecodeIntranode(blob, &decoded).ok());
+  ASSERT_TRUE(DecodeIntranode(blob, 0, &decoded).ok());
   EXPECT_EQ(decoded.num_pages, 0u);
 }
 
@@ -208,7 +204,7 @@ TEST(IntranodeCodecTest, AllEmptyLists) {
   std::vector<std::vector<uint32_t>> lists(10);
   auto blob = EncodeIntranode(lists, {});
   IntranodeGraph decoded;
-  ASSERT_TRUE(DecodeIntranode(blob, &decoded).ok());
+  ASSERT_TRUE(DecodeIntranode(blob, 10, &decoded).ok());
   EXPECT_EQ(decoded.num_pages, 10u);
   EXPECT_EQ(decoded.num_edges(), 0u);
 }
@@ -240,7 +236,49 @@ TEST(IntranodeCodecTest, SimilarListsCompressBetterThanWithoutReferences) {
 TEST(IntranodeCodecTest, RejectsCorruptBlob) {
   std::vector<uint8_t> garbage = {0xff, 0xff, 0xff, 0xff, 0xff};
   IntranodeGraph decoded;
-  EXPECT_FALSE(DecodeIntranode(garbage, &decoded).ok());
+  EXPECT_FALSE(DecodeIntranode(garbage, 10, &decoded).ok());
+}
+
+// The caller knows the page count (the section's page range), so a blob
+// whose header claims another is Corruption before the decoder sizes
+// anything by it -- here an 8-byte blob claiming 2^28 pages.
+TEST(IntranodeCodecTest, HeaderPageCountMustMatchCaller) {
+  BitWriter w;
+  WriteGamma(&w, uint64_t{1} << 28);
+  std::vector<uint8_t> blob = w.Finish();
+  blob.resize(8, 0xff);
+  IntranodeGraph decoded;
+  Status status = DecodeIntranode(blob, 10, &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_LT(decoded.offsets.capacity() * sizeof(uint32_t), 1024u);
+  EXPECT_LT(decoded.targets.capacity() * sizeof(uint32_t), 1024u);
+
+  // A well-formed blob decoded against the wrong page count fails too.
+  std::vector<std::vector<uint32_t>> lists = {{1}, {0, 2}, {}};
+  EXPECT_EQ(DecodeIntranode(EncodeIntranode(lists, {}), 4, &decoded).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(DecodeIntranode(EncodeIntranode(lists, {}), 3, &decoded).ok());
+}
+
+// Blob size follows from the planner's cost model: the gamma page count,
+// one reference flag per list and the plan's cost, padded to a byte.
+TEST(IntranodeCodecTest, SizeMatchesPlanCost) {
+  std::mt19937_64 gen(34);
+  for (int trial = 0; trial < 2000; ++trial) {
+    size_t n = gen() % 40;
+    auto lists = RandomLists(&gen, n, static_cast<uint32_t>(n),
+                             1 + static_cast<int>(gen() % 12));
+    if (n > 1 && gen() % 2) lists[n - 1] = lists[n - 2];  // a clone
+    IntranodeEncodeOptions options;
+    options.use_reference_encoding = gen() % 4 != 0;
+    ReferencePlan plan =
+        ComputeReferencePlan(lists, static_cast<uint32_t>(n),
+                             options.reference_window,
+                             options.use_reference_encoding);
+    uint64_t bits = GammaCost(n) + n + plan.total_cost_bits;
+    ASSERT_EQ(EncodeIntranode(lists, options).size(), (bits + 7) / 8)
+        << "trial " << trial;
+  }
 }
 
 // ---------- Superedge codec ----------
@@ -319,6 +357,54 @@ TEST(SuperedgeCodecTest, MidDensityRoundTrip) {
   for (int trial = 0; trial < 30; ++trial) {
     BipartiteCase c = RandomBipartite(&gen, 0.5);
     ExpectSuperedgeRoundTrip(c, {});
+  }
+}
+
+// Superedge blob size follows from the planner's cost model too: the
+// polarity bit, the gamma source count, the source codes, one reference
+// flag per list and the plan's cost, padded to a byte. A negative graph
+// plans over each source's complement list.
+TEST(SuperedgeCodecTest, SizeMatchesPlanCost) {
+  std::mt19937_64 gen(88);
+  for (int trial = 0; trial < 500; ++trial) {
+    double density = static_cast<double>(gen() % 100) / 100.0;
+    BipartiteCase c = RandomBipartite(&gen, density);
+    uint64_t edges = 0;
+    for (const auto& l : c.lists) edges += l.size();
+    std::vector<uint32_t> sources = c.sources;
+    std::vector<std::vector<uint32_t>> lists = c.lists;
+    if (uint64_t{c.ni} * c.nj - edges < edges) {
+      sources.clear();
+      lists.clear();
+      size_t k = 0;
+      for (uint32_t s = 0; s < c.ni; ++s) {
+        bool present = k < c.sources.size() && c.sources[k] == s;
+        std::vector<uint32_t> complement;
+        for (uint32_t t = 0; t < c.nj; ++t) {
+          if (!present || !std::binary_search(c.lists[k].begin(),
+                                              c.lists[k].end(), t)) {
+            complement.push_back(t);
+          }
+        }
+        if (present) ++k;
+        if (!complement.empty()) {
+          sources.push_back(s);
+          lists.push_back(std::move(complement));
+        }
+      }
+    }
+    SuperedgeEncodeOptions options;
+    ReferencePlan plan =
+        ComputeReferencePlan(lists, c.nj, options.reference_window);
+    uint64_t bits = 1 + GammaCost(sources.size()) + lists.size() +
+                    plan.total_cost_bits;
+    for (size_t k = 0; k < sources.size(); ++k) {
+      bits += k == 0 ? MinimalBinaryWidth(c.ni)
+                     : GammaCost(sources[k] - sources[k - 1] - 1);
+    }
+    ASSERT_EQ(EncodeSuperedge(c.sources, c.lists, c.ni, c.nj, options).size(),
+              (bits + 7) / 8)
+        << "trial " << trial;
   }
 }
 
@@ -878,7 +964,7 @@ struct ParsedMeta {
 };
 
 ParsedMeta ParseMeta(const std::string& base) {
-  static const char kMetaMagic[4] = {'S', 'N', 'M', '2'};
+  static const char kMetaMagic[4] = {'S', 'N', 'M', '3'};
   auto payload = ReadFramedFile(base + ".meta", kMetaMagic);
   WG_CHECK(payload.ok());
   SerialCursor cursor(payload.value());

@@ -15,17 +15,12 @@
 #include "storage/graph_store.h"
 #include "storage/heap_file.h"
 #include "storage/pager.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_stress_" +
-                    std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 // ---------- B+tree vs std::map model, parameterized by pool budget ----
 

@@ -11,18 +11,14 @@
 #include "storage/graph_store.h"
 #include "storage/heap_file.h"
 #include "storage/pager.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
 
 class TempDir {
  public:
-  TempDir() {
-    static int counter = 0;
-    path_ = testing::TempDir() + "wg_storage_" + std::to_string(getpid()) +
-            "_" + std::to_string(counter++);
-    WG_CHECK(EnsureDirectory(path_).ok());
-  }
+  TempDir() : path_(test::TempDirFor("storage")) {}
   std::string File(const std::string& name) const { return path_ + "/" + name; }
 
  private:

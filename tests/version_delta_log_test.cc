@@ -14,6 +14,7 @@
 
 #include "storage/file.h"
 #include "version/delta_log.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -22,13 +23,7 @@ using version::DeltaLog;
 using version::DeltaLogRecoveryStats;
 using version::DeltaRecord;
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir =
-      testing::TempDir() + "wg_deltalog_" + std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 uint64_t FileSize(const std::string& path) {
   struct stat st = {};

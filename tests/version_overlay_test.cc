@@ -15,6 +15,7 @@
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "version/overlay.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -24,13 +25,7 @@ using version::DeltaOverlay;
 using version::DeltaRecord;
 using version::OverlayRepresentation;
 
-std::string TempPath(const std::string& name) {
-  static int counter = 0;
-  std::string dir =
-      testing::TempDir() + "wg_overlay_" + std::to_string(getpid());
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir + "/" + name + std::to_string(counter++);
-}
+using test::TempPath;
 
 WebGraph TestGraph(size_t pages = 1500) {
   GeneratorOptions opts;

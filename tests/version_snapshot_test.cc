@@ -27,6 +27,7 @@
 #include "version/incremental.h"
 #include "version/overlay.h"
 #include "version/snapshot.h"
+#include "test_temp_dir.h"
 
 namespace wg {
 namespace {
@@ -41,14 +42,7 @@ using version::Manifest;
 using version::ManifestBlob;
 using version::SnapshotManager;
 
-std::string TempDirFor(const std::string& name) {
-  static int counter = 0;
-  std::string dir = testing::TempDir() + "wg_snapshot_" +
-                    std::to_string(getpid()) + "_" + name +
-                    std::to_string(counter++);
-  WG_CHECK(EnsureDirectory(dir).ok());
-  return dir;
-}
+using test::TempDirFor;
 
 WebGraph TestGraph(size_t pages = 1500) {
   GeneratorOptions opts;
@@ -200,6 +194,22 @@ TEST(VersionSnapshotTest, CleanSectionsAreSharedNotRewritten) {
     }
   }
   EXPECT_GT(clean_checked, 0u);
+}
+
+// A snapshot directory written in the previous format (WGM2 manifests over
+// intranode lists with a per-list id) must not open, because its pack
+// blobs decode differently.
+TEST(VersionSnapshotTest, PreviousFormatManifestRejected) {
+  std::string dir = TempDirFor("previous_format");
+  ASSERT_TRUE(SnapshotManager::Create(dir, TestGraph(600), {}).ok());
+  auto file = RandomAccessFile::Open(dir + "/MANIFEST-000000");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(file.value()->Write(0, "WGM2", 4).ok());
+  auto opened = SnapshotManager::Open(dir, {});
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.status().ToString().find("bad magic"), std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(VersionSnapshotTest, ReopenServesPublishedGenerationAndKeepsPending) {

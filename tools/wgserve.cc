@@ -2,7 +2,8 @@
 //
 //   wgserve --pages N [--seed S] [options]
 //       Generate a synthetic crawl, build forward/backward S-Node
-//       representations, then serve a workload against them.
+//       representations (in /tmp/wgserve_<pid>, removed at exit), then
+//       serve a workload against them.
 //   wgserve --crawl crawl.wg [options]
 //       Same, starting from a saved crawl.
 //   wgserve --snapshot DIR [options]
@@ -93,6 +94,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -251,6 +253,15 @@ int Main(int argc, char** argv) {
   Corpus corpus;
   InvertedIndex index;
   std::vector<double> pagerank;
+  // The local build's store directory, removed on every way out of Main
+  // once the server and both stores (declared below) are gone.
+  struct RemoveOnExit {
+    std::string dir;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      if (!dir.empty()) std::filesystem::remove_all(dir, ignored);
+    }
+  } store_dir;
   std::unique_ptr<SNodeRepr> forward;
   std::unique_ptr<SNodeRepr> backward;
   std::unique_ptr<server::Server> server;
@@ -280,6 +291,7 @@ int Main(int argc, char** argv) {
     std::string dir = "/tmp/wgserve_" + std::to_string(getpid());
     Status mk = EnsureDirectory(dir);
     if (!mk.ok()) return Fail(mk);
+    store_dir.dir = dir;
     SNodeBuildOptions bopts;
     bopts.buffer_bytes = sopts.buffer_bytes;
     bopts.decode_ahead_sections = sopts.decode_ahead;
