@@ -36,7 +36,8 @@ void Run() {
   for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
     for (uint32_t e = sg.offsets[s]; e < sg.offsets[s + 1]; ++e) {
       std::vector<uint8_t> blob;
-      bench::CheckOk(a->store().ReadBlob(sg.superedge_blob[e], &blob));
+      bench::CheckOk(a->store().ReadBlob(
+          sg.FirstBlob(s) + 1 + (e - sg.offsets[s]), &blob));
       SuperedgeGraph decoded;
       bench::CheckOk(DecodeSuperedge(blob, sg.pages_in(s),
                                      sg.pages_in(sg.targets[e]), &decoded));

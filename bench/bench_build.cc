@@ -52,7 +52,7 @@ bool ReadFileBytes(const std::string& path, std::string* out) {
 // Compares every store file of run `threads` against the threads=1 run.
 bool StoresIdentical(int threads, size_t num_files) {
   for (size_t f = 0; f < num_files; ++f) {
-    char suffix[16];
+    char suffix[24];
     std::snprintf(suffix, sizeof(suffix), ".%03zu", f);
     std::string a, b;
     if (!ReadFileBytes(StoreBase(1) + suffix, &a) ||

@@ -188,7 +188,7 @@ std::vector<uint8_t> EncodeIntranode(
     const IntranodeEncodeOptions& options) {
   uint32_t universe = static_cast<uint32_t>(lists.size());
   ReferencePlan plan =
-      ComputeReferencePlan(lists, universe, options.reference_window,
+      ComputeReferencePlan(lists, universe, kIntranodeReferenceWindow,
                            options.use_reference_encoding);
   BitWriter w;
   WriteGamma(&w, lists.size());
@@ -299,7 +299,7 @@ std::vector<uint8_t> EncodeSuperedge(
   // savings are significant.
   ReferencePlan plan =
       ComputeReferencePlan(enc_lists, num_target_pages,
-                           options.reference_window,
+                           kSuperedgeReferenceWindow,
                            options.use_reference_encoding);
   BitWriter w;
   w.WriteBit(positive);

@@ -52,8 +52,11 @@ struct IntranodeGraph {
   }
 };
 
+// Reference window of the intranode encoder: list i may reference one of
+// the kIntranodeReferenceWindow lists before it (ComputeReferencePlan).
+constexpr int kIntranodeReferenceWindow = 8;
+
 struct IntranodeEncodeOptions {
-  int reference_window = 8;
   bool use_reference_encoding = true;
 };
 
@@ -98,8 +101,10 @@ struct SuperedgeGraph {
   }
 };
 
+// Reference window of the superedge encoder, over its present sources.
+constexpr int kSuperedgeReferenceWindow = 4;
+
 struct SuperedgeEncodeOptions {
-  int reference_window = 4;
   bool use_reference_encoding = true;
   // Ablation: never use negative polarity.
   bool allow_negative = true;

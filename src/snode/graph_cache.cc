@@ -118,7 +118,6 @@ ShardedGraphCache::EntryPtr ShardedGraphCache::Publish(uint32_t key,
       shard.lru.push_front(key);
       shard.map.emplace(key, Node{shared, shard.lru.begin()});
       shard.used += shared->bytes;
-      if (event_) event_(key, true);
       EvictToBudget(shard);
     }
   }
@@ -156,7 +155,6 @@ void ShardedGraphCache::EvictToBudget(Shard& shard) {
     shard.lru.pop_back();
     auto it = shard.map.find(victim);
     shard.used -= it->second.entry->bytes;
-    if (event_) event_(victim, false);
     // A reader (or a pinned LinkView) may still hold this entry; shared
     // ownership keeps its bytes alive past eviction, so remember it
     // weakly for PinnedEntries().

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -58,13 +57,7 @@ class ShardedGraphCache {
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
-  // Called on every insert (load=true) and eviction (load=false), under
-  // the owning shard's lock; must not call back into the cache.
-  using EventFn = std::function<void(uint32_t key, bool load)>;
-
   ShardedGraphCache(size_t num_shards, size_t budget_bytes);
-
-  void set_event_listener(EventFn fn) { event_ = std::move(fn); }
 
   // Total byte budget across all shards; shrinking evicts immediately.
   void set_budget(size_t bytes);
@@ -148,7 +141,6 @@ class ShardedGraphCache {
 
   std::vector<Shard> shards_;
   std::atomic<size_t> budget_;
-  EventFn event_;
 };
 
 }  // namespace wg

@@ -15,6 +15,19 @@ namespace wg {
 
 namespace {
 
+// Seed of the clustered split's RNG streams (SplitSeed).
+constexpr uint64_t kRefinementSeed = 17;
+
+// "Upper bound on the running time" of one k-means attempt, expressed in
+// Lloyd iterations, and the number of k += 2 retries before aborting.
+constexpr int kKmeansMaxIterations = 25;
+constexpr int kKmeansAttempts = 3;
+
+// Cap on k and on bit-vector dimensionality, for robustness on hub
+// elements.
+constexpr uint32_t kMaxK = 48;
+constexpr size_t kMaxDimensions = 512;
+
 // One refinement element plus its URL-split progress.
 struct Element {
   std::vector<PageId> pages;  // sorted by URL
@@ -110,8 +123,7 @@ ClusteredSplitResult ClusteredSplit(const ElementData& data,
                                     const Element& element,
                                     const std::vector<uint32_t>& owner,
                                     uint32_t self_element,
-                                    const RefinementOptions& options,
-                                    Rng* rng) {
+                                    size_t min_group_size, Rng* rng) {
   ClusteredSplitResult result;
   size_t n = element.pages.size();
 
@@ -131,7 +143,7 @@ ClusteredSplitResult ClusteredSplit(const ElementData& data,
               if (a.second != b.second) return a.second > b.second;
               return a.first < b.first;
             });
-  size_t dims = std::min(by_freq.size(), options.max_dimensions);
+  size_t dims = std::min(by_freq.size(), kMaxDimensions);
   std::unordered_map<uint32_t, uint32_t> dim_of;
   for (size_t d = 0; d < dims; ++d) dim_of[by_freq[d].first] = d;
 
@@ -148,10 +160,10 @@ ClusteredSplitResult ClusteredSplit(const ElementData& data,
 
   // k starts at the supernode out-degree (paper), clamped to sane bounds.
   uint32_t k0 = static_cast<uint32_t>(by_freq.size());
-  k0 = std::min({k0, options.max_k, static_cast<uint32_t>(n / 2)});
+  k0 = std::min({k0, kMaxK, static_cast<uint32_t>(n / 2)});
   if (k0 < 2) k0 = 2;
 
-  for (int attempt = 0; attempt < options.kmeans_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kKmeansAttempts; ++attempt) {
     uint32_t k = k0 + 2 * static_cast<uint32_t>(attempt);
     if (k > n) break;
 
@@ -171,7 +183,7 @@ ClusteredSplitResult ClusteredSplit(const ElementData& data,
 
     std::vector<uint32_t> assign(n, UINT32_MAX);
     bool converged = false;
-    for (int iter = 0; iter < options.kmeans_max_iterations; ++iter) {
+    for (int iter = 0; iter < kKmeansMaxIterations; ++iter) {
       // Squared centroid norms.
       std::vector<double> cnorm(k, 0);
       for (uint32_t c = 0; c < k; ++c) {
@@ -224,7 +236,7 @@ ClusteredSplitResult ClusteredSplit(const ElementData& data,
     groups.erase(std::remove_if(groups.begin(), groups.end(),
                                 [](const auto& g) { return g.empty(); }),
                  groups.end());
-    CoalesceSmallGroups(options.min_group_size, &groups);
+    CoalesceSmallGroups(min_group_size, &groups);
     if (groups.size() < 2) return result;  // converged but did not split
     result.success = true;
     result.groups = std::move(groups);
@@ -234,10 +246,11 @@ ClusteredSplitResult ClusteredSplit(const ElementData& data,
 }
 
 // RNG stream for one candidate evaluation: a deterministic function of
-// (run seed, pass number, element id), so the draw sequence a split sees
-// does not depend on which thread evaluates it or in what order.
-uint64_t SplitSeed(uint64_t seed, size_t pass, uint32_t element) {
-  return seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(pass) + 1)) ^
+// (pass number, element id), so the draw sequence a split sees does not
+// depend on which thread evaluates it or in what order.
+uint64_t SplitSeed(size_t pass, uint32_t element) {
+  return kRefinementSeed ^
+         (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(pass) + 1)) ^
          (0xc2b2ae3d27d4eb4fULL * (static_cast<uint64_t>(element) + 1));
 }
 
@@ -333,7 +346,6 @@ Result<Partition> RefinePartitionFrom(const RefinementGraph& source,
   for (auto& pages : initial.elements) {
     Element e;
     e.pages = std::move(pages);
-    if (!options.use_url_split) e.url_exhausted = true;
     elements.push_back(std::move(e));
   }
 
@@ -370,11 +382,6 @@ Result<Partition> RefinePartitionFrom(const RefinementGraph& source,
     } else {
       std::sort(candidates.begin(), candidates.end());
     }
-    if (options.max_iterations > 0) {
-      size_t budget = options.max_iterations - local_stats.iterations;
-      if (candidates.size() > budget) candidates.resize(budget);
-      if (candidates.empty()) break;
-    }
     size_t pass = local_stats.passes++;
 
     // One span per pass (evaluate + ordered merge), not per candidate:
@@ -404,9 +411,10 @@ Result<Partition> RefinePartitionFrom(const RefinementGraph& source,
         // candidate and is clustered-split in a later pass.
       } else {
         out.clustered_attempt = true;
-        Rng rng(SplitSeed(options.seed, pass, e));
+        Rng rng(SplitSeed(pass, e));
         ClusteredSplitResult cs =
-            ClusteredSplit(data, elements[e], owner, e, options, &rng);
+            ClusteredSplit(data, elements[e], owner, e,
+                           options.min_group_size, &rng);
         if (cs.success) out.groups = std::move(cs.groups);
       }
       for (auto& group : out.groups) SortByUrl(data, &group);
@@ -481,7 +489,7 @@ Result<Partition> RefinePartitionFrom(const RefinementGraph& source,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   if (stats != nullptr) *stats = local_stats;
-  return std::move(result);
+  return result;
 }
 
 std::vector<std::vector<PageId>> RefineNewElement(
@@ -500,7 +508,7 @@ std::vector<std::vector<PageId>> RefineNewElement(
     auto [group, level] = std::move(work.front());
     work.pop_front();
     bool split = false;
-    if (options.use_url_split && group.size() >= options.min_split_size) {
+    if (group.size() >= options.min_split_size) {
       while (level < options.url_split_max_levels) {
         ++level;
         std::map<std::string, std::vector<PageId>> by_prefix;

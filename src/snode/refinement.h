@@ -29,8 +29,8 @@
 // Scheduling: refinement proceeds in passes. Each pass snapshots the
 // current candidate set, evaluates every candidate's split independently
 // (in parallel when options.threads > 1 -- splits only read the pass-start
-// partition, and each candidate draws from its own (seed, pass, element)
-// RNG stream), then installs the results one candidate at a time in a
+// partition, and each candidate draws from its own (pass, element) RNG
+// stream), then installs the results one candidate at a time in a
 // deterministic merge order. The abort counter, stats, and the partition
 // itself therefore evolve identically for every thread count; `threads`
 // changes wall-clock time only. split_largest_first orders a pass's merge
@@ -41,8 +41,6 @@
 namespace wg {
 
 struct RefinementOptions {
-  uint64_t seed = 17;
-
   // Elements smaller than this are never split (they also can't abort the
   // stopping criterion; the paper's criterion concerns splittable work).
   // The default keeps pages-per-supernode in the few-hundreds band the
@@ -63,23 +61,9 @@ struct RefinementOptions {
   // of the current element count (paper: 6%).
   double abort_max_fraction = 0.06;
 
-  // "Upper bound on the running time" of one k-means attempt, expressed in
-  // Lloyd iterations, and the number of k += 2 retries before aborting.
-  int kmeans_max_iterations = 25;
-  int kmeans_attempts = 3;
-
-  // Cap on k and on bit-vector dimensionality, for robustness on hub
-  // elements.
-  uint32_t max_k = 48;
-  size_t max_dimensions = 512;
-
   // Ablations.
   bool use_clustered_split = true;   // false: URL split only
   bool split_largest_first = false;  // paper's alternative policy
-  bool use_url_split = true;         // false: clustered split only
-
-  // Safety valve on total iterations (0 = unlimited).
-  size_t max_iterations = 0;
 
   // Worker threads for evaluating a pass's candidate splits. <= 1 runs
   // serially; the output is identical either way (see the scheduling note

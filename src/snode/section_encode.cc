@@ -6,6 +6,20 @@
 
 namespace wg {
 
+void NumberPages(const Partition& partition, size_t num_pages,
+                 std::vector<PageId>* new_of_orig,
+                 std::vector<PageId>* page_start) {
+  new_of_orig->resize(num_pages);
+  page_start->clear();
+  page_start->reserve(partition.num_elements() + 1);
+  PageId next_id = 0;
+  for (const auto& element : partition.elements) {
+    page_start->push_back(next_id);
+    for (PageId orig : element) (*new_of_orig)[orig] = next_id++;
+  }
+  page_start->push_back(next_id);
+}
+
 Status EncodeSupernodeSection(uint32_t supernode,
                               const std::vector<PageId>& element,
                               const SectionLinksFn& links_of,

@@ -7,6 +7,7 @@
 
 #include "graph/webgraph.h"
 #include "snode/codecs.h"
+#include "snode/partition.h"
 #include "util/status.h"
 
 // The encode entry point for one supernode's disk section, shared by the
@@ -37,6 +38,16 @@ struct EncodedSection {
   }
   size_t num_blobs() const { return 1 + superedges.size(); }
 };
+
+// The paper's numbering rule over `partition` (num_pages pages): elements
+// in order, each element's pages in its own (URL-sorted) order, so every
+// supernode owns a contiguous new-id range. Fills *new_of_orig (size
+// num_pages) and *page_start (each element's first new id, size
+// num_elements + 1). The full and the incremental build both number
+// through this.
+void NumberPages(const Partition& partition, size_t num_pages,
+                 std::vector<PageId>* new_of_orig,
+                 std::vector<PageId>* page_start);
 
 // Appends the sorted, deduplicated out-links of `p` (original page ids) to
 // *out. The full build wraps WebGraph::OutLinks; the incremental path

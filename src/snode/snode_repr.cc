@@ -133,14 +133,7 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
     const std::string& base_path, const SNodeBuildOptions& options,
     RefinementStats* stats) {
   auto t_total = std::chrono::steady_clock::now();
-  std::unique_ptr<SNodeRepr> repr(new SNodeRepr());
-  repr->options_ = options;
-  repr->base_path_ = base_path;
-  repr->cache_ = std::make_unique<ShardedGraphCache>(kCacheShards,
-                                                     options.buffer_bytes);
-  repr->InstallLoadLogListener();
-  repr->RegisterStats("s-node");
-  repr->num_edges_ = source.num_edges;
+  std::unique_ptr<SNodeRepr> repr(new SNodeRepr(base_path, options));
 
   int threads = options.threads > 0 ? options.threads
                                     : ParallelExecutor::HardwareThreads();
@@ -151,20 +144,11 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
 
   // 2. Numbering rule: supernodes in order, pages URL-sorted within, so
   //    each supernode owns a contiguous new-id range.
-  repr->new_of_orig_.resize(source.num_pages);
-  repr->orig_of_new_.resize(source.num_pages);
-  repr->supernodes_.page_start.reserve(n_super + 1);
-  PageId next_id = 0;
-  for (const auto& element : partition.elements) {
-    repr->supernodes_.page_start.push_back(next_id);
-    for (PageId orig : element) {
-      repr->new_of_orig_[orig] = next_id;
-      repr->orig_of_new_[next_id] = orig;
-      ++next_id;
-    }
-  }
-  repr->supernodes_.page_start.push_back(next_id);
-
+  SNodeResidentState state;
+  state.num_edges = source.num_edges;
+  SupernodeGraph& sg = state.supernodes;
+  NumberPages(partition, source.num_pages, &state.new_of_orig,
+              &sg.page_start);
   std::vector<uint32_t> owner = partition.ElementOf(source.num_pages);
 
   // 3. Encode each supernode's intranode graph and its outgoing superedge
@@ -172,20 +156,20 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
   //    a window of sections is compressed in parallel -- then append the
   //    buffers to the store serially in exactly the paper's order: each
   //    intranode graph immediately followed by its superedge graphs (the
-  //    linear disk layout, Figure 8). Because the layout loop below is the
-  //    only writer and walks supernodes in order, the store files are
+  //    linear disk layout, Figure 8, which SupernodeGraph::FirstBlob
+  //    derives blob ids from). Because the layout loop below is the only
+  //    writer and walks supernodes in order, the store files are
   //    byte-identical for every thread count. The per-section work lives
   //    in EncodeSupernodeSection, shared with the incremental maintenance
   //    path (src/version) so both produce identical bytes.
-  auto store = GraphStore::Create(base_path, options.store);
-  if (!store.ok()) return store.status();
-  repr->store_ = std::move(store).value();
+  WG_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
+                      GraphStore::Create(base_path, options.store));
 
   const SectionLinksFn& links_of = source.links_of;
 
   double encode_seconds = 0;
   double layout_seconds = 0;
-  repr->supernodes_.offsets.push_back(0);
+  sg.offsets.push_back(0);
   std::vector<EncodedSection> sections(
       std::min<uint32_t>(n_super, kEncodeWindow));
   std::mutex encode_mutex;
@@ -202,9 +186,8 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
       uint32_t s = static_cast<uint32_t>(s_index);
       EncodedSection& section = sections[s - window];
       Status encoded = EncodeSupernodeSection(
-          s, partition.elements[s], links_of, owner, repr->new_of_orig_,
-          repr->supernodes_.page_start, options.intranode, options.superedge,
-          &section);
+          s, partition.elements[s], links_of, owner, state.new_of_orig,
+          sg.page_start, options.intranode, options.superedge, &section);
       if (!encoded.ok()) {
         std::lock_guard<std::mutex> lock(encode_mutex);
         if (encode_status.ok()) encode_status = encoded;
@@ -228,31 +211,20 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
     layout_span.AddArg("window_first", window);
     for (uint32_t s = window; s < window_end; ++s) {
       EncodedSection& section = sections[s - window];
-      WG_ASSIGN_OR_RETURN(uint32_t intra_id,
-                          repr->store_->Append(section.intranode));
-      repr->supernodes_.intranode_blob.push_back(intra_id);
+      WG_RETURN_IF_ERROR(store->Append(section.intranode).status());
       for (size_t k = 0; k < section.targets.size(); ++k) {
-        WG_ASSIGN_OR_RETURN(uint32_t se_id,
-                            repr->store_->Append(section.superedges[k]));
-        repr->supernodes_.targets.push_back(section.targets[k]);
-        repr->supernodes_.superedge_blob.push_back(se_id);
+        WG_RETURN_IF_ERROR(store->Append(section.superedges[k]).status());
+        sg.targets.push_back(section.targets[k]);
       }
-      repr->supernodes_.offsets.push_back(
-          static_cast<uint32_t>(repr->supernodes_.targets.size()));
+      sg.offsets.push_back(static_cast<uint32_t>(sg.targets.size()));
     }
     layout_seconds += SecondsSince(t_layout);
-  }
-  {
-    ReprStats scratch;
-    repr->disk_tracker_.Absorb(repr->store_->seek_ops(),
-                               repr->store_->transferred_bytes(), &scratch);
   }
 
   // 4. Domain index: every element stays inside one domain.
   for (uint32_t s = 0; s < n_super; ++s) {
     PageId first = partition.elements[s].front();
-    repr->supernodes_.domain_supernodes[source.domain_name_of(first)]
-        .push_back(s);
+    sg.domain_supernodes[source.domain_name_of(first)].push_back(s);
   }
 
   if (stats != nullptr) {
@@ -266,16 +238,16 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
         obs::MetricRegistry::Default(),
         {{"build", std::to_string(obs::NextInstanceId())}});
   }
-  repr->StartRuntime();
+  WG_RETURN_IF_ERROR(repr->Install(std::move(state), std::move(store)));
   return repr;
 }
 
-
 namespace {
-// Bumped to SNM2 when the blob directory gained per-blob CRCs, and to
-// SNM3 when intranode lists dropped their per-list id (pack blobs written
-// under SNM2 decode differently).
-constexpr char kMetaMagic[4] = {'S', 'N', 'M', '3'};
+// Bumped to SNM2 when the blob directory gained per-blob CRCs, to SNM3
+// when intranode lists dropped their per-list id (pack blobs written under
+// SNM2 decode differently), and to SNM4 when the resident state stopped
+// storing blob ids and the directory its max_file_size.
+constexpr char kMetaMagic[4] = {'S', 'N', 'M', '4'};
 }  // namespace
 
 void SNodeResidentState::Serialize(std::string* out) const {
@@ -293,8 +265,6 @@ void SNodeResidentState::Serialize(std::string* out) const {
   }
   PutVarint64(out, sg.targets.size());
   for (uint32_t t : sg.targets) PutVarint32(out, t);
-  for (uint32_t b : sg.intranode_blob) PutVarint32(out, b);
-  for (uint32_t b : sg.superedge_blob) PutVarint32(out, b);
   PutVarint64(out, sg.domain_supernodes.size());
   for (const auto& [name, supernodes_in] : sg.domain_supernodes) {
     PutVarint64(out, name.size());
@@ -312,15 +282,10 @@ Result<SNodeResidentState> SNodeResidentState::Parse(SerialCursor* cursor) {
     return Status::Corruption("snode meta: bad header");
   }
   state.new_of_orig.resize(num_pages);
-  state.orig_of_new.assign(num_pages, kInvalidPage);
-  for (uint64_t p = 0; p < num_pages; ++p) {
-    uint32_t nid = 0;
-    if (!cursor->ReadVarint32(&nid) || nid >= num_pages ||
-        state.orig_of_new[nid] != kInvalidPage) {
+  for (auto& v : state.new_of_orig) {
+    if (!cursor->ReadVarint32(&v)) {
       return Status::Corruption("snode meta: bad permutation");
     }
-    state.new_of_orig[p] = nid;
-    state.orig_of_new[nid] = static_cast<PageId>(p);
   }
 
   SupernodeGraph& sg = state.supernodes;
@@ -346,20 +311,8 @@ Result<SNodeResidentState> SNodeResidentState::Parse(SerialCursor* cursor) {
   }
   sg.targets.resize(n_edges);
   for (auto& v : sg.targets) {
-    if (!cursor->ReadVarint32(&v) || v >= n_super) {
+    if (!cursor->ReadVarint32(&v)) {
       return Status::Corruption("snode meta: bad superedge target");
-    }
-  }
-  sg.intranode_blob.resize(n_super);
-  for (auto& v : sg.intranode_blob) {
-    if (!cursor->ReadVarint32(&v)) {
-      return Status::Corruption("snode meta: bad intranode pointer");
-    }
-  }
-  sg.superedge_blob.resize(n_edges);
-  for (auto& v : sg.superedge_blob) {
-    if (!cursor->ReadVarint32(&v)) {
-      return Status::Corruption("snode meta: bad superedge pointer");
     }
   }
   uint64_t n_domains = 0;
@@ -375,7 +328,7 @@ Result<SNodeResidentState> SNodeResidentState::Parse(SerialCursor* cursor) {
     auto& list = sg.domain_supernodes[name];
     list.resize(count);
     for (auto& v : list) {
-      if (!cursor->ReadVarint32(&v) || v >= n_super) {
+      if (!cursor->ReadVarint32(&v)) {
         return Status::Corruption("snode meta: bad domain supernode");
       }
     }
@@ -387,7 +340,6 @@ Status SNodeRepr::SaveMeta() const {
   std::string payload;
   SNodeResidentState state;
   state.new_of_orig = new_of_orig_;
-  state.orig_of_new = orig_of_new_;
   state.supernodes = supernodes_;
   state.num_edges = num_edges_;
   state.Serialize(&payload);
@@ -405,29 +357,28 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::Open(
   SerialCursor cursor(payload);
   WG_ASSIGN_OR_RETURN(SNodeResidentState state,
                       SNodeResidentState::Parse(&cursor));
-  auto store = GraphStore::OpenExisting(base_path, options.store, &cursor);
-  if (!store.ok()) return store.status();
-  return FromParts(std::move(state), std::move(store).value(), base_path,
-                   options);
+  WG_ASSIGN_OR_RETURN(
+      std::unique_ptr<GraphStore> store,
+      GraphStore::OpenExisting(base_path, options.store, &cursor));
+  return FromParts(std::move(state), std::move(store), base_path, options);
 }
 
 namespace {
 
-// Parse checks the resident fields one at a time; this checks that they
-// fit together, so a state that is consistent but wrong (a writer bug, a
-// crafted manifest) fails the attach instead of a later probe. Readers
-// index by these arrays, and DecodeSectionBlob derives a superedge's index
-// from `blob_id - intranode_blob[s]`, hence the contiguity check.
+// Parse reads the resident fields without judging them; this checks that
+// they fit together and fit the store, for parsed and in-memory states
+// alike, so a state that is consistent but wrong (a writer bug, a crafted
+// manifest) fails the attach instead of a later probe. Readers index by
+// these arrays, and derive a section's blob ids from the offsets
+// (SupernodeGraph::FirstBlob), hence the blob count check.
 Status ValidateResidentShape(const SNodeResidentState& state,
                              size_t num_blobs) {
   const SupernodeGraph& sg = state.supernodes;
-  const size_t n_super = sg.intranode_blob.size();
+  const uint32_t n_super = sg.num_supernodes();
   auto bad = [](const std::string& what) {
     return Status::Corruption("snode meta: " + what);
   };
-  if (state.orig_of_new.size() != state.new_of_orig.size() ||
-      sg.page_start.size() != n_super + 1 || sg.offsets.size() != n_super + 1 ||
-      sg.superedge_blob.size() != sg.targets.size()) {
+  if (sg.offsets.empty() || sg.page_start.size() != sg.offsets.size()) {
     return bad("resident arrays disagree in size");
   }
   if (sg.page_start.front() != 0 ||
@@ -442,41 +393,34 @@ Status ValidateResidentShape(const SNodeResidentState& state,
   for (uint32_t t : sg.targets) {
     if (t >= n_super) return bad("superedge target past the last supernode");
   }
-  for (size_t s = 0; s < n_super; ++s) {
-    const uint64_t first = sg.intranode_blob[s];
-    const uint32_t edges = sg.offsets[s + 1] - sg.offsets[s];
-    if (first + edges >= num_blobs) {
-      return bad("section " + std::to_string(s) + " lies outside the store");
+  for (const auto& [domain, supernodes_in] : sg.domain_supernodes) {
+    for (uint32_t s : supernodes_in) {
+      if (s >= n_super) return bad("domain entry past the last supernode");
     }
-    for (uint32_t k = 0; k < edges; ++k) {
-      if (sg.superedge_blob[sg.offsets[s] + k] != first + 1 + k) {
-        return bad("section " + std::to_string(s) +
-                   " blobs are not contiguous");
-      }
-    }
+  }
+  if (num_blobs != sg.FirstBlob(n_super)) {
+    return bad("store holds " + std::to_string(num_blobs) +
+               " blobs, the supernode graph lays out " +
+               std::to_string(sg.FirstBlob(n_super)));
   }
   return Status::OK();
 }
 
 }  // namespace
 
+SNodeRepr::SNodeRepr(std::string base_path, const SNodeBuildOptions& options)
+    : base_path_(std::move(base_path)),
+      options_(options),
+      cache_(std::make_unique<ShardedGraphCache>(kCacheShards,
+                                                 options.buffer_bytes)) {
+  RegisterStats("s-node");
+}
+
 Result<std::unique_ptr<SNodeRepr>> SNodeRepr::FromParts(
     SNodeResidentState state, std::unique_ptr<GraphStore> store,
     const std::string& base_path, const SNodeBuildOptions& options) {
-  WG_RETURN_IF_ERROR(ValidateResidentShape(state, store->num_blobs()));
-  std::unique_ptr<SNodeRepr> repr(new SNodeRepr());
-  repr->options_ = options;
-  repr->base_path_ = base_path;
-  repr->cache_ = std::make_unique<ShardedGraphCache>(kCacheShards,
-                                                     options.buffer_bytes);
-  repr->InstallLoadLogListener();
-  repr->RegisterStats("s-node");
-  repr->new_of_orig_ = std::move(state.new_of_orig);
-  repr->orig_of_new_ = std::move(state.orig_of_new);
-  repr->supernodes_ = std::move(state.supernodes);
-  repr->num_edges_ = state.num_edges;
-  repr->store_ = std::move(store);
-  repr->StartRuntime();
+  std::unique_ptr<SNodeRepr> repr(new SNodeRepr(base_path, options));
+  WG_RETURN_IF_ERROR(repr->Install(std::move(state), std::move(store)));
   return repr;
 }
 
@@ -485,7 +429,25 @@ SNodeRepr::~SNodeRepr() {
   if (decode_ahead_ != nullptr) decode_ahead_->Stop();
 }
 
-void SNodeRepr::StartRuntime() {
+Status SNodeRepr::Install(SNodeResidentState state,
+                          std::unique_ptr<GraphStore> store) {
+  WG_RETURN_IF_ERROR(ValidateResidentShape(state, store->num_blobs()));
+  // The inverse is derived, never stored, so deriving it is the one check
+  // that new_of_orig is a permutation.
+  const size_t n = state.new_of_orig.size();
+  orig_of_new_.assign(n, kInvalidPage);
+  for (size_t p = 0; p < n; ++p) {
+    const PageId nid = state.new_of_orig[p];
+    if (nid >= n || orig_of_new_[nid] != kInvalidPage) {
+      return Status::Corruption("snode meta: new_of_orig is not a permutation");
+    }
+    orig_of_new_[nid] = static_cast<PageId>(p);
+  }
+  new_of_orig_ = std::move(state.new_of_orig);
+  supernodes_ = std::move(state.supernodes);
+  num_edges_ = state.num_edges;
+  store_ = std::move(store);
+
   const size_t n_super = supernodes_.num_supernodes();
   size_t words = (n_super + 63) / 64;
   section_quarantined_.reset(new std::atomic<uint64_t>[words]());
@@ -514,6 +476,7 @@ void SNodeRepr::StartRuntime() {
         },
         kDecodeAheadQueueCapacity);
   }
+  return Status::OK();
 }
 
 void SNodeRepr::MaybeDecodeAhead(uint32_t supernode) {
@@ -555,23 +518,6 @@ size_t SNodeRepr::QuarantinedSectionCount() const {
     }
   }
   return count;
-}
-
-void SNodeRepr::InstallLoadLogListener() {
-  if (!options_.record_load_log) return;
-  // Loads are logged by ReadSectionBlobs, which sees every blob read from
-  // the store (assembly decodes some into scratch and never caches them);
-  // the cache reports evictions. Assembled-adjacency blocks (keys past the
-  // blob-id space) are derived state, not store I/O, so the log keeps
-  // reporting store blobs only, as the paper's Figure 11/12 accounting
-  // expects. The listener is installed before the store exists, so read
-  // num_blobs here (cache events only fire on the read path, after
-  // Build/Open finish).
-  cache_->set_event_listener([this](uint32_t key, bool load) {
-    if (load || store_ == nullptr || key >= store_->num_blobs()) return;
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    load_log_.push_back({key, false});
-  });
 }
 
 Status SNodeRepr::ReadSectionBlobs(uint32_t supernode, uint32_t first,
@@ -617,10 +563,6 @@ Status SNodeRepr::ReadSectionBlobs(uint32_t supernode, uint32_t first,
     if (!status.ok()) break;
     ++loaded;
     bytes += blob.length;
-    if (options_.record_load_log) {
-      std::lock_guard<std::mutex> lock(log_mutex_);
-      load_log_.push_back({id, true});
-    }
   }
   stats_.bytes_read += bytes;
   stats_.graphs_loaded += loaded;
@@ -640,7 +582,7 @@ Status SNodeRepr::ReadSectionBlobs(uint32_t supernode, uint32_t first,
 Status SNodeRepr::DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
                                     const uint8_t* data, size_t size,
                                     ShardedGraphCache::Entry* entry) const {
-  uint32_t index = blob_id - supernodes_.intranode_blob[supernode];
+  uint32_t index = blob_id - supernodes_.FirstBlob(supernode);
   if (index == 0) {
     if (entry->intranode == nullptr) {
       entry->intranode = std::make_unique<IntranodeGraph>();
@@ -651,8 +593,8 @@ Status SNodeRepr::DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
     entry->bytes = entry->intranode->MemoryUsage();
     return Status::OK();
   }
-  // Build lays each section out contiguously, so blob index k > 0 is the
-  // k-th outgoing superedge graph of `supernode`.
+  // Blob index k > 0 of a section is its k-th outgoing superedge graph
+  // (SupernodeGraph::FirstBlob).
   uint32_t e = supernodes_.offsets[supernode] + (index - 1);
   if (entry->superedge == nullptr) {
     entry->superedge = std::make_unique<SuperedgeGraph>();
@@ -703,9 +645,8 @@ bool SNodeRepr::SectionWorthPrefetching(uint32_t supernode,
 }
 
 Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
-  uint32_t first = supernodes_.intranode_blob[supernode];
-  uint32_t last = first + (supernodes_.offsets[supernode + 1] -
-                           supernodes_.offsets[supernode]);
+  uint32_t first = supernodes_.FirstBlob(supernode);
+  uint32_t last = supernodes_.FirstBlob(supernode + 1) - 1;
   // Claim the blobs this thread will decode; blobs already cached or in
   // flight on another thread are skipped (their owners publish them).
   std::vector<uint32_t> claimed = cache_->ClaimRange(first, last);
@@ -731,29 +672,6 @@ Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
   return read;
 }
 
-std::vector<SNodeRepr::LoadEvent> SNodeRepr::load_log() const {
-  std::lock_guard<std::mutex> lock(log_mutex_);
-  return load_log_;
-}
-
-void SNodeRepr::ClearLoadLog() {
-  std::lock_guard<std::mutex> lock(log_mutex_);
-  load_log_.clear();
-}
-
-size_t SNodeRepr::DistinctGraphsLoaded() const {
-  std::vector<uint32_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    for (const auto& event : load_log_) {
-      if (event.load) ids.push_back(event.blob_id);
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids.size();
-}
-
 bool SNodeRepr::ProbeWithinReach(uint32_t supernode, uint64_t* stamp) {
   const uint64_t now = probe_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   const uint64_t last =
@@ -767,9 +685,8 @@ bool SNodeRepr::ProbeWithinReach(uint32_t supernode, uint64_t* stamp) {
 
 Status SNodeRepr::GatherSection(uint32_t supernode, uint64_t scratch_stamp,
                                 SectionGraphs* graphs) {
-  const uint32_t first = supernodes_.intranode_blob[supernode];
-  const uint32_t num_blobs =
-      1 + (supernodes_.offsets[supernode + 1] - supernodes_.offsets[supernode]);
+  const uint32_t first = supernodes_.FirstBlob(supernode);
+  const uint32_t num_blobs = supernodes_.FirstBlob(supernode + 1) - first;
   SectionScratch& scratch = ThreadScratch();
   const bool reuse = scratch_stamp != 0 && scratch.stamp == scratch_stamp &&
                      scratch.owner == instance_id_ &&
@@ -1153,7 +1070,7 @@ Status SNodeRepr::VisitLinksInto(
     auto allowed_it = allowed.find(s);
     if (allowed_it != allowed.end()) {
       WG_ASSIGN_OR_RETURN(EntryPtr intra_entry,
-                          LoadBlob(supernodes_.intranode_blob[s], s));
+                          LoadBlob(supernodes_.FirstBlob(s), s));
       const IntranodeGraph* intra = intra_entry->intranode.get();
       const auto& locals = allowed_it->second;
       for (uint32_t i = intra->offsets[local]; i < intra->offsets[local + 1];
@@ -1169,8 +1086,10 @@ Status SNodeRepr::VisitLinksInto(
       uint32_t j = supernodes_.targets[e];
       auto jt = allowed.find(j);
       if (jt == allowed.end()) continue;  // pushdown: skip this graph
-      WG_ASSIGN_OR_RETURN(EntryPtr se_entry,
-                          LoadBlob(supernodes_.superedge_blob[e], s));
+      WG_ASSIGN_OR_RETURN(
+          EntryPtr se_entry,
+          LoadBlob(supernodes_.FirstBlob(s) + 1 + (e - supernodes_.offsets[s]),
+                   s));
       const SuperedgeGraph* se = se_entry->superedge.get();
       cross.clear();
       se->LinksOf(local, &cross);
@@ -1205,10 +1124,11 @@ Status SNodeRepr::PagesInDomain(const std::string& domain,
 }
 
 uint64_t SNodeRepr::encoded_bits() const {
-  // Store blobs + the Huffman-coded supernode adjacency. The 4-byte blob
-  // pointers are resident directory state (reported through Figure 10's
-  // HuffmanEncodedBytes and resident_memory), mirroring how the baselines'
-  // resident indexes are excluded from their bits/edge.
+  // Store blobs + the Huffman-coded supernode adjacency. The paper's 4-byte
+  // blob pointers are resident directory state (reported through Figure
+  // 10's HuffmanEncodedBytes; here derived, see SupernodeGraph::FirstBlob),
+  // mirroring how the baselines' resident indexes are excluded from their
+  // bits/edge.
   return store_->total_bytes() * 8 + supernodes_.HuffmanAdjacencyBits();
 }
 

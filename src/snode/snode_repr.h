@@ -28,9 +28,9 @@
 // Lower-level graphs live in the GraphStore on disk and are decoded on
 // demand: a lone probe decodes its section into per-thread scratch, and a
 // byte-budgeted sharded LRU cache holds assembled sections (plus the
-// per-graph entries VisitLinksInto and decode-ahead load);
-// every load/evict can be recorded (the instrumentation the paper used to
-// explain Figures 11/12).
+// per-graph entries VisitLinksInto and decode-ahead load). The load
+// counters in ReprStats (graphs_loaded, disk seeks and transfer) are the
+// instrumentation the paper used to explain Figures 11/12.
 //
 // One read path: every byte this repr reads from the store goes through
 // ReadSectionBlobs, whether for a lone probe, a section prefetch, or a
@@ -40,7 +40,7 @@
 // here: the quarantined-section check and quarantine on corruption,
 // io_mutex_ with the disk-model charge, the storage trace span, and every
 // load counter (disk_reads, bytes_read, graphs_loaded, cache_misses,
-// wg_cold_* by source, the load log).
+// wg_cold_* by source).
 //
 // Concurrency: after Build/Open, the read path (GetLinks, VisitLinksInto,
 // PagesInDomain) is safe to call from many threads at once -- this is what
@@ -66,7 +66,6 @@ struct SNodeBuildOptions {
   int threads = 1;
   // Budget for decoded lower-level graphs.
   size_t buffer_bytes = 4 << 20;
-  bool record_load_log = false;
   // Locality decode-ahead: when a cursor takes a cold miss into a
   // supernode section, a background executor decodes the next N sections
   // in layout order (= LocalityKey order, the order a sweep will want
@@ -78,13 +77,14 @@ struct SNodeBuildOptions {
 
 // The resident half of an S-Node representation, separated from the repr
 // object so the versioned-snapshot layer (src/version) can assemble a
-// generation from a manifest: the crawl-order <-> S-Node-order
-// permutations, the supernode graph (with its blob pointers and domain
-// index), and the edge count. Serialize/Parse use the exact byte format
-// SaveMeta has always written, so `.meta` files round-trip unchanged.
+// generation from a manifest: the crawl-order -> S-Node-order permutation,
+// the supernode graph (with its domain index), and the edge count. Only
+// what cannot be derived is stored: FromParts derives the inverse
+// permutation, and SupernodeGraph::FirstBlob the blob ids. Serialize/Parse
+// are the `.meta` payload format; Parse checks syntax only, FromParts
+// checks meaning.
 struct SNodeResidentState {
   std::vector<PageId> new_of_orig;
-  std::vector<PageId> orig_of_new;
   SupernodeGraph supernodes;
   uint64_t num_edges = 0;
 
@@ -160,15 +160,16 @@ class SNodeRepr : public GraphRepresentation {
       RefinementStats* stats = nullptr);
 
   // Assembles a repr from parts produced elsewhere: a resident state and
-  // an open store whose blob ids the state's pointers index. This is how
-  // a snapshot generation becomes queryable -- the manifest supplies the
-  // store (possibly spanning pack files from several generations) and the
-  // embedded resident payload. Only runtime options (buffer budget, load
-  // logging, decode-ahead) from `options` apply. Returns Corruption when
-  // the state's shape is inconsistent: page ranges or superedge offsets
-  // that do not ascend to their totals, a superedge target past the last
-  // supernode, or a section whose blobs are not contiguous inside the
-  // store.
+  // an open store laid out as the state's supernode graph says
+  // (SupernodeGraph::FirstBlob). This is how a snapshot generation becomes
+  // queryable -- the manifest supplies the store (possibly spanning pack
+  // files from several generations) and the embedded resident payload.
+  // Only runtime options (buffer budget, decode-ahead) from `options`
+  // apply. Derives the inverse permutation. Returns Corruption when the
+  // state is inconsistent: new_of_orig is not a permutation, page ranges
+  // or superedge offsets do not ascend to their totals, a superedge target
+  // or domain entry is past the last supernode, or the store holds a
+  // different number of blobs than the supernode graph lays out.
   static Result<std::unique_ptr<SNodeRepr>> FromParts(
       SNodeResidentState state, std::unique_ptr<GraphStore> store,
       const std::string& base_path, const SNodeBuildOptions& options);
@@ -180,8 +181,9 @@ class SNodeRepr : public GraphRepresentation {
   Status SaveMeta() const;
 
   // Attaches to a representation previously built at `base_path` and
-  // persisted with SaveMeta. Only runtime options (buffer budget, load
-  // logging) from `options` apply; the encoded data is taken from disk.
+  // persisted with SaveMeta. Only runtime options (buffer budget,
+  // decode-ahead, mmap) from `options` apply; the encoded data is taken
+  // from disk. A missing `.meta` is NotFound.
   static Result<std::unique_ptr<SNodeRepr>> Open(
       const std::string& base_path, const SNodeBuildOptions& options);
 
@@ -238,13 +240,6 @@ class SNodeRepr : public GraphRepresentation {
   size_t buffer_budget() const { return cache_->budget(); }
   size_t buffer_bytes_used() const { return cache_->bytes_used(); }
 
-  struct LoadEvent {
-    uint32_t blob_id;
-    bool load;  // false = evict
-  };
-  // Snapshot of the load/evict log (copy: the log may grow concurrently).
-  std::vector<LoadEvent> load_log() const;
-  void ClearLoadLog();
   void ClearCache() { cache_->Clear(); }
   void ClearBuffers() override { ClearCache(); }
 
@@ -260,22 +255,24 @@ class SNodeRepr : public GraphRepresentation {
   bool SectionQuarantined(uint32_t supernode) const;
   size_t QuarantinedSectionCount() const;
 
-  // Distinct lower-level graphs touched since the last ClearLoadLog (the
-  // paper reports e.g. "8 intranode and 32 superedge graphs" for Query 1).
-  size_t DistinctGraphsLoaded() const;
-
  private:
   class Cursor;
 
-  SNodeRepr() = default;
+  // Sets the runtime half (options, cache, stats registration); Install
+  // adds the resident state and the store.
+  SNodeRepr(std::string base_path, const SNodeBuildOptions& options);
+
+  // The tail of Build and FromParts: checks `state` against `store`,
+  // derives the inverse permutation (the one permutation check), installs
+  // both, and starts the runtime (cold-path counters, decode-ahead
+  // executor). Corruption when the state is inconsistent (see FromParts).
+  Status Install(SNodeResidentState state, std::unique_ptr<GraphStore> store);
 
   using EntryPtr = ShardedGraphCache::EntryPtr;
 
   // Cache key of supernode s's assembled-adjacency block. Blob ids occupy
   // [0, num_blobs); assembled blocks live past them in the same key space
-  // so they share the cache's sharding, budget, and singleflight. The
-  // load-log listener filters these keys out -- load_log() and
-  // DistinctGraphsLoaded() keep reporting store blobs only.
+  // so they share the cache's sharding, budget, and singleflight.
   uint32_t AssembledKey(uint32_t supernode) const;
 
   // Fully remapped, sorted external adjacency of every page in
@@ -340,10 +337,6 @@ class SNodeRepr : public GraphRepresentation {
   // background executor (no-op when decode-ahead is off).
   void MaybeDecodeAhead(uint32_t supernode);
 
-  // Registers the cold-path counters and (if configured) spawns the
-  // decode-ahead executor; the tail of Build/FromParts.
-  void StartRuntime();
-
   // True if enough of the section is wanted that a single sequential
   // section read beats per-graph seeks.
   bool SectionWorthPrefetching(uint32_t supernode, size_t graphs_needed) const;
@@ -371,19 +364,17 @@ class SNodeRepr : public GraphRepresentation {
                            const uint8_t* data, size_t size,
                            ShardedGraphCache::Entry* entry) const;
 
-  void InstallLoadLogListener();
-
   // Immutable after Build.
   std::string base_path_;
   std::vector<PageId> new_of_orig_;
-  std::vector<PageId> orig_of_new_;
+  std::vector<PageId> orig_of_new_;  // derived by Install
   SupernodeGraph supernodes_;
   std::unique_ptr<GraphStore> store_;
   uint64_t num_edges_ = 0;
   SNodeBuildOptions options_;
 
   // Decoded-graph cache, sharded by blob id (snode/graph_cache.h).
-  // Created in Build/Open once the options are known (shards hold
+  // Created by the constructor once the options are known (shards hold
   // mutexes, so the cache is not reassignable in place).
   std::unique_ptr<ShardedGraphCache> cache_;
 
@@ -413,11 +404,8 @@ class SNodeRepr : public GraphRepresentation {
   mutable std::mutex io_mutex_;
   DiskCounterTracker disk_tracker_;
 
-  mutable std::mutex log_mutex_;
-  std::vector<LoadEvent> load_log_;
-
   // One bit per supernode section, set when a corrupt blob was found in
-  // it (allocated by StartRuntime; relaxed ops -- a race on first set
+  // it (allocated by Install; relaxed ops -- a race on first set
   // only costs one extra failing read).
   std::unique_ptr<std::atomic<uint64_t>[]> section_quarantined_;
 };

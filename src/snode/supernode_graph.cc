@@ -37,9 +37,8 @@ uint64_t SupernodeGraph::HuffmanEncodedBytes() const {
 }
 
 size_t SupernodeGraph::MemoryUsage() const {
-  size_t bytes = (offsets.size() + targets.size() + intranode_blob.size() +
-                  superedge_blob.size() + page_start.size()) *
-                 sizeof(uint32_t);
+  size_t bytes =
+      (offsets.size() + targets.size() + page_start.size()) * sizeof(uint32_t);
   for (const auto& [name, supernodes] : domain_supernodes) {
     bytes += name.size() + supernodes.size() * sizeof(uint32_t) + 64;
   }

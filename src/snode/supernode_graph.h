@@ -12,7 +12,10 @@
 // vertex per partition element ("supernode"), a directed superedge i -> j
 // iff some page in N_i links into N_j, a pointer from each supernode to
 // its intranode graph and from each superedge to its positive or negative
-// superedge graph, plus the two resident indexes of Figure 7:
+// superedge graph, plus the two resident indexes of Figure 7. The pointers
+// are not stored: the disk layout (Section 3.3, Figure 8) puts sections in
+// supernode order, each intranode graph right before its outgoing
+// superedge graphs, so FirstBlob derives them.
 //
 //  * PageID index -- supernodes own contiguous page-id ranges (the paper's
 //    numbering rule), so it is an array of range starts;
@@ -26,18 +29,24 @@ namespace wg {
 
 class SupernodeGraph {
  public:
-  // CSR + pointers, filled by the S-Node builder.
-  std::vector<uint32_t> offsets;         // num_supernodes + 1
-  std::vector<uint32_t> targets;         // superedge target supernode
-  std::vector<uint32_t> intranode_blob;  // per supernode: graph-store id
-  std::vector<uint32_t> superedge_blob;  // per superedge: graph-store id
-  std::vector<PageId> page_start;        // num_supernodes + 1 (range index)
+  // CSR, filled by the S-Node builder.
+  std::vector<uint32_t> offsets;   // num_supernodes + 1
+  std::vector<uint32_t> targets;   // superedge target supernode
+  std::vector<PageId> page_start;  // num_supernodes + 1 (range index)
   std::unordered_map<std::string, std::vector<uint32_t>> domain_supernodes;
 
   uint32_t num_supernodes() const {
     return offsets.empty() ? 0 : static_cast<uint32_t>(offsets.size() - 1);
   }
   uint64_t num_superedges() const { return targets.size(); }
+
+  // Graph-store id of supernode s's intranode graph. Section s is blobs
+  // [FirstBlob(s), FirstBlob(s + 1)): the intranode graph, then one
+  // superedge graph per outgoing superedge in target order, so superedge
+  // e of s is blob FirstBlob(s) + 1 + (e - offsets[s]). The only code
+  // that knows the layout rule; every store that any build writes follows
+  // it, so a store holds FirstBlob(num_supernodes()) blobs.
+  uint32_t FirstBlob(uint32_t s) const { return s + offsets[s]; }
 
   uint32_t pages_in(uint32_t s) const {
     return page_start[s + 1] - page_start[s];
@@ -58,9 +67,9 @@ class SupernodeGraph {
 
   // The Huffman-coded adjacency alone (no pointers): the part of the top
   // level that encodes linkage information, counted into bits/edge. The
-  // pointers are directory state into the graph store, i.e. a resident
-  // index like Link3's block directory, and are reported via
-  // HuffmanEncodedBytes/resident memory instead.
+  // paper's pointers are directory state into the graph store, i.e. a
+  // resident index like Link3's block directory, and are reported via
+  // HuffmanEncodedBytes instead.
   uint64_t HuffmanAdjacencyBits() const;
 
   // Actual resident footprint of this in-memory structure.

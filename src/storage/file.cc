@@ -43,10 +43,22 @@ int NativeAdvice(RandomAccessFile::Advice advice) {
 
 Result<std::unique_ptr<RandomAccessFile>> RandomAccessFile::Open(
     const std::string& path) {
+  return OpenWithFlags(path, O_RDWR | O_CREAT);
+}
+
+Result<std::unique_ptr<RandomAccessFile>> RandomAccessFile::OpenForRead(
+    const std::string& path) {
+  return OpenWithFlags(path, O_RDONLY);
+}
+
+Result<std::unique_ptr<RandomAccessFile>> RandomAccessFile::OpenWithFlags(
+    const std::string& path, int flags) {
   WG_RETURN_IF_ERROR(Env::Current()->OnOpen(path));
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+  int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
-    return Status::IOError("open " + path + ": " + std::strerror(errno));
+    const int err = errno;
+    std::string what = "open " + path + ": " + std::strerror(err);
+    return err == ENOENT ? Status::NotFound(what) : Status::IOError(what);
   }
   struct stat st;
   if (::fstat(fd, &st) != 0) {

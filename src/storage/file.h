@@ -28,6 +28,12 @@ class RandomAccessFile {
   static Result<std::unique_ptr<RandomAccessFile>> Open(
       const std::string& path);
 
+  // Opens an existing `path` read-only; never creates it. A missing file
+  // is NotFound. Every reader of a persisted file opens through this, so
+  // looking for a store or a snapshot leaves nothing behind.
+  static Result<std::unique_ptr<RandomAccessFile>> OpenForRead(
+      const std::string& path);
+
   ~RandomAccessFile();
 
   RandomAccessFile(const RandomAccessFile&) = delete;
@@ -95,6 +101,9 @@ class RandomAccessFile {
  private:
   RandomAccessFile(std::string path, int fd, uint64_t size)
       : path_(std::move(path)), fd_(fd), size_(size) {}
+
+  static Result<std::unique_ptr<RandomAccessFile>> OpenWithFlags(
+      const std::string& path, int flags);
 
   std::string path_;
   int fd_;

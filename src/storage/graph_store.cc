@@ -12,6 +12,12 @@ namespace wg {
 
 namespace {
 
+// When a mapped read ends outside the current readahead window, an
+// madvise(MADV_WILLNEED) window of this many bytes (or the read's length,
+// if longer) opens at the read -- the paper's layout places a query's
+// working set immediately after, so the kernel fetches it while we decode.
+constexpr uint64_t kReadaheadBytes = 256 * 1024;
+
 std::string BlobErrorDetail(const char* what, uint32_t id, uint32_t file_index,
                             uint64_t offset, uint32_t length) {
   char buf[160];
@@ -100,8 +106,7 @@ Status GraphStore::ReadBlobs(uint32_t first, uint32_t last,
         directory_[run_end].offset + directory_[run_end].length;
     const RandomAccessFile& file = *files_[file_index];
     bool from_mapping = mapped_ && !FileQuarantined(file_index);
-    for (uint32_t b = id;
-         from_mapping && options_.verify_checksums && b <= run_end; ++b) {
+    for (uint32_t b = id; from_mapping && b <= run_end; ++b) {
       Status verified = EnsureMappedBlobVerified(b, directory_[b]);
       // Unavailable = the first touch SIGBUSed and the file was just
       // quarantined; serve this run through pread instead.
@@ -116,16 +121,14 @@ Status GraphStore::ReadBlobs(uint32_t first, uint32_t last,
       base = file.mapped_data() + begin;
       // Readahead window: a run ending outside the current window opens a
       // fresh one at the run's start, covering the run and at least
-      // readahead_bytes -- the layout places the rest of the section (and
+      // kReadaheadBytes -- the layout places the rest of the section (and
       // the next sections of a sweep) right here, so the faults the decode
       // is about to take are batched instead of page-by-page.
-      const uint64_t window =
-          std::max<uint64_t>(options_.readahead_bytes, end - begin);
+      const uint64_t window = std::max<uint64_t>(kReadaheadBytes, end - begin);
       std::atomic<uint64_t>& edge = *readahead_edge_[file_index];
       uint64_t seen = edge.load(std::memory_order_relaxed);
       uint64_t window_start =
-          seen > options_.readahead_bytes ? seen - options_.readahead_bytes
-                                          : 0;
+          seen > kReadaheadBytes ? seen - kReadaheadBytes : 0;
       if (end > begin && (seen == 0 || end > seen || end < window_start)) {
         edge.store(begin + window, std::memory_order_relaxed);
         file.Advise(begin, window, RandomAccessFile::Advice::kWillNeed);
@@ -154,8 +157,8 @@ Status GraphStore::ReadBlobs(uint32_t first, uint32_t last,
       const BlobRef& ref = directory_[b];
       const uint8_t* data =
           ref.length == 0 ? nullptr : base + (ref.offset - begin);
-      if (!from_mapping && options_.verify_checksums && ref.crc != 0 &&
-          ref.length > 0 && Crc32(data, ref.length) != ref.crc) {
+      if (!from_mapping && ref.length > 0 &&
+          Crc32(data, ref.length) != ref.crc) {
         ++IntegrityCounters::Get().checksum_failures;
         return Status::Corruption(BlobErrorDetail(
             "checksum mismatch", b, ref.file_index, ref.offset, ref.length));
@@ -242,7 +245,7 @@ Status GraphStore::EnsureMappedBlobVerified(uint32_t id,
     }
     actual = Crc32(base + ref.offset, ref.length);
   }
-  if (ref.crc != 0 && actual != ref.crc) {
+  if (actual != ref.crc) {
     verified_bad_[id / 64].fetch_or(bit, std::memory_order_relaxed);
     ++IntegrityCounters::Get().checksum_failures;
     return Status::Corruption(BlobErrorDetail(
@@ -265,7 +268,7 @@ Status GraphStore::VerifyBlob(uint32_t id) const {
   std::vector<uint8_t> buffer(ref.length);
   WG_RETURN_IF_ERROR(files_[ref.file_index]->Read(
       ref.offset, ref.length, reinterpret_cast<char*>(buffer.data())));
-  if (ref.crc != 0 && Crc32(buffer.data(), ref.length) != ref.crc) {
+  if (Crc32(buffer.data(), ref.length) != ref.crc) {
     return Status::Corruption(BlobErrorDetail(
         "checksum mismatch", id, ref.file_index, ref.offset, ref.length));
   }
@@ -287,7 +290,6 @@ void GraphStore::EvictFromPageCache() const {
 }
 
 void GraphStore::SerializeDirectory(std::string* payload) const {
-  PutVarint64(payload, options_.max_file_size);
   PutVarint64(payload, files_.size());
   PutVarint64(payload, directory_.size());
   for (const BlobRef& ref : directory_) {
@@ -299,47 +301,30 @@ void GraphStore::SerializeDirectory(std::string* payload) const {
 }
 
 Result<std::unique_ptr<GraphStore>> GraphStore::OpenExisting(
-    std::string base_path, Options options, SerialCursor* cursor) {
-  std::unique_ptr<GraphStore> store(
-      new GraphStore(std::move(base_path), options));
-  store->read_only_ = true;
-  uint64_t max_file_size = 0, num_files = 0, num_blobs = 0;
-  if (!cursor->ReadVarint64(&max_file_size) ||
-      !cursor->ReadVarint64(&num_files) ||
+    const std::string& base_path, Options options, SerialCursor* cursor) {
+  uint64_t num_files = 0, num_blobs = 0;
+  if (!cursor->ReadVarint64(&num_files) ||
       !cursor->ReadVarint64(&num_blobs)) {
     return Status::Corruption("graph store: bad directory header");
   }
-  store->options_.max_file_size = max_file_size;
+  std::vector<BlobLocation> directory;
+  for (uint64_t b = 0; b < num_blobs; ++b) {
+    BlobLocation loc;
+    if (!cursor->ReadVarint32(&loc.file_index) ||
+        !cursor->ReadVarint64(&loc.offset) ||
+        !cursor->ReadVarint32(&loc.length) || !cursor->ReadVarint32(&loc.crc)) {
+      return Status::Corruption("graph store: bad directory entry");
+    }
+    directory.push_back(loc);
+  }
+  std::vector<std::string> paths;
   for (uint64_t f = 0; f < num_files; ++f) {
     char suffix[32];
     std::snprintf(suffix, sizeof(suffix), ".%03llu",
                   static_cast<unsigned long long>(f));
-    auto file = RandomAccessFile::Open(store->base_path_ + suffix);
-    if (!file.ok()) return file.status();
-    store->files_.push_back(std::move(file).value());
-    store->AddFileSlot();
+    paths.push_back(base_path + suffix);
   }
-  store->directory_.reserve(num_blobs);
-  for (uint64_t b = 0; b < num_blobs; ++b) {
-    BlobRef ref;
-    uint64_t offset = 0;
-    if (!cursor->ReadVarint32(&ref.file_index) ||
-        !cursor->ReadVarint64(&offset) || !cursor->ReadVarint32(&ref.length) ||
-        !cursor->ReadVarint32(&ref.crc) ||
-        ref.file_index >= store->files_.size()) {
-      return Status::Corruption("graph store: bad directory entry");
-    }
-    ref.offset = offset;
-    if (ref.offset + ref.length > store->files_[ref.file_index]->size()) {
-      return Status::Corruption("graph store: blob outside file");
-    }
-    store->directory_.push_back(ref);
-    store->total_bytes_ += ref.length;
-  }
-  if (store->options_.mmap) {
-    WG_RETURN_IF_ERROR(store->MapForRead());
-  }
-  return store;
+  return OpenFiles(paths, std::move(directory), options);
 }
 
 Result<std::unique_ptr<GraphStore>> GraphStore::OpenFiles(
@@ -348,7 +333,7 @@ Result<std::unique_ptr<GraphStore>> GraphStore::OpenFiles(
   std::unique_ptr<GraphStore> store(new GraphStore("", options));
   store->read_only_ = true;
   for (const std::string& path : paths) {
-    auto file = RandomAccessFile::Open(path);
+    auto file = RandomAccessFile::OpenForRead(path);
     if (!file.ok()) return file.status();
     store->files_.push_back(std::move(file).value());
     store->AddFileSlot();
@@ -358,7 +343,8 @@ Result<std::unique_ptr<GraphStore>> GraphStore::OpenFiles(
     if (loc.file_index >= store->files_.size()) {
       return Status::Corruption("graph store: blob references unknown file");
     }
-    if (loc.offset + loc.length > store->files_[loc.file_index]->size()) {
+    const uint64_t file_size = store->files_[loc.file_index]->size();
+    if (loc.offset > file_size || loc.length > file_size - loc.offset) {
       return Status::Corruption("graph store: blob outside file");
     }
     store->directory_.push_back(
@@ -369,12 +355,6 @@ Result<std::unique_ptr<GraphStore>> GraphStore::OpenFiles(
     WG_RETURN_IF_ERROR(store->MapForRead());
   }
   return store;
-}
-
-Result<std::unique_ptr<GraphStore>> GraphStore::OpenFiles(
-    const std::vector<std::string>& paths,
-    std::vector<BlobLocation> directory) {
-  return OpenFiles(paths, std::move(directory), Options());
 }
 
 uint64_t GraphStore::seek_ops() const {

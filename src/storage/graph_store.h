@@ -39,36 +39,26 @@ class GraphStore {
     // The paper used 500 MB index files; our data sets are 1000x smaller,
     // so default to 512 KB to preserve the multi-file structure. At 1M+
     // pages the default produces thousands of files -- raise it (wgtool
-    // build --max-file-size).
+    // build --max-file-size). Only Create reads it.
     uint64_t max_file_size = 512 * 1024;
     // Memory-map the store files on attach (OpenExisting/OpenFiles) so
     // blob reads are page-cache-backed pointer arithmetic instead of a
     // pread per blob. Ignored by Create (a store being appended cannot be
     // mapped); call MapForRead() once writing is done.
     bool mmap = false;
-    // When a mapped read ends outside the current readahead window, open
-    // an madvise(MADV_WILLNEED) window of this many bytes (or the read's
-    // length, if longer) starting at the read -- the paper's layout places
-    // a query's working set immediately after, so the kernel fetches it
-    // while we decode.
-    uint64_t readahead_bytes = 256 * 1024;
-    // Verify each blob's CRC32 on read. pread reads verify every time;
-    // mapped reads verify on the first touch of each blob and cache the
-    // verdict in a per-blob bitmap, so the warm zero-copy path stays one
-    // relaxed bit test. A crc of 0 in the directory means "unknown"
-    // (legacy entry) and is not checked.
-    bool verify_checksums = true;
   };
 
   // Physical home of one blob, exposed so the version subsystem's
   // manifests can reference blobs across store generations (a manifest
   // maps dense per-generation blob ids onto an arbitrary set of pack
   // files, sharing unchanged blobs byte-identically between generations).
+  // file_index is internal to the store it came from: pair it with that
+  // store's FilePath.
   struct BlobLocation {
     uint32_t file_index;
     uint64_t offset;
     uint32_t length;
-    // CRC32 of the blob bytes (0 = unknown / legacy, not verified).
+    // CRC32 of the blob bytes, checked on every read of a non-empty blob.
     uint32_t crc = 0;
   };
 
@@ -77,25 +67,26 @@ class GraphStore {
   static Result<std::unique_ptr<GraphStore>> Create(std::string base_path,
                                                     Options options);
 
-  // Re-attaches to existing store files using a directory previously
-  // produced by SerializeDirectory. The store is read-only in spirit
-  // (appending after attach would corrupt the serialized directory of any
-  // other reader and is rejected).
+  // Re-attaches to the files `<base_path>.NNN` using a directory
+  // previously produced by SerializeDirectory: parses it and hands it to
+  // OpenFiles. The store is read-only (appending after attach would
+  // corrupt the serialized directory of any other reader and is
+  // rejected).
   static Result<std::unique_ptr<GraphStore>> OpenExisting(
-      std::string base_path, Options options, SerialCursor* cursor);
+      const std::string& base_path, Options options, SerialCursor* cursor);
 
   // Read-only store over an explicit set of files with an explicit
   // directory: blob i lives at directory[i] inside paths[file_index].
-  // This is how a versioned snapshot generation reads: its manifest's
-  // blob table spans pack files written by several earlier generations,
-  // so blob ids stay dense and section-contiguous while the bytes are
-  // shared with whichever generation first wrote them.
+  // The one attach path: it opens every file without creating any (a
+  // missing one is NotFound) and rejects an entry that names an unknown
+  // file or lies outside its file. A versioned snapshot generation reads
+  // this way too: its manifest's blob table spans pack files written by
+  // several earlier generations, so blob ids stay dense and
+  // section-contiguous while the bytes are shared with whichever
+  // generation first wrote them.
   static Result<std::unique_ptr<GraphStore>> OpenFiles(
       const std::vector<std::string>& paths,
       std::vector<BlobLocation> directory, Options options);
-  static Result<std::unique_ptr<GraphStore>> OpenFiles(
-      const std::vector<std::string>& paths,
-      std::vector<BlobLocation> directory);
 
   // Appends the blob directory to *payload (varints), for the owner's
   // metadata file.
@@ -156,7 +147,7 @@ class GraphStore {
   void QuarantineFile(uint32_t file_index) const;
 
   // pread-based CRC verification of one blob, bypassing any mapping (the
-  // scrub path). OK for empty or crc-unknown blobs.
+  // scrub path). OK for empty blobs.
   Status VerifyBlob(uint32_t id) const;
 
   // fsyncs every store file. Writers must call this before publishing a

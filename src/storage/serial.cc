@@ -34,7 +34,7 @@ Status WriteFramedFile(const std::string& path, const char magic[4],
 
 Result<std::string> ReadFramedFile(const std::string& path,
                                    const char magic[4]) {
-  auto file = RandomAccessFile::Open(path);
+  auto file = RandomAccessFile::OpenForRead(path);
   if (!file.ok()) return file.status();
   uint64_t size = file.value()->size();
   if (size < 16) return Status::Corruption(path + ": too small");

@@ -39,7 +39,8 @@ class StreamingSerialChecksum {
 Status WriteFramedFile(const std::string& path, const char magic[4],
                        const std::string& payload);
 
-// Reads and verifies a framed file, returning the payload.
+// Reads and verifies a framed file, returning the payload. A missing file
+// is NotFound (and is not created).
 Result<std::string> ReadFramedFile(const std::string& path,
                                    const char magic[4]);
 

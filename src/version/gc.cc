@@ -14,20 +14,6 @@ namespace wg::version {
 
 namespace {
 
-Result<std::string> ReadCurrentName(const std::string& dir) {
-  WG_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> current,
-                      RandomAccessFile::Open(dir + "/CURRENT"));
-  if (current->size() == 0 || current->size() > 256) {
-    return Status::NotFound("gc: no CURRENT in " + dir);
-  }
-  std::string name(current->size(), '\0');
-  WG_RETURN_IF_ERROR(current->Read(0, name.size(), name.data()));
-  while (!name.empty() && (name.back() == '\n' || name.back() == '\0')) {
-    name.pop_back();
-  }
-  return name;
-}
-
 Result<uint64_t> FileSizeOf(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) {

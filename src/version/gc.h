@@ -25,9 +25,9 @@
 //   * Dry-run (the default) deletes nothing; it only reports.
 //
 // Deleting a pack leaves its name behind in the manifest's `files` table
-// (manifests are immutable); the next OpenStore recreates it as an empty
-// placeholder, which no blob reads. The wg_version_gc_* counters record
-// scanned/candidate/removed packs and reclaimed bytes.
+// (manifests are immutable); OpenStore opens only the packs some blob
+// references, so it never looks for the deleted one. The wg_version_gc_*
+// counters record scanned/candidate/removed packs and reclaimed bytes.
 
 namespace wg::version {
 

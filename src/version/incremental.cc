@@ -129,20 +129,8 @@ Result<Manifest> BuildIncrementalGeneration(
   // verbatim prefix, so old pages keep their base-generation ids.
   SNodeResidentState state;
   state.num_edges = num_edges;
-  state.new_of_orig.resize(num_pages);
-  state.orig_of_new.resize(num_pages);
   SupernodeGraph& sg = state.supernodes;
-  sg.page_start.reserve(n_super + 1);
-  PageId next_id = 0;
-  for (const auto& element : partition.elements) {
-    sg.page_start.push_back(next_id);
-    for (PageId orig : element) {
-      state.new_of_orig[orig] = next_id;
-      state.orig_of_new[next_id] = orig;
-      ++next_id;
-    }
-  }
-  sg.page_start.push_back(next_id);
+  NumberPages(partition, num_pages, &state.new_of_orig, &sg.page_start);
   std::vector<uint32_t> owner = partition.ElementOf(num_pages);
 
   // Content-hash table of the base generation's blobs: the sharing key.
@@ -208,9 +196,10 @@ Result<Manifest> BuildIncrementalGeneration(
   };
 
   // Layout in supernode order, dense blob ids, intranode first -- the
-  // same linear order as a full build, whether a section is shared or
-  // re-encoded. Sections are processed serially: the dirty set is small
-  // by design, and serial layout keeps ids deterministic.
+  // same linear order as a full build (SupernodeGraph::FirstBlob), whether
+  // a section is shared or re-encoded. Sections are processed serially:
+  // the dirty set is small by design, and serial layout keeps ids
+  // deterministic.
   double encode_seconds = 0;
   double layout_seconds = 0;
   sg.offsets.push_back(0);
@@ -222,18 +211,14 @@ Result<Manifest> BuildIncrementalGeneration(
       // dense ids. file_index values carry over because the new file
       // list starts with the base's.
       auto t_layout = std::chrono::steady_clock::now();
-      uint32_t first = base_sg.intranode_blob[s];
-      uint32_t n_out = base_sg.offsets[s + 1] - base_sg.offsets[s];
-      sg.intranode_blob.push_back(
-          static_cast<uint32_t>(manifest.blobs.size()));
-      manifest.blobs.push_back(base_manifest.blobs[first]);
-      for (uint32_t k = 0; k < n_out; ++k) {
-        sg.targets.push_back(base_sg.targets[base_sg.offsets[s] + k]);
-        sg.superedge_blob.push_back(
-            static_cast<uint32_t>(manifest.blobs.size()));
-        manifest.blobs.push_back(base_manifest.blobs[first + 1 + k]);
-      }
-      manifest.blobs_shared += 1 + n_out;
+      manifest.blobs.insert(
+          manifest.blobs.end(),
+          base_manifest.blobs.begin() + base_sg.FirstBlob(s),
+          base_manifest.blobs.begin() + base_sg.FirstBlob(s + 1));
+      manifest.blobs_shared += base_sg.FirstBlob(s + 1) - base_sg.FirstBlob(s);
+      sg.targets.insert(sg.targets.end(),
+                        base_sg.targets.begin() + base_sg.offsets[s],
+                        base_sg.targets.begin() + base_sg.offsets[s + 1]);
       sg.offsets.push_back(static_cast<uint32_t>(sg.targets.size()));
       layout_seconds += SecondsSince(t_layout);
       continue;
@@ -244,12 +229,9 @@ Result<Manifest> BuildIncrementalGeneration(
         sg.page_start, options.intranode, options.superedge, &section));
     encode_seconds += SecondsSince(t_encode);
     auto t_layout = std::chrono::steady_clock::now();
-    sg.intranode_blob.push_back(static_cast<uint32_t>(manifest.blobs.size()));
     WG_RETURN_IF_ERROR(emit_blob(section.intranode));
     for (size_t k = 0; k < section.targets.size(); ++k) {
       sg.targets.push_back(section.targets[k]);
-      sg.superedge_blob.push_back(
-          static_cast<uint32_t>(manifest.blobs.size()));
       WG_RETURN_IF_ERROR(emit_blob(section.superedges[k]));
     }
     sg.offsets.push_back(static_cast<uint32_t>(sg.targets.size()));

@@ -1,15 +1,17 @@
 #include "version/manifest.h"
 
+#include "storage/file.h"
 #include "storage/serial.h"
 #include "util/coding.h"
 
 namespace wg::version {
 
 namespace {
-// Bumped to WGM2 when blob entries gained per-blob CRCs, and to WGM3 when
+// Bumped to WGM2 when blob entries gained per-blob CRCs, to WGM3 when
 // intranode lists dropped their per-list id (pack blobs written under WGM2
-// decode differently).
-constexpr char kManifestMagic[4] = {'W', 'G', 'M', '3'};
+// decode differently), and to WGM4 when the embedded resident state
+// stopped storing blob ids and the inverse permutation.
+constexpr char kManifestMagic[4] = {'W', 'G', 'M', '4'};
 }  // namespace
 
 Status Manifest::WriteTo(const std::string& path) const {
@@ -78,19 +80,20 @@ Result<Manifest> Manifest::ReadFrom(const std::string& path) {
 }
 
 Result<std::unique_ptr<GraphStore>> Manifest::OpenStore(
-    const std::string& dir) const {
-  return OpenStore(dir, GraphStore::Options());
-}
-
-Result<std::unique_ptr<GraphStore>> Manifest::OpenStore(
     const std::string& dir, const GraphStore::Options& options) const {
+  // Store file index of each referenced manifest file, in manifest order.
+  std::vector<uint32_t> store_index(files.size(), UINT32_MAX);
+  for (const ManifestBlob& b : blobs) store_index[b.file_index] = 0;
   std::vector<std::string> paths;
-  paths.reserve(files.size());
-  for (const std::string& f : files) paths.push_back(dir + "/" + f);
+  for (size_t f = 0; f < files.size(); ++f) {
+    if (store_index[f] == UINT32_MAX) continue;
+    store_index[f] = static_cast<uint32_t>(paths.size());
+    paths.push_back(dir + "/" + files[f]);
+  }
   std::vector<GraphStore::BlobLocation> directory;
   directory.reserve(blobs.size());
   for (const ManifestBlob& b : blobs) {
-    directory.push_back({b.file_index, b.offset, b.length, b.crc});
+    directory.push_back({store_index[b.file_index], b.offset, b.length, b.crc});
   }
   return GraphStore::OpenFiles(paths, std::move(directory), options);
 }
@@ -98,6 +101,20 @@ Result<std::unique_ptr<GraphStore>> Manifest::OpenStore(
 Result<SNodeResidentState> Manifest::ParseResident() const {
   SerialCursor cursor(resident);
   return SNodeResidentState::Parse(&cursor);
+}
+
+Result<std::string> ReadCurrentName(const std::string& dir) {
+  WG_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> current,
+                      RandomAccessFile::OpenForRead(dir + "/CURRENT"));
+  if (current->size() == 0 || current->size() > 256) {
+    return Status::NotFound("snapshot: no CURRENT in " + dir);
+  }
+  std::string name(current->size(), '\0');
+  WG_RETURN_IF_ERROR(current->Read(0, name.size(), name.data()));
+  while (!name.empty() && (name.back() == '\n' || name.back() == '\0')) {
+    name.pop_back();
+  }
+  return name;
 }
 
 }  // namespace wg::version

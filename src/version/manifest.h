@@ -58,15 +58,20 @@ struct Manifest {
   static Result<Manifest> ReadFrom(const std::string& path);
 
   // Opens the (read-only) store this manifest describes; `dir` is the
-  // snapshot directory the file names are relative to. `options` controls
-  // the read path (mmap, readahead window); sizing fields are ignored for
-  // a read-only open.
-  Result<std::unique_ptr<GraphStore>> OpenStore(const std::string& dir) const;
+  // snapshot directory the file names are relative to. Only the packs
+  // some blob references are opened, so a pack gc removed while this
+  // manifest still lists it is never looked for; the store's file indices
+  // therefore need not match `files`. `options` controls the read path
+  // (mmap); max_file_size is ignored for a read-only open.
   Result<std::unique_ptr<GraphStore>> OpenStore(
       const std::string& dir, const GraphStore::Options& options) const;
 
   Result<SNodeResidentState> ParseResident() const;
 };
+
+// The manifest name CURRENT in snapshot directory `dir` points at. A
+// directory without CURRENT is NotFound, and nothing is created in it.
+Result<std::string> ReadCurrentName(const std::string& dir);
 
 }  // namespace wg::version
 

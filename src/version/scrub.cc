@@ -5,41 +5,17 @@
 #include <utility>
 
 #include "snode/snode_repr.h"
-#include "storage/file.h"
 #include "version/manifest.h"
 
 namespace wg::version {
-
-namespace {
-
-// Same trimming rules as SnapshotManager::ReadCurrentName (private there;
-// a scrub must not need a full manager -- it may be pointed at a directory
-// whose delta log or live generation no longer opens).
-Result<std::string> ReadCurrentName(const std::string& dir) {
-  WG_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> current,
-                      RandomAccessFile::Open(dir + "/CURRENT"));
-  if (current->size() == 0 || current->size() > 256) {
-    return Status::NotFound("scrub: no CURRENT in " + dir);
-  }
-  std::string name(current->size(), '\0');
-  WG_RETURN_IF_ERROR(current->Read(0, name.size(), name.data()));
-  while (!name.empty() && (name.back() == '\n' || name.back() == '\0')) {
-    name.pop_back();
-  }
-  return name;
-}
-
-}  // namespace
 
 std::string ScrubReport::ToString() const {
   char line[256];
   std::string out;
   std::snprintf(line, sizeof(line),
-                "scrubbed %llu blobs (%llu bytes) in %zu files; "
-                "%llu without crc; %zu errors\n",
+                "scrubbed %llu blobs (%llu bytes) in %zu files; %zu errors\n",
                 static_cast<unsigned long long>(blobs_checked),
                 static_cast<unsigned long long>(bytes_checked), files.size(),
-                static_cast<unsigned long long>(blobs_without_crc),
                 errors.size());
   out += line;
   for (const ScrubError& e : errors) {
@@ -62,7 +38,6 @@ Status ScrubStore(const GraphStore& store, ScrubReport* report) {
     ++report->blobs_checked;
     if (verified.ok()) {
       report->bytes_checked += loc.length;
-      if (loc.length > 0 && loc.crc == 0) ++report->blobs_without_crc;
       continue;
     }
     report->errors.push_back({id, loc.file_index, store.FilePath(loc.file_index),
@@ -84,7 +59,7 @@ Status ScrubSnapshotDir(const std::string& dir, ScrubReport* report) {
   WG_ASSIGN_OR_RETURN(std::string name, ReadCurrentName(dir));
   WG_ASSIGN_OR_RETURN(Manifest manifest, Manifest::ReadFrom(dir + "/" + name));
   WG_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
-                      manifest.OpenStore(dir));
+                      manifest.OpenStore(dir, {}));
   return ScrubStore(*store, report);
 }
 

@@ -17,7 +17,7 @@
 
 namespace wg::version {
 
-// One damaged (or unverifiable) blob.
+// One damaged blob.
 struct ScrubError {
   uint32_t blob_id = 0;
   uint32_t file_index = 0;
@@ -27,9 +27,6 @@ struct ScrubError {
 
 struct ScrubReport {
   uint64_t blobs_checked = 0;
-  // Blobs whose directory entry carries crc 0 (legacy/unknown): their
-  // extents were still bounds-checked but the bytes are unverifiable.
-  uint64_t blobs_without_crc = 0;
   uint64_t bytes_checked = 0;
   std::vector<std::string> files;  // every pack file visited
   std::vector<ScrubError> errors;

@@ -84,10 +84,8 @@ Result<std::unique_ptr<SnapshotManager>> SnapshotManager::Create(
   state.num_edges = built->num_edges();
   size_t n = built->num_pages();
   state.new_of_orig.resize(n);
-  state.orig_of_new.resize(n);
   for (size_t p = 0; p < n; ++p) {
     state.new_of_orig[p] = static_cast<PageId>(built->LocalityKey(p));
-    state.orig_of_new[p] = built->PageInNaturalOrder(p);
   }
   state.supernodes = built->supernode_graph();
   state.Serialize(&manifest.resident);
@@ -104,20 +102,6 @@ Result<std::unique_ptr<SnapshotManager>> SnapshotManager::Create(
   WG_RETURN_IF_ERROR(manager->OpenLog());
   manager->generation_gauge_.Set(0);
   return manager;
-}
-
-Result<std::string> SnapshotManager::ReadCurrentName(const std::string& dir) {
-  WG_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> current,
-                      RandomAccessFile::Open(dir + "/CURRENT"));
-  if (current->size() == 0 || current->size() > 256) {
-    return Status::NotFound("snapshot: no CURRENT in " + dir);
-  }
-  std::string name(current->size(), '\0');
-  WG_RETURN_IF_ERROR(current->Read(0, name.size(), name.data()));
-  while (!name.empty() && (name.back() == '\n' || name.back() == '\0')) {
-    name.pop_back();
-  }
-  return name;
 }
 
 Result<std::unique_ptr<SnapshotManager>> SnapshotManager::Open(

@@ -128,7 +128,6 @@ class SnapshotManager {
   Result<GenerationPtr> LoadGeneration(const std::string& manifest_name) const;
   Status Publish(const Manifest& manifest);
   Status OpenLog();
-  static Result<std::string> ReadCurrentName(const std::string& dir);
 
   std::string dir_;
   SnapshotOptions options_;

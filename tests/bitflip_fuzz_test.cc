@@ -59,9 +59,7 @@ void FlipByte(const std::string& path, uint64_t offset) {
 // Supernode owning blob `id` (sections are laid out contiguously).
 uint32_t SectionOfBlob(const SupernodeGraph& sg, uint32_t id) {
   for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
-    uint32_t first = sg.intranode_blob[s];
-    uint32_t last = first + (sg.offsets[s + 1] - sg.offsets[s]);
-    if (id >= first && id <= last) return s;
+    if (id >= sg.FirstBlob(s) && id < sg.FirstBlob(s + 1)) return s;
   }
   return sg.num_supernodes();
 }
@@ -153,8 +151,8 @@ TEST(BitflipFuzzTest, MappedCorruptionQuarantinesOnlyItsSection) {
   // first touch runs the verify.
   uint32_t victim_blob = UINT32_MAX;
   for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
-    if (repr.value()->store().blob_size(sg.intranode_blob[s]) > 0) {
-      victim_blob = sg.intranode_blob[s];
+    if (repr.value()->store().blob_size(sg.FirstBlob(s)) > 0) {
+      victim_blob = sg.FirstBlob(s);
       break;
     }
   }

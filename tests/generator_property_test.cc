@@ -41,7 +41,9 @@ TEST_P(GeneratorSweep, StructurallyValid) {
     auto links = g.OutLinks(p);
     for (size_t i = 0; i < links.size(); ++i) {
       ASSERT_LT(links[i], p);
-      if (i > 0) ASSERT_LT(links[i - 1], links[i]);
+      if (i > 0) {
+        ASSERT_LT(links[i - 1], links[i]);
+      }
     }
     // Every page belongs to a consistent host/domain pair.
     ASSERT_LT(g.host_id(p), g.num_hosts());

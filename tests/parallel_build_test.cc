@@ -89,7 +89,7 @@ TEST(ParallelBuildTest, StoreFilesAreByteIdenticalAcrossThreadCounts) {
             repr8.value()->store().num_files());
   ASSERT_GE(repr1.value()->store().num_files(), 1u);
   for (size_t f = 0; f < repr1.value()->store().num_files(); ++f) {
-    char suffix[16];
+    char suffix[24];
     std::snprintf(suffix, sizeof(suffix), ".%03zu", f);
     std::string bytes1, bytes8;
     ASSERT_TRUE(ReadFile(base1 + suffix, &bytes1));
@@ -191,7 +191,7 @@ TEST(ParallelExecutorConcurrencyTest, SkewedLoadIsStolenExactlyOnce) {
     if (i < 32) {
       // A few heavy items at the front of the range force stealing.
       volatile uint64_t sink = 0;
-      for (int spin = 0; spin < 200000; ++spin) sink += spin;
+      for (int spin = 0; spin < 200000; ++spin) sink = sink + spin;
     }
     hits[i].fetch_add(1);
   });

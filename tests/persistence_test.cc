@@ -194,13 +194,14 @@ TEST_F(SNodePersistenceTest, CorruptMetaRejected) {
   EXPECT_FALSE(SNodeRepr::Open(base_path_, {}).ok());
 }
 
-// A store saved in the previous format (SNM2 .meta: intranode lists with
-// a per-list id) must not open, because its pack blobs decode differently.
+// A store saved in the previous format (SNM3 .meta: stored blob ids and a
+// max_file_size in the directory) must not open: its payload parses
+// differently.
 TEST_F(SNodePersistenceTest, PreviousFormatMagicRejected) {
   ASSERT_TRUE(built_->SaveMeta().ok());
   auto file = RandomAccessFile::Open(base_path_ + ".meta");
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file.value()->Write(0, "SNM2", 4).ok());
+  ASSERT_TRUE(file.value()->Write(0, "SNM3", 4).ok());
   auto opened = SNodeRepr::Open(base_path_, {});
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);

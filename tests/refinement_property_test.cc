@@ -99,18 +99,6 @@ TEST(RefinementKnobTest, RefinementNeverCoarsensInitialPartition) {
   }
 }
 
-TEST(RefinementKnobTest, MaxIterationsBoundsWork) {
-  const WebGraph& graph = SharedGraph();
-  RefinementOptions opts;
-  opts.min_split_size = 32;
-  opts.min_group_size = 8;
-  opts.max_iterations = 3;
-  RefinementStats stats;
-  Partition p = RefinePartition(graph, opts, &stats);
-  ASSERT_TRUE(p.Validate(graph.num_pages()).ok());
-  EXPECT_LE(stats.iterations, 3u);
-}
-
 TEST(RefinementKnobTest, AbortFractionControlsPersistence) {
   // A higher abort_max fraction lets the process keep probing longer, so
   // it can only produce >= as many clustered splits.

@@ -23,6 +23,7 @@
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "version/gc.h"
+#include "version/manifest.h"
 #include "version/scrub.h"
 #include "version/snapshot.h"
 #include "test_temp_dir.h"
@@ -67,7 +68,6 @@ TEST(ScrubTest, CleanSNodeStoreScrubsClean) {
   ASSERT_TRUE(version::ScrubSNodeStore(dir + "/base", &report).ok());
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.blobs_checked, num_blobs);
-  EXPECT_EQ(report.blobs_without_crc, 0u);
   EXPECT_GT(report.bytes_checked, 0u);
   EXPECT_FALSE(report.files.empty());
 }
@@ -287,6 +287,62 @@ TEST(ScrubTest, GcRemovesOnlyUnreferencedPacks) {
   version::GcReport again;
   ASSERT_TRUE(version::CollectGarbage(dir, apply, &again).ok());
   EXPECT_EQ(again.candidates.size(), 0u);
+}
+
+// Looking for a store or a snapshot that is not there reports NotFound and
+// leaves nothing behind: no `<base>.meta`, no `CURRENT` that would make a
+// later scrub take the directory for a snapshot.
+TEST(ScrubTest, MissingStoreIsNotFoundAndCreatesNothing) {
+  std::string dir = TempDirFor("missing");
+  ScrubReport report;
+  Status scrubbed = version::ScrubSNodeStore(dir + "/nothere", &report);
+  EXPECT_EQ(scrubbed.code(), StatusCode::kNotFound) << scrubbed.ToString();
+  EXPECT_NE(::access((dir + "/nothere.meta").c_str(), F_OK), 0);
+
+  auto opened = SnapshotManager::Open(dir, {});
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kNotFound)
+      << opened.status().ToString();
+  Status snapshot = version::ScrubSnapshotDir(dir, &report);
+  EXPECT_EQ(snapshot.code(), StatusCode::kNotFound) << snapshot.ToString();
+  EXPECT_NE(::access((dir + "/CURRENT").c_str(), F_OK), 0);
+}
+
+// A manifest may list a pack no blob references (gc removes such packs
+// while manifests, being immutable, keep their names). Opening the
+// generation must not look for it: the live generation opens, serves and
+// scrubs clean, and the missing pack is not recreated.
+TEST(ScrubTest, UnreferencedMissingPackOpensServesAndScrubs) {
+  std::string dir = TempDirFor("unreferenced");
+  WebGraph base = ScrubGraph();
+  ASSERT_TRUE(SnapshotManager::Create(dir, base, {}).ok());
+  auto name = version::ReadCurrentName(dir);
+  ASSERT_TRUE(name.ok());
+  auto manifest = version::Manifest::ReadFrom(dir + "/" + name.value());
+  ASSERT_TRUE(manifest.ok());
+  // Listed first, so every blob's file index moves past it.
+  const std::string missing = "gen-000077.000";
+  version::Manifest edited = manifest.value();
+  edited.files.insert(edited.files.begin(), missing);
+  for (version::ManifestBlob& b : edited.blobs) ++b.file_index;
+  ASSERT_TRUE(edited.WriteTo(dir + "/" + name.value()).ok());
+
+  auto reopened = SnapshotManager::Open(dir, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  LinkView links;
+  auto cursor = reopened.value()->current()->repr->NewCursor();
+  for (PageId p = 0; p < base.num_pages(); p += 37) {
+    ASSERT_TRUE(cursor->Links(p, &links).ok());
+    auto expected = base.OutLinks(p);
+    EXPECT_EQ(links.ToVector(),
+              std::vector<PageId>(expected.begin(), expected.end()));
+  }
+  ScrubReport report;
+  ASSERT_TRUE(version::ScrubSnapshotDir(dir, &report).ok());
+  EXPECT_TRUE(report.clean()) << report.ToString();
+  EXPECT_EQ(report.blobs_checked, edited.blobs.size());
+  EXPECT_NE(::access((dir + "/" + missing).c_str(), F_OK), 0)
+      << "opening recreated the unreferenced pack";
 }
 
 }  // namespace

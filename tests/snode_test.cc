@@ -273,7 +273,7 @@ TEST(IntranodeCodecTest, SizeMatchesPlanCost) {
     options.use_reference_encoding = gen() % 4 != 0;
     ReferencePlan plan =
         ComputeReferencePlan(lists, static_cast<uint32_t>(n),
-                             options.reference_window,
+                             kIntranodeReferenceWindow,
                              options.use_reference_encoding);
     uint64_t bits = GammaCost(n) + n + plan.total_cost_bits;
     ASSERT_EQ(EncodeIntranode(lists, options).size(), (bits + 7) / 8)
@@ -395,7 +395,7 @@ TEST(SuperedgeCodecTest, SizeMatchesPlanCost) {
     }
     SuperedgeEncodeOptions options;
     ReferencePlan plan =
-        ComputeReferencePlan(lists, c.nj, options.reference_window);
+        ComputeReferencePlan(lists, c.nj, kSuperedgeReferenceWindow);
     uint64_t bits = 1 + GammaCost(sources.size()) + lists.size() +
                     plan.total_cost_bits;
     for (size_t k = 0; k < sources.size(); ++k) {
@@ -646,29 +646,32 @@ TEST_F(SNodeReprTest, TransposeRepresentationMatches) {
   }
 }
 
+// Once a page's section is assembled, re-reading the page loads nothing.
+// (A second lone probe from a fresh cursor re-reads its section to
+// assemble it, by design: the first probe cached nothing.)
 TEST(SNodeLoadLogTest, RecordsLoadsAndDistinctGraphCounts) {
   GeneratorOptions gopts;
   gopts.num_pages = 1500;
   WebGraph graph = GenerateWebGraph(gopts);
-  SNodeBuildOptions opts;
-  opts.record_load_log = true;
-  auto repr = SNodeRepr::Build(graph, TempPath("snode_log"), opts);
+  auto repr = SNodeRepr::Build(graph, TempPath("snode_log"), {});
   ASSERT_TRUE(repr.ok());
   std::vector<PageId> links;
   ASSERT_TRUE(repr.value()->GetLinks(42, &links).ok());
-  EXPECT_GE(repr.value()->load_log().size(), 1u);
-  EXPECT_GE(repr.value()->DistinctGraphsLoaded(), 1u);
-  size_t after_one = repr.value()->DistinctGraphsLoaded();
-  // Re-reading the same page should not load new graphs.
+  EXPECT_GE(repr.value()->stats().graphs_loaded, 1u);
+  ASSERT_TRUE(repr.value()->GetLinks(42, &links).ok());
+  EXPECT_EQ(repr.value()->cold_stats().assembles, 1u);
+  const uint64_t assembled = repr.value()->stats().graphs_loaded;
   links.clear();
   ASSERT_TRUE(repr.value()->GetLinks(42, &links).ok());
-  EXPECT_EQ(repr.value()->DistinctGraphsLoaded(), after_one);
+  EXPECT_EQ(repr.value()->stats().graphs_loaded, assembled);
+  auto expected = graph.OutLinks(42);
+  EXPECT_EQ(links, std::vector<PageId>(expected.begin(), expected.end()));
 }
 
 // Blobs in supernode s's section: its intranode graph plus one superedge
 // graph per outgoing superedge.
 uint64_t SectionBlobCount(const SupernodeGraph& sg, uint32_t s) {
-  return 1 + (sg.offsets[s + 1] - sg.offsets[s]);
+  return sg.FirstBlob(s + 1) - sg.FirstBlob(s);
 }
 
 // Reads every page of sections s and s+1 in layout order through one
@@ -689,9 +692,7 @@ TEST(SNodeLoadLogTest, SweepLogsEveryBlobItReads) {
   GeneratorOptions gopts;
   gopts.num_pages = 3000;
   WebGraph graph = GenerateWebGraph(gopts);
-  SNodeBuildOptions opts;
-  opts.record_load_log = true;
-  auto repr = SNodeRepr::Build(graph, TempPath("snode_log_sweep"), opts);
+  auto repr = SNodeRepr::Build(graph, TempPath("snode_log_sweep"), {});
   ASSERT_TRUE(repr.ok());
   const SupernodeGraph& sg = repr.value()->supernode_graph();
   ASSERT_GE(sg.num_supernodes(), 2u);
@@ -699,11 +700,7 @@ TEST(SNodeLoadLogTest, SweepLogsEveryBlobItReads) {
   SweepTwoSections(repr.value().get(), 0);
   uint64_t read = SectionBlobCount(sg, 0) + SectionBlobCount(sg, 1);
   EXPECT_EQ(repr.value()->stats().graphs_loaded, read);
-  EXPECT_EQ(repr.value()->DistinctGraphsLoaded(), read);
-  std::vector<SNodeRepr::LoadEvent> log = repr.value()->load_log();
-  EXPECT_EQ(std::count_if(log.begin(), log.end(),
-                          [](const SNodeRepr::LoadEvent& e) { return e.load; }),
-            static_cast<std::ptrdiff_t>(read));
+  EXPECT_EQ(repr.value()->cold_stats().demand_blobs, read);
 }
 
 // One cache miss per blob a demand read loads from the store -- the same
@@ -882,10 +879,8 @@ TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
   uint32_t straddler = UINT32_MAX;
   uint32_t mapped_only = UINT32_MAX;
   for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
-    uint32_t first_file = store.Location(sg.intranode_blob[s]).file_index;
-    uint32_t last_file =
-        store.Location(sg.intranode_blob[s] + SectionBlobCount(sg, s) - 1)
-            .file_index;
+    uint32_t first_file = store.Location(sg.FirstBlob(s)).file_index;
+    uint32_t last_file = store.Location(sg.FirstBlob(s + 1) - 1).file_index;
     if (first_file != last_file && straddler == UINT32_MAX) straddler = s;
     if (first_file == last_file && first_file % 2 == 0 &&
         mapped_only == UINT32_MAX) {
@@ -964,7 +959,7 @@ struct ParsedMeta {
 };
 
 ParsedMeta ParseMeta(const std::string& base) {
-  static const char kMetaMagic[4] = {'S', 'N', 'M', '3'};
+  static const char kMetaMagic[4] = {'S', 'N', 'M', '4'};
   auto payload = ReadFramedFile(base + ".meta", kMetaMagic);
   WG_CHECK(payload.ok());
   SerialCursor cursor(payload.value());
@@ -1048,63 +1043,75 @@ TEST_F(SNodeResidentShapeTest, PageRangeDisagreeingWithBlobsIsCorruption) {
 TEST_F(SNodeResidentShapeTest, ShapeViolationsFailFromParts) {
   struct Case {
     const char* name;
-    std::function<void(SNodeResidentState*, size_t num_blobs)> mutate;
+    std::function<void(SNodeResidentState*)> mutate;
     const char* message;
   };
   const std::vector<Case> cases = {
-      {"permutations of different sizes",
-       [](SNodeResidentState* st, size_t) { st->orig_of_new.pop_back(); },
+      {"a page numbered twice",
+       [](SNodeResidentState* st) {
+         st->new_of_orig[1] = st->new_of_orig[0];
+       },
+       "not a permutation"},
+      {"a page numbered past the page count",
+       [](SNodeResidentState* st) {
+         st->new_of_orig[0] = static_cast<PageId>(st->new_of_orig.size());
+       },
+       "not a permutation"},
+      {"resident arrays of different sizes",
+       [](SNodeResidentState* st) {
+         st->supernodes.page_start.pop_back();
+       },
        "disagree in size"},
       {"page ranges start past 0",
-       [](SNodeResidentState* st, size_t) {
+       [](SNodeResidentState* st) {
          st->supernodes.page_start[0] = 1;
        },
        "page ranges"},
       {"page ranges decrease",
-       [](SNodeResidentState* st, size_t) {
+       [](SNodeResidentState* st) {
          st->supernodes.page_start[1] = st->supernodes.page_start[2] + 1;
        },
        "page ranges"},
       {"page ranges stop short of the page count",
-       [](SNodeResidentState* st, size_t) {
+       [](SNodeResidentState* st) {
          --st->supernodes.page_start.back();
        },
        "page ranges"},
       {"superedge offsets decrease",
-       [](SNodeResidentState* st, size_t) {
+       [](SNodeResidentState* st) {
          st->supernodes.offsets[1] = st->supernodes.offsets[2] + 1;
        },
        "superedge offsets"},
       {"superedge offsets end past the superedges",
-       [](SNodeResidentState* st, size_t) {
+       [](SNodeResidentState* st) {
          ++st->supernodes.offsets.back();
        },
        "superedge offsets"},
       {"superedge target past the last supernode",
-       [](SNodeResidentState* st, size_t) {
+       [](SNodeResidentState* st) {
          st->supernodes.targets[0] =
              static_cast<uint32_t>(st->supernodes.num_supernodes());
        },
        "superedge target"},
-      {"section blobs not contiguous",
-       [](SNodeResidentState* st, size_t) {
-         SupernodeGraph& sg = st->supernodes;
-         uint32_t s = 0;
-         while (sg.offsets[s + 1] == sg.offsets[s]) ++s;
-         sg.superedge_blob[sg.offsets[s]] += 1;
+      {"domain entry past the last supernode",
+       [](SNodeResidentState* st) {
+         st->supernodes.domain_supernodes.begin()->second.push_back(
+             st->supernodes.num_supernodes());
        },
-       "not contiguous"},
-      {"section past the end of the store",
-       [](SNodeResidentState* st, size_t num_blobs) {
-         st->supernodes.intranode_blob.back() =
-             static_cast<uint32_t>(num_blobs);
+       "domain entry"},
+      {"store holds a different blob count than the layout",
+       [](SNodeResidentState* st) {
+         // One more superedge of the last supernode: the layout now needs
+         // one blob more than the store holds.
+         st->supernodes.targets.push_back(0);
+         ++st->supernodes.offsets.back();
        },
-       "outside the store"},
+       "lays out"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     ParsedMeta meta = ParseMeta(Base());
-    c.mutate(&meta.state, meta.store->num_blobs());
+    c.mutate(&meta.state);
     auto attached = SNodeRepr::FromParts(std::move(meta.state),
                                          std::move(meta.store), Base(), {});
     ASSERT_FALSE(attached.ok());

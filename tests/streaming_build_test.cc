@@ -194,7 +194,7 @@ TEST(StreamingBuildTest, ByteIdenticalToInRamBuildAcrossBudgetsAndThreads) {
     ASSERT_EQ(repr.value()->store().num_files(),
               ref.value()->store().num_files());
     for (size_t f = 0; f < ref.value()->store().num_files(); ++f) {
-      char suffix[16];
+      char suffix[24];
       std::snprintf(suffix, sizeof(suffix), ".%03zu", f);
       std::string want, got;
       ASSERT_TRUE(ReadFile(ref_base + suffix, &want));
@@ -244,7 +244,7 @@ TEST(StreamingBuildTest, FileSourceBuildMatchesInRamBuild) {
   ASSERT_EQ(repr.value()->store().num_files(),
             ref.value()->store().num_files());
   for (size_t f = 0; f < ref.value()->store().num_files(); ++f) {
-    char suffix[16];
+    char suffix[24];
     std::snprintf(suffix, sizeof(suffix), ".%03zu", f);
     std::string want, got;
     ASSERT_TRUE(ReadFile(ref_base + suffix, &want));

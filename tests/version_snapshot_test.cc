@@ -184,8 +184,8 @@ TEST(VersionSnapshotTest, CleanSectionsAreSharedNotRewritten) {
     uint32_t n_out = sg0.offsets[s + 1] - sg0.offsets[s];
     ASSERT_EQ(sg1.offsets[s + 1] - sg1.offsets[s], n_out);
     for (uint32_t k = 0; k <= n_out; ++k) {
-      const ManifestBlob& b0 = m0.blobs[sg0.intranode_blob[s] + k];
-      const ManifestBlob& b1 = m1.blobs[sg1.intranode_blob[s] + k];
+      const ManifestBlob& b0 = m0.blobs[sg0.FirstBlob(s) + k];
+      const ManifestBlob& b1 = m1.blobs[sg1.FirstBlob(s) + k];
       ASSERT_LT(b1.file_index, m0.files.size());
       EXPECT_EQ(b1.file_index, b0.file_index);
       EXPECT_EQ(b1.offset, b0.offset);
@@ -196,15 +196,15 @@ TEST(VersionSnapshotTest, CleanSectionsAreSharedNotRewritten) {
   EXPECT_GT(clean_checked, 0u);
 }
 
-// A snapshot directory written in the previous format (WGM2 manifests over
-// intranode lists with a per-list id) must not open, because its pack
-// blobs decode differently.
+// A snapshot directory written in the previous format (WGM3 manifests,
+// whose resident state stored blob ids and the inverse permutation) must
+// not open: the embedded state parses differently.
 TEST(VersionSnapshotTest, PreviousFormatManifestRejected) {
   std::string dir = TempDirFor("previous_format");
   ASSERT_TRUE(SnapshotManager::Create(dir, TestGraph(600), {}).ok());
   auto file = RandomAccessFile::Open(dir + "/MANIFEST-000000");
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file.value()->Write(0, "WGM2", 4).ok());
+  ASSERT_TRUE(file.value()->Write(0, "WGM3", 4).ok());
   auto opened = SnapshotManager::Open(dir, {});
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
