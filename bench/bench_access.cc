@@ -42,8 +42,9 @@ constexpr int kPasses = 3;  // best-of to damp timer noise
 
 // --smoke fails the run when the S-Node cold/warm ratio exceeds this.
 // Deliberately generous: the healthy read path sits near 10x at smoke
-// size (machine noise included), the pre-mmap cliff sat at ~100x, and
-// the point is to catch reintroduced cliffs in CI, not to benchmark.
+// size (machine noise included), per-blob reads before whole-section
+// reads sat at ~100x, and the point is to catch reintroduced cliffs in
+// CI, not to benchmark.
 constexpr double kSmokeMaxColdWarmRatio = 50.0;
 
 // Lone-probe section: perfbench's serve-cold store size and cache budget.
@@ -237,9 +238,6 @@ int Main(bool smoke) {
   auto huffman = HuffmanRepr::Build(graph);
   auto link3 = UnwrapOrDie(Link3Repr::Build(graph, BenchDir() + "/acc_l3", {}));
   auto snode = UnwrapOrDie(SNodeRepr::Build(graph, BenchDir() + "/acc_sn", {}));
-  // Serve the store through the mmap read path (zero-copy span decode),
-  // like a production open with options.store.mmap would.
-  CheckOk(snode->MapStoreForRead());
   auto relational =
       UnwrapOrDie(RelationalRepr::Build(graph, BenchDir() + "/acc_rel", {}));
   auto file = UnwrapOrDie(

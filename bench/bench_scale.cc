@@ -2,11 +2,11 @@
 // crawls from 1M to 10M pages -- 10-100x past the 1:1000 paper-scale
 // sweeps, approaching the paper's own 25M low end -- and measures the
 // cursor read path cold (store dropped to true cold state, every section
-// decoded + assembled on demand through the mmap read path) and warm
-// (assembled blocks cache-resident) at each size. Resident memory stays
-// bounded: the crawl is freed once the store is built, reads go through
-// the mapped store (page-cache-backed, not heap), and the decoded-graph
-// cache runs under a fixed budget independent of graph size.
+// read with one pread, CRC-checked, decoded and assembled on demand) and
+// warm (assembled blocks cache-resident) at each size. Resident memory
+// stays bounded: the crawl is freed once the store is built, a section
+// read lives only until it is decoded, and the decoded-graph cache runs
+// under a fixed budget independent of graph size.
 //
 // A second sweep measures the out-of-core build (snode/streaming_build.h):
 // each build runs in a re-exec'd child (fork + exec of this binary with a
@@ -126,7 +126,7 @@ ScaleRow MeasureSize(size_t pages) {
   {
     // Scoped so the in-memory crawl is freed before any measurement:
     // past this block the process holds only the resident S-Node
-    // structures, the mapped store, and the bounded cache.
+    // structures and the bounded cache.
     GeneratorOptions gopts;
     gopts.num_pages = pages;
     gopts.seed = kSeed;
@@ -135,7 +135,6 @@ ScaleRow MeasureSize(size_t pages) {
     repr = UnwrapOrDie(SNodeRepr::Build(graph, base, bopts));
     row.build_seconds = build_timer.Seconds();
   }
-  CheckOk(repr->MapStoreForRead());
   row.edges = repr->num_edges();
   row.bits_per_edge = repr->BitsPerEdge();
   row.store_bytes = repr->store().total_bytes();
@@ -516,7 +515,7 @@ int Main(int argc, char** argv) {
   std::vector<ScaleRow> rows;
   if (!sizes.empty()) {
     PrintHeader("S-Node read path at scale (1M-10M pages)");
-    std::printf("cache budget %zu MiB, mmap read path, cold = store dropped "
+    std::printf("cache budget %zu MiB, pread read path, cold = store dropped "
                 "to cold state, best of %d cold, %d warm passes\n\n",
                 kCacheBudget >> 20, kColdPasses, kWarmPasses);
     std::printf("%9s %12s %10s %10s %8s %8s %9s %9s %10s\n", "pages", "edges",
@@ -527,14 +526,15 @@ int Main(int argc, char** argv) {
       PrintRow(rows.back());
     }
     const ScaleRow& largest = rows.back();
-    // Gate the return of the cold-read cliff (pre-mmap this ratio was
-    // ~100x), not run-to-run drift: container IO speed moves both cold
-    // and warm between runs, and measured ratios at these sizes range
-    // ~3.9-6x, so the threshold sits just above that band.
+    // Gate the return of the cold-read cliff (per-blob reads, before
+    // whole-section reads, put this ratio at ~100x), not run-to-run
+    // drift: container IO speed moves both cold and warm between runs,
+    // and measured ratios at these sizes range ~3.9-6x, so the threshold
+    // sits just above that band.
     PrintShapeCheck(
         largest.Ratio() <= 6.0,
         "S-Node cold read within ~6x of warm at the largest swept size "
-        "(the pre-mmap read path sat at ~100x)");
+        "(per-blob reads sat at ~100x)");
   }
 
   std::vector<StreamingRow> stream_rows;

@@ -77,7 +77,6 @@ Result<std::unique_ptr<Server>> Server::OpenSnapshot(
   std::unique_ptr<Server> server(new Server(options));
   version::SnapshotOptions vopts;
   vopts.build = StoreOptions(options);
-  vopts.store.mmap = options.mmap;
   // Serving tier: never install a generation whose pack bytes don't
   // match their manifest CRCs; keep serving the last good one instead.
   vopts.verify_before_install = true;
@@ -373,13 +372,9 @@ obs::AdminResponse Server::Healthz() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\nquarantined_sections: %zu\n"
-                "checksum_failures: %llu\n"
-                "sigbus_faults: %llu\n"
-                "mmap_fallbacks: %llu\n",
+                "checksum_failures: %llu\n",
                 ServingRepr()->QuarantinedSectionCount(),
-                static_cast<unsigned long long>(integrity.checksum_failures),
-                static_cast<unsigned long long>(integrity.sigbus_faults),
-                static_cast<unsigned long long>(integrity.mmap_fallbacks));
+                static_cast<unsigned long long>(integrity.checksum_failures));
   body += buf;
   if (degraded) response.status = 503;
   return response;

@@ -67,8 +67,8 @@ std::vector<uint8_t> EncodeIntranode(
 
 // num_pages is supplied by the caller (the section's page range); a blob
 // whose header disagrees is Corruption before anything is allocated. The
-// span form borrows `data` only for the duration of the call (used by the
-// mmap read path to decode straight out of the mapped store file).
+// span form borrows `data` only for the duration of the call (the store
+// read path decodes straight out of its scratch buffer).
 Status DecodeIntranode(const uint8_t* data, size_t size, uint32_t num_pages,
                        IntranodeGraph* out);
 

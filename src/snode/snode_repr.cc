@@ -359,7 +359,7 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::Open(
                       SNodeResidentState::Parse(&cursor));
   WG_ASSIGN_OR_RETURN(
       std::unique_ptr<GraphStore> store,
-      GraphStore::OpenExisting(base_path, options.store, &cursor));
+      GraphStore::OpenExisting(base_path, &cursor));
   return FromParts(std::move(state), std::move(store), base_path, options);
 }
 
@@ -489,8 +489,6 @@ void SNodeRepr::MaybeDecodeAhead(uint32_t supernode) {
   }
 }
 
-Status SNodeRepr::MapStoreForRead() { return store_->MapForRead(); }
-
 void SNodeRepr::DropToColdState() {
   cache_->Clear();
   store_->EvictFromPageCache();
@@ -534,21 +532,18 @@ Status SNodeRepr::ReadSectionBlobs(uint32_t supernode, uint32_t first,
   std::vector<GraphStore::BlobSpan> blobs;
   Status status;
   {
-    // One disk arm (the paper's testbed): physical reads queue on
-    // io_mutex_, which also guards the seek/transfer counters the disk
-    // model is charged from. A pread store is waited for before the
-    // storage span opens, so queueing for the disk shows as cache time and
-    // the span times the read itself. A mapped store takes the lock only if
-    // a file falls back to pread, so zero-copy reads leave the disk model
-    // flat. Decoding below never holds it.
-    std::unique_lock<std::mutex> io_lock(io_mutex_, std::defer_lock);
-    if (!store_->mapped()) io_lock.lock();
+    // One disk arm (the paper's testbed): store reads queue on io_mutex_,
+    // which also guards the seek/transfer counters the disk model is
+    // charged from. The disk is waited for before the storage span opens,
+    // so queueing for it shows as cache time and the span times the read
+    // itself. Decoding below never holds it.
+    std::lock_guard<std::mutex> io_lock(io_mutex_);
     {
       obs::Span read_span("store.read_section", "storage");
       read_span.AddArg("blobs", last - first + 1);
-      status = store_->ReadBlobs(first, last, &scratch, &blobs, &io_lock);
+      status = store_->ReadBlobs(first, last, &scratch, &blobs);
     }
-    if (status.ok() && io_lock.owns_lock()) {
+    if (status.ok()) {
       ++stats_.disk_reads;
       disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
                            &stats_);
@@ -1020,6 +1015,9 @@ Status SNodeRepr::VisitLinksInto(
   span.AddArg("sources", sources.size());
   span.AddArg("targets", targets.size());
   for (PageId t : targets) {
+    // No page links to an id past the last page, so such a target matches
+    // nothing, as in the default implementation.
+    if (t >= new_of_orig_.size()) continue;
     PageId nid = new_of_orig_[t];
     uint32_t s = supernodes_.SupernodeOf(nid);
     allowed[s].push_back(nid - supernodes_.page_start[s]);

@@ -34,10 +34,9 @@
 //
 // One read path: every byte this repr reads from the store goes through
 // ReadSectionBlobs, whether for a lone probe, a section prefetch, or a
-// supernode assembly. The store (storage/graph_store.h)
-// owns where bytes come from: mapping or pread, the fallback between
-// them, and CRC verification. ReadSectionBlobs owns what a read means
-// here: the quarantined-section check and quarantine on corruption,
+// supernode assembly. The store (storage/graph_store.h) owns the pread
+// and the CRC check of every blob. ReadSectionBlobs owns what a read
+// means here: the quarantined-section check and quarantine on corruption,
 // io_mutex_ with the disk-model charge, the storage trace span, and every
 // load counter (disk_reads, bytes_read, graphs_loaded, cache_misses,
 // wg_cold_* by source).
@@ -69,9 +68,7 @@ struct SNodeBuildOptions {
   // Locality decode-ahead: when a cursor takes a cold miss into a
   // supernode section, a background executor decodes the next N sections
   // in layout order (= LocalityKey order, the order a sweep will want
-  // them) into the cache. 0 disables. Requires nothing of the store mode;
-  // with options.store.mmap it also opens madvise readahead windows ahead
-  // of the faulting reader.
+  // them) into the cache. 0 disables.
   int decode_ahead_sections = 0;
 };
 
@@ -182,8 +179,8 @@ class SNodeRepr : public GraphRepresentation {
 
   // Attaches to a representation previously built at `base_path` and
   // persisted with SaveMeta. Only runtime options (buffer budget,
-  // decode-ahead, mmap) from `options` apply; the encoded data is taken
-  // from disk. A missing `.meta` is NotFound.
+  // decode-ahead) from `options` apply; the encoded data is taken from
+  // disk. A missing `.meta` is NotFound.
   static Result<std::unique_ptr<SNodeRepr>> Open(
       const std::string& base_path, const SNodeBuildOptions& options);
 
@@ -222,11 +219,6 @@ class SNodeRepr : public GraphRepresentation {
 
   const SupernodeGraph& supernode_graph() const { return supernodes_; }
   const GraphStore& store() const { return *store_; }
-
-  // Memory-maps the store files in place (a store produced by Build can
-  // be mapped once the last Append is done; Open/FromParts map up front
-  // when options.store.mmap is set). Idempotent.
-  Status MapStoreForRead();
 
   // Best-effort page-cache eviction of the store files plus a cache
   // clear: the true cold state a first query after process start sees.
@@ -398,9 +390,9 @@ class SNodeRepr : public GraphRepresentation {
   // worker reads; the destructor stops it before members die.
   std::unique_ptr<PrefetchExecutor> decode_ahead_;
 
-  // Serializes physical store reads and the monotone disk-model tracker
-  // (the paper's testbed has one disk; concurrent readers queue on it).
-  // Taken only in ReadSectionBlobs.
+  // Serializes every store read and the monotone disk-model tracker (the
+  // paper's testbed has one disk; concurrent readers queue on it). Taken
+  // only in ReadSectionBlobs.
   mutable std::mutex io_mutex_;
   DiskCounterTracker disk_tracker_;
 

@@ -13,12 +13,10 @@
 // without touching any call site.
 //
 // Design note: this is a hook layer on the concrete RandomAccessFile
-// rather than a LevelDB-style virtual Env/File hierarchy because the hot
-// read path is a memory *mapping* -- no wrapper object sits between the
-// decoder and the mapped bytes, so a vtable wrapper could never intercept
-// those reads anyway. Mapped-path fault injection is instead exercised by
-// corrupting or truncating the files themselves (the bit-flip fuzz and
-// SIGBUS tests); the hooks cover everything that goes through a syscall.
+// rather than a LevelDB-style virtual Env/File hierarchy. Every store
+// read is a pread through RandomAccessFile::Read, so one hook per syscall
+// already sees every byte read, written, synced, renamed or removed; a
+// vtable wrapper per file would add nothing the hooks cannot do.
 
 namespace wg {
 

@@ -3,43 +3,15 @@
 #include "storage/env.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 namespace wg {
-
-namespace {
-
-// System page size, fetched once (madvise wants page-aligned addresses).
-uint64_t PageSize() {
-  static const uint64_t size = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
-  return size;
-}
-
-int NativeAdvice(RandomAccessFile::Advice advice) {
-  switch (advice) {
-    case RandomAccessFile::Advice::kWillNeed:
-      return MADV_WILLNEED;
-    case RandomAccessFile::Advice::kSequential:
-      return MADV_SEQUENTIAL;
-    case RandomAccessFile::Advice::kRandom:
-      return MADV_RANDOM;
-    case RandomAccessFile::Advice::kDontNeed:
-      return MADV_DONTNEED;
-    case RandomAccessFile::Advice::kNormal:
-      break;
-  }
-  return MADV_NORMAL;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<RandomAccessFile>> RandomAccessFile::Open(
     const std::string& path) {
@@ -70,45 +42,10 @@ Result<std::unique_ptr<RandomAccessFile>> RandomAccessFile::OpenWithFlags(
 }
 
 RandomAccessFile::~RandomAccessFile() {
-  if (mapped_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(mapped_), mapped_size_);
-  }
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<uint64_t> RandomAccessFile::CurrentSize() const {
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) {
-    return Status::IOError("fstat " + path_ + ": " + std::strerror(errno));
-  }
-  return static_cast<uint64_t>(st.st_size);
-}
-
-Status RandomAccessFile::MapReadOnly() {
-  if (mapped_ != nullptr || size_ == 0) return Status::OK();
-  void* addr = ::mmap(nullptr, size_, PROT_READ, MAP_SHARED, fd_, 0);
-  if (addr == MAP_FAILED) {
-    return Status::IOError("mmap " + path_ + ": " + std::strerror(errno));
-  }
-  mapped_ = static_cast<const uint8_t*>(addr);
-  mapped_size_ = size_;
-  return Status::OK();
-}
-
-void RandomAccessFile::Advise(uint64_t offset, uint64_t length,
-                              Advice advice) const {
-  if (mapped_ == nullptr || offset >= mapped_size_) return;
-  length = std::min(length, mapped_size_ - offset);
-  // madvise wants a page-aligned start; widen left to the page boundary.
-  uint64_t aligned = offset & ~(PageSize() - 1);
-  ::madvise(const_cast<uint8_t*>(mapped_) + aligned,
-            length + (offset - aligned), NativeAdvice(advice));
-}
-
 void RandomAccessFile::EvictFromPageCache() const {
-  if (mapped_ != nullptr) {
-    ::madvise(const_cast<uint8_t*>(mapped_), mapped_size_, MADV_DONTNEED);
-  }
   if (fd_ >= 0) ::posix_fadvise(fd_, 0, 0, POSIX_FADV_DONTNEED);
 }
 
@@ -144,9 +81,6 @@ Status RandomAccessFile::Read(uint64_t offset, size_t n, char* scratch) const {
 }
 
 Status RandomAccessFile::Write(uint64_t offset, const char* data, size_t n) {
-  if (mapped_ != nullptr) {
-    return Status::InvalidArgument("write to mmapped file " + path_);
-  }
   Env* env = Env::Current();
   size_t allowed = n;
   Status injected = env->OnWrite(path_, offset, n, &allowed);

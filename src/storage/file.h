@@ -13,12 +13,6 @@
 // (open/read/write/sync/rename/dir-sync/remove) consults the installed
 // Env (storage/env.h), which lets tests inject disk faults and power cuts
 // without touching call sites.
-//
-// A file can additionally be memory-mapped read-only (MapReadOnly): reads
-// then become pointer arithmetic into the page-cache-backed mapping, and
-// Advise() exposes madvise so callers can open readahead windows
-// (kWillNeed/kSequential) or drop residency (kDontNeed, the cold-read
-// benchmark's page-cache eviction).
 
 namespace wg {
 
@@ -49,38 +43,12 @@ class RandomAccessFile {
 
   Status Sync();
 
-  // Memory-maps the current extent of the file read-only. Writes through
-  // this object after mapping are rejected (the mapping would go stale).
-  // Safe to call on an empty file (mapped() stays false, data() null).
-  // Idempotent.
-  Status MapReadOnly();
-
-  bool mapped() const { return mapped_ != nullptr; }
-  // Base of the read-only mapping (nullptr when not mapped). Valid for
-  // [0, mapped_size()) until the file object is destroyed.
-  const uint8_t* mapped_data() const { return mapped_; }
-  uint64_t mapped_size() const { return mapped_size_; }
-
-  enum class Advice { kNormal, kWillNeed, kSequential, kRandom, kDontNeed };
-
-  // madvise on the mapped range [offset, offset+length) (clamped and
-  // page-aligned internally). No-op when not mapped; advisory only, so
-  // failures are swallowed.
-  void Advise(uint64_t offset, uint64_t length, Advice advice) const;
-
   // Asks the kernel to drop this file's page-cache residency (fadvise
-  // DONTNEED, plus madvise DONTNEED on the mapping when mapped). Used by
-  // cold-read benchmarks; advisory, so best-effort.
+  // DONTNEED). Used by cold-read benchmarks; advisory, so best-effort.
   void EvictFromPageCache() const;
 
   uint64_t size() const { return size_; }
   const std::string& path() const { return path_; }
-
-  // The file's size on disk right now (fstat), as opposed to size() which
-  // tracks the extent recorded at open plus our own writes. The two
-  // disagree when another process (or a bad disk) truncated the file
-  // behind our back -- exactly what mmap validation must catch.
-  Result<uint64_t> CurrentSize() const;
 
   uint64_t read_ops() const { return read_ops_; }
   uint64_t write_ops() const { return write_ops_; }
@@ -108,8 +76,6 @@ class RandomAccessFile {
   std::string path_;
   int fd_;
   uint64_t size_;
-  const uint8_t* mapped_ = nullptr;
-  uint64_t mapped_size_ = 0;
   mutable uint64_t read_ops_ = 0;
   uint64_t write_ops_ = 0;
   mutable uint64_t bytes_read_ = 0;

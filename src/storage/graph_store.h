@@ -1,10 +1,8 @@
 #ifndef WG_STORAGE_GRAPH_STORE_H_
 #define WG_STORAGE_GRAPH_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -24,12 +22,12 @@
 // charged to the representation's resident-index budget, like the paper's
 // PageID/domain indexes.
 //
-// Every read goes through ReadBlobs. The store alone decides, per file,
-// whether bytes come from the mapping or from pread. It verifies every
-// blob's CRC and demotes a file that faults to pread. Callers get spans
-// and never see the fallback. What a read means above this layer belongs
-// to SNodeRepr::ReadSectionBlobs (snode/snode_repr.h): section quarantine,
-// the disk-model lock and the load counters.
+// Every read goes through ReadBlobs: one pread per run of back-to-back
+// blobs, every non-empty blob CRC-checked on every read, every byte
+// through the Env fault seam (storage/env.h) and the disk model
+// (RandomAccessFile's seek/transfer counters). What a read means above
+// this layer belongs to SNodeRepr::ReadSectionBlobs (snode/snode_repr.h):
+// section quarantine, the disk-model lock and the load counters.
 
 namespace wg {
 
@@ -41,11 +39,6 @@ class GraphStore {
     // pages the default produces thousands of files -- raise it (wgtool
     // build --max-file-size). Only Create reads it.
     uint64_t max_file_size = 512 * 1024;
-    // Memory-map the store files on attach (OpenExisting/OpenFiles) so
-    // blob reads are page-cache-backed pointer arithmetic instead of a
-    // pread per blob. Ignored by Create (a store being appended cannot be
-    // mapped); call MapForRead() once writing is done.
-    bool mmap = false;
   };
 
   // Physical home of one blob, exposed so the version subsystem's
@@ -73,7 +66,7 @@ class GraphStore {
   // corrupt the serialized directory of any other reader and is
   // rejected).
   static Result<std::unique_ptr<GraphStore>> OpenExisting(
-      const std::string& base_path, Options options, SerialCursor* cursor);
+      const std::string& base_path, SerialCursor* cursor);
 
   // Read-only store over an explicit set of files with an explicit
   // directory: blob i lives at directory[i] inside paths[file_index].
@@ -86,7 +79,7 @@ class GraphStore {
   // generation first wrote them.
   static Result<std::unique_ptr<GraphStore>> OpenFiles(
       const std::vector<std::string>& paths,
-      std::vector<BlobLocation> directory, Options options);
+      std::vector<BlobLocation> directory);
 
   // Appends the blob directory to *payload (varints), for the owner's
   // metadata file.
@@ -96,58 +89,30 @@ class GraphStore {
   // Rejected on a store attached via OpenExisting.
   Result<uint32_t> Append(const std::vector<uint8_t>& blob);
 
-  // A borrowed view of one blob's bytes: into a mapped store file (valid
-  // for the life of the store) or into a caller's scratch buffer (valid
-  // until that buffer changes). data is never null for length > 0.
+  // A borrowed view of one blob's bytes in the caller's scratch buffer
+  // (valid until that buffer changes). data is never null for length > 0.
   struct BlobSpan {
     const uint8_t* data = nullptr;
     uint32_t length = 0;
   };
 
   // The store's one read path: points (*out)[i] at blob first+i for every
-  // blob in [first, last], CRC-verified.
-  //  * A blob in a mapped file is served zero-copy from the mapping. It is
-  //    verified on its first touch (the verdict is cached per blob) and
-  //    covered by a readahead window.
-  //  * Any other run of blobs laid out back to back in one file is read
-  //    with one pread into *scratch and verified on every read: an
-  //    unmapped store, a file quarantined to pread, or a file that
-  //    SIGBUSes under the first touch (quarantined on the spot).
-  // Callers never see Unavailable. When `pread_lock` is given and not yet
-  // held, it is locked before the first pread and left locked on return,
-  // so a caller can serialize physical reads and read the disk-model
-  // counters under the same lock.
+  // blob in [first, last]. Each run of blobs laid out back to back in one
+  // file is read with one pread into *scratch, which holds the blobs'
+  // bytes in id order and nothing else, and every non-empty blob is
+  // CRC-verified on every read (Corruption on a mismatch). Not
+  // thread-safe: concurrent readers serialize on their own lock
+  // (SNodeRepr's io_mutex_), which also guards the disk-model counters
+  // every read bumps.
   Status ReadBlobs(uint32_t first, uint32_t last,
-                   std::vector<uint8_t>* scratch, std::vector<BlobSpan>* out,
-                   std::unique_lock<std::mutex>* pread_lock = nullptr) const;
+                   std::vector<uint8_t>* scratch,
+                   std::vector<BlobSpan>* out) const;
 
-  // Copies blob `id` into *out (ReadBlobs of one blob).
+  // Reads blob `id` into *out (ReadBlobs of one blob).
   Status ReadBlob(uint32_t id, std::vector<uint8_t>* out) const;
 
-  // True once MapForRead() ran. Individual files may still be demoted to
-  // pread (see FileQuarantined); ReadBlobs routes around them.
-  bool mapped() const { return mapped_; }
-
-  // Maps all files read-only. Valid on any store that is done being
-  // written (OpenExisting/OpenFiles attach, or a Create store after its
-  // last Append); appending afterwards is rejected. A file whose on-disk
-  // size is shorter than the directory-recorded blob extents (truncated
-  // behind our back) is not mapped: it is quarantined to the pread path
-  // instead of serving out-of-bounds spans, and wg_integrity_mmap_fallbacks
-  // is bumped. MapForRead itself only fails on invariant violations, not
-  // on per-file fallbacks.
-  Status MapForRead();
-
-  // True when `file_index` is served by pread only: its mapping was
-  // refused at MapForRead (short file) or revoked after a SIGBUS.
-  bool FileQuarantined(uint32_t file_index) const {
-    return quarantined_[file_index]->load(std::memory_order_acquire);
-  }
-  // Demotes a file to the pread path (idempotent).
-  void QuarantineFile(uint32_t file_index) const;
-
-  // pread-based CRC verification of one blob, bypassing any mapping (the
-  // scrub path). OK for empty blobs.
+  // CRC verification of one blob that leaves the integrity counters alone
+  // (the scrub path). OK for empty blobs.
   Status VerifyBlob(uint32_t id) const;
 
   // fsyncs every store file. Writers must call this before publishing a
@@ -195,11 +160,6 @@ class GraphStore {
       : base_path_(std::move(base_path)), options_(options) {}
 
   Status OpenNextFile();
-  void AddFileSlot();
-  // Mapped-read first-touch verification; returns OK when the blob's crc
-  // checked out (or already did), Corruption on mismatch, Unavailable
-  // after a SIGBUS (file quarantined). Requires mapped().
-  Status EnsureMappedBlobVerified(uint32_t id, const BlobRef& ref) const;
 
   std::string base_path_;
   Options options_;
@@ -207,16 +167,6 @@ class GraphStore {
   std::vector<BlobRef> directory_;
   uint64_t total_bytes_ = 0;
   bool read_only_ = false;
-  bool mapped_ = false;
-  // Last readahead window opened per file (one word per file, relaxed:
-  // duplicate WILLNEEDs are harmless, missing one costs a demand fault).
-  mutable std::vector<std::unique_ptr<std::atomic<uint64_t>>> readahead_edge_;
-  // Per-file pread-only demotion flags (parallel to files_).
-  mutable std::vector<std::unique_ptr<std::atomic<bool>>> quarantined_;
-  // Per-blob first-touch verification verdicts for the mapped path, one
-  // bit each; allocated by MapForRead. ok/bad are mutually exclusive.
-  mutable std::unique_ptr<std::atomic<uint64_t>[]> verified_ok_;
-  mutable std::unique_ptr<std::atomic<uint64_t>[]> verified_bad_;
 };
 
 }  // namespace wg

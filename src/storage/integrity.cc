@@ -9,10 +9,6 @@ IntegrityCounters& IntegrityCounters::Get() {
     c->checksum_failures.Bind(
         reg, "wg_integrity_checksum_failures_total", {},
         "Blob reads that failed CRC verification");
-    c->sigbus_faults.Bind(reg, "wg_integrity_sigbus_total", {},
-                          "SIGBUS faults caught on mapped blob reads");
-    c->mmap_fallbacks.Bind(reg, "wg_integrity_mmap_fallbacks_total", {},
-                           "Store files demoted from mmap to pread");
     c->quarantined_sections.Bind(reg, "wg_integrity_quarantined_sections", {},
                                  "S-Node sections quarantined after corruption");
     return c;

@@ -11,14 +11,8 @@
 namespace wg {
 
 struct IntegrityCounters {
-  // Blob bytes that failed CRC verification (pread or mapped first touch).
+  // Blob reads that failed CRC verification.
   obs::Counter checksum_failures;
-  // SIGBUS faults caught while touching a mapped blob (file truncated or
-  // lost sectors behind our back); each one quarantines the file to pread.
-  obs::Counter sigbus_faults;
-  // Store files that could not be served from a mapping (short file vs
-  // directory extents, failed mmap, SIGBUS) and were demoted to pread.
-  obs::Counter mmap_fallbacks;
   // S-Node sections quarantined after a corrupt blob (requests touching
   // them fail fast with Unavailable until the store is repaired).
   obs::Counter quarantined_sections;

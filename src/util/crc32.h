@@ -8,7 +8,9 @@
 // subsystem's delta log use it to detect torn or corrupted records after a
 // crash: unlike the xor-rotate SerialChecksum, a CRC catches burst errors
 // and any single torn write inside a frame, which is exactly the failure
-// mode of an append-only log cut mid-record.
+// mode of an append-only log cut mid-record. The graph store checks every
+// blob it reads with it, so it is computed slicing-by-8: eight table
+// lookups per eight input bytes, the same values as the bytewise table.
 
 namespace wg {
 

@@ -80,7 +80,7 @@ Result<Manifest> Manifest::ReadFrom(const std::string& path) {
 }
 
 Result<std::unique_ptr<GraphStore>> Manifest::OpenStore(
-    const std::string& dir, const GraphStore::Options& options) const {
+    const std::string& dir) const {
   // Store file index of each referenced manifest file, in manifest order.
   std::vector<uint32_t> store_index(files.size(), UINT32_MAX);
   for (const ManifestBlob& b : blobs) store_index[b.file_index] = 0;
@@ -95,7 +95,7 @@ Result<std::unique_ptr<GraphStore>> Manifest::OpenStore(
   for (const ManifestBlob& b : blobs) {
     directory.push_back({store_index[b.file_index], b.offset, b.length, b.crc});
   }
-  return GraphStore::OpenFiles(paths, std::move(directory), options);
+  return GraphStore::OpenFiles(paths, std::move(directory));
 }
 
 Result<SNodeResidentState> Manifest::ParseResident() const {

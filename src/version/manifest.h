@@ -61,10 +61,8 @@ struct Manifest {
   // snapshot directory the file names are relative to. Only the packs
   // some blob references are opened, so a pack gc removed while this
   // manifest still lists it is never looked for; the store's file indices
-  // therefore need not match `files`. `options` controls the read path
-  // (mmap); max_file_size is ignored for a read-only open.
-  Result<std::unique_ptr<GraphStore>> OpenStore(
-      const std::string& dir, const GraphStore::Options& options) const;
+  // therefore need not match `files`.
+  Result<std::unique_ptr<GraphStore>> OpenStore(const std::string& dir) const;
 
   Result<SNodeResidentState> ParseResident() const;
 };

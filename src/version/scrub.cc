@@ -47,9 +47,8 @@ Status ScrubStore(const GraphStore& store, ScrubReport* report) {
 }
 
 Status ScrubSNodeStore(const std::string& base_path, ScrubReport* report) {
-  // Open resident-state-only (no mmap, no cache warm): the meta parse
-  // itself validates the frame CRC and blob pointers before we ever pread
-  // a pack.
+  // Opening reads only the `.meta`: its parse validates the frame CRC and
+  // the resident shape before any pack is pread.
   WG_ASSIGN_OR_RETURN(std::unique_ptr<SNodeRepr> repr,
                       SNodeRepr::Open(base_path, {}));
   return ScrubStore(repr->store(), report);
@@ -59,7 +58,7 @@ Status ScrubSnapshotDir(const std::string& dir, ScrubReport* report) {
   WG_ASSIGN_OR_RETURN(std::string name, ReadCurrentName(dir));
   WG_ASSIGN_OR_RETURN(Manifest manifest, Manifest::ReadFrom(dir + "/" + name));
   WG_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
-                      manifest.OpenStore(dir, {}));
+                      manifest.OpenStore(dir));
   return ScrubStore(*store, report);
 }
 

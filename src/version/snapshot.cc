@@ -134,7 +134,7 @@ Result<GenerationPtr> SnapshotManager::LoadGeneration(
                       Manifest::ReadFrom(dir_ + "/" + manifest_name));
   WG_ASSIGN_OR_RETURN(SNodeResidentState state, manifest.ParseResident());
   WG_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
-                      manifest.OpenStore(dir_, options_.store));
+                      manifest.OpenStore(dir_));
   if (options_.verify_before_install) {
     for (uint32_t id = 0; id < store->num_blobs(); ++id) {
       WG_RETURN_IF_ERROR(store->VerifyBlob(id));

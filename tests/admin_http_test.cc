@@ -2,8 +2,9 @@
 // (in-process: dispatch, parsing, bounded worker pool, introspection
 // endpoints), the SIGPROF sampling profiler, and an end-to-end smoke that
 // boots the wgserve binary with --admin-port 0 and scrapes it like a
-// monitoring system would. Carries the `obs` and `concurrency` ctest
-// labels; the TSan sweep runs the in-process parts under the sanitizer.
+// monitoring system would, plus smokes of both tools' flag parsing.
+// Carries the `obs` and `concurrency` ctest labels; the TSan sweep runs
+// the in-process parts under the sanitizer.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -30,6 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "test_temp_dir.h"
 
 namespace wg::obs {
 namespace {
@@ -493,12 +495,13 @@ TEST(WgserveSmokeTest, AdminPlaneServesUnderLoad) {
   EXPECT_FALSE(profile.body.empty());
 }
 
-// Runs wgserve with `args` to completion, output discarded; returns its
+// Runs `binary` with `args` to completion, output discarded; returns its
 // exit status (-1 when it did not exit normally) and, if `child` is set,
 // stores the child's pid there.
-int RunServe(const std::vector<std::string>& args, pid_t* child = nullptr) {
+int RunBinary(const char* binary, const std::vector<std::string>& args,
+              pid_t* child = nullptr) {
   std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(WGSERVE_BIN_PATH));
+  argv.push_back(const_cast<char*>(binary));
   for (const std::string& arg : args) {
     argv.push_back(const_cast<char*>(arg.c_str()));
   }
@@ -509,7 +512,7 @@ int RunServe(const std::vector<std::string>& args, pid_t* child = nullptr) {
     int null_fd = ::open("/dev/null", O_WRONLY);
     ::dup2(null_fd, STDOUT_FILENO);
     ::dup2(null_fd, STDERR_FILENO);
-    ::execv(WGSERVE_BIN_PATH, argv.data());
+    ::execv(binary, argv.data());
     _exit(127);
   }
   if (child != nullptr) *child = pid;
@@ -518,11 +521,23 @@ int RunServe(const std::vector<std::string>& args, pid_t* child = nullptr) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+int RunServe(const std::vector<std::string>& args, pid_t* child = nullptr) {
+  return RunBinary(WGSERVE_BIN_PATH, args, child);
+}
+
 TEST(WgserveSmokeTest, BadNumericFlagsExitWithUsage) {
   // Garbage and out-of-range values both exit 2 before any store is
   // built -- not a silent 0 from an unchecked strtoul.
   EXPECT_EQ(2, RunServe({"--pages", "400", "--workers", "abc"}));
   EXPECT_EQ(2, RunServe({"--pages", "400", "--admin-port", "70000"}));
+  // So does any argument no flag reads: a removed flag is refused, not
+  // silently ignored.
+  EXPECT_EQ(2, RunServe({"--pages", "400", "--requests", "100", "--mmap"}));
+  EXPECT_EQ(2, RunServe({"--pages", "400", "--requests", "100",
+                         "--bogus-flag"}));
+  // And a flag missing its value.
+  EXPECT_EQ(2, RunServe({"--pages", "400", "--requests", "100",
+                         "--admin-port"}));
 }
 
 TEST(WgserveSmokeTest, LocalBuildRemovesItsStoreDirectory) {
@@ -533,6 +548,37 @@ TEST(WgserveSmokeTest, LocalBuildRemovesItsStoreDirectory) {
   ASSERT_GT(child, 0);
   EXPECT_FALSE(std::filesystem::exists(ServeStoreDir(child)));
 }
+
+#ifdef WGTOOL_BIN_PATH
+
+int RunTool(const std::vector<std::string>& args) {
+  return RunBinary(WGTOOL_BIN_PATH, args);
+}
+
+TEST(WgtoolSmokeTest, BadNumericArgumentsExitWithUsage) {
+  const std::string dir = test::TempDirFor("wgtool");
+  const std::string crawl = dir + "/g.wgg";
+  // Not a number, and past the largest page count: exit 2, write nothing.
+  // So does an argument the subcommand does not take.
+  EXPECT_EQ(2, RunTool({"generate", "--pages", "abc", "--out", crawl}));
+  EXPECT_EQ(2, RunTool({"generate", "--pages", "5000000000", "--out", crawl}));
+  EXPECT_EQ(2, RunTool({"generate", "--pages", "2000", "--out", crawl,
+                        "--bogus", "1"}));
+  EXPECT_FALSE(std::filesystem::exists(crawl));
+
+  ASSERT_EQ(0, RunTool({"generate", "--pages", "2000", "--out", crawl}));
+  const std::string store = dir + "/sn";
+  EXPECT_EQ(2, RunTool({"build", crawl, "--store", store, "--thread", "1"}));
+  EXPECT_FALSE(std::filesystem::exists(store + ".meta"));
+  ASSERT_EQ(0, RunTool({"build", crawl, "--store", store, "--threads", "1"}));
+  EXPECT_EQ(2, RunTool({"info", store, "extra"}));
+  EXPECT_EQ(0, RunTool({"links", store, "12"}));
+  EXPECT_EQ(2, RunTool({"links", store, "12abc"}));
+  EXPECT_EQ(0, RunTool({"pagerank", store, "--top", "3"}));
+  EXPECT_EQ(2, RunTool({"pagerank", store, "--top", "-3"}));
+}
+
+#endif  // WGTOOL_BIN_PATH
 
 #endif  // WGSERVE_BIN_PATH
 

@@ -6,10 +6,10 @@
 //    Corruption instead of decoded garbage. Bytes outside every live blob
 //    (there should be none in an append-only pack) must leave a full
 //    scrub clean.
-//  * In mapped mode the first touch of a corrupt blob is caught by the
-//    verify-at-first-touch CRC, the owning S-Node section is quarantined
-//    (later reads fail fast with Unavailable, other sections keep
-//    serving), and the process never decodes the bad bytes.
+//  * A cursor read of a corrupt blob fails its CRC check with
+//    Corruption, the owning S-Node section is quarantined (later reads
+//    fail fast with Unavailable, other sections keep serving), and the
+//    process never decodes the bad bytes.
 //  * Injected transient EIO on pread surfaces as a clean IOError from the
 //    cursor with no cache pins leaked, and the same read succeeds once
 //    the fault is lifted -- EIO must not quarantine.
@@ -135,7 +135,7 @@ TEST(BitflipFuzzTest, EveryFlippedByteIsDetectedOrOutsideLiveBlobs) {
 }
 
 TEST(BitflipFuzzTest, MappedCorruptionQuarantinesOnlyItsSection) {
-  std::string base = TempBase("mapped");
+  std::string base = TempBase("quarantine");
   WebGraph graph = SmallGraph();
   {
     auto built = SNodeRepr::Build(graph, base, {});
@@ -147,8 +147,8 @@ TEST(BitflipFuzzTest, MappedCorruptionQuarantinesOnlyItsSection) {
   const SupernodeGraph& sg = repr.value()->supernode_graph();
   ASSERT_GE(sg.num_supernodes(), 2u) << "need a healthy section to compare";
 
-  // Corrupt the first nonempty intranode blob BEFORE mapping, so the
-  // first touch runs the verify.
+  // Corrupt the first nonempty intranode blob under the open store; its
+  // section's first read must catch it.
   uint32_t victim_blob = UINT32_MAX;
   for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
     if (repr.value()->store().blob_size(sg.FirstBlob(s)) > 0) {
@@ -159,7 +159,6 @@ TEST(BitflipFuzzTest, MappedCorruptionQuarantinesOnlyItsSection) {
   ASSERT_NE(victim_blob, UINT32_MAX);
   GraphStore::BlobLocation loc = repr.value()->store().Location(victim_blob);
   FlipByte(repr.value()->store().FilePath(loc.file_index), loc.offset);
-  ASSERT_TRUE(repr.value()->MapStoreForRead().ok());
 
   uint32_t victim_section = SectionOfBlob(sg, victim_blob);
   ASSERT_LT(victim_section, sg.num_supernodes());

@@ -115,10 +115,10 @@ TEST(CursorEquivalenceTest, SNodeMatchesGetLinks) {
   CheckScheme(repr.value().get());
 }
 
-// The mmap read path must be byte-identical to pread: the S-Node served
-// from a mapped store (decode-ahead on, so background decodes race the
-// sweep) has to agree with GetLinks warm, scattered, and cold again --
-// and edge-for-edge with every other scheme over the same crawl.
+// Decode-ahead must not change an answer: the S-Node with decode-ahead on
+// (so background decodes race the sweep) has to agree with GetLinks warm,
+// scattered, and cold again -- and edge-for-edge with every other scheme
+// over the same crawl.
 TEST(CursorEquivalenceTest, SNodeMmapMatchesGetLinksAndAllSchemes) {
   WebGraph g = TestGraph();
   SNodeBuildOptions bopts;
@@ -126,7 +126,6 @@ TEST(CursorEquivalenceTest, SNodeMmapMatchesGetLinksAndAllSchemes) {
   auto built = SNodeRepr::Build(g, TempPath("snmm"), bopts);
   ASSERT_TRUE(built.ok());
   SNodeRepr* snode = built.value().get();
-  ASSERT_TRUE(snode->MapStoreForRead().ok());
   CheckScheme(snode);
 
   auto huffman = HuffmanRepr::Build(g);
@@ -155,8 +154,8 @@ TEST(CursorEquivalenceTest, SNodeMmapMatchesGetLinksAndAllSchemes) {
   }
 }
 
-// Same contract through the persisted path: SaveMeta + Open with
-// options.store.mmap maps the files up front; reads must still match.
+// Same contract through the persisted path: SaveMeta, then Open with
+// decode-ahead on; reads must still match.
 TEST(CursorEquivalenceTest, SNodeMmapReopenMatchesGetLinks) {
   WebGraph g = TestGraph();
   std::string base = TempPath("snro");
@@ -166,7 +165,6 @@ TEST(CursorEquivalenceTest, SNodeMmapReopenMatchesGetLinks) {
     ASSERT_TRUE(built.value()->SaveMeta().ok());
   }
   SNodeBuildOptions ropts;
-  ropts.store.mmap = true;
   ropts.decode_ahead_sections = 2;
   auto reopened = SNodeRepr::Open(base, ropts);
   ASSERT_TRUE(reopened.ok());
@@ -249,16 +247,15 @@ TEST(CursorEquivalenceTest, SNodePinnedViewsSurviveEviction) {
   RunPinnedViewsSurviveEviction(built.value().get(), g);
 }
 
-// The same pin/eviction churn with the store memory-mapped and
-// decode-ahead racing the readers: views captured from mmap-decoded
-// sections must stay valid while the cache cycles underneath them.
+// The same pin/eviction churn with decode-ahead racing the readers: views
+// captured from sections the background worker decoded must stay valid
+// while the cache cycles underneath them.
 TEST(CursorEquivalenceTest, SNodePinnedViewsSurviveEvictionMmap) {
   WebGraph g = TestGraph();
   SNodeBuildOptions bopts;
   bopts.decode_ahead_sections = 2;
   auto built = SNodeRepr::Build(g, TempPath("snpm"), bopts);
   ASSERT_TRUE(built.ok());
-  ASSERT_TRUE(built.value()->MapStoreForRead().ok());
   RunPinnedViewsSurviveEviction(built.value().get(), g);
 }
 

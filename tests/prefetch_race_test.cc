@@ -74,7 +74,7 @@ TEST(PrefetchRaceTest, SubmitStormAndStopWithQueuedWork) {
   EXPECT_EQ(invocations.load(), executor->stats().completed);
 }
 
-// Decode-ahead on, mmap on, tiny budget: the background worker decodes
+// Decode-ahead on, tiny budget: the background worker decodes
 // sections into the cache while reader threads sweep in clashing orders
 // and the main thread keeps dropping the buffers. Every read must still
 // be ground-truth correct and no pin may leak.
@@ -86,7 +86,6 @@ TEST(PrefetchRaceTest, DecodeAheadVsReadersEvictionAndClears) {
   auto built = SNodeRepr::Build(g, TempPath("da"), bopts);
   ASSERT_TRUE(built.ok());
   SNodeRepr* repr = built.value().get();
-  ASSERT_TRUE(repr->MapStoreForRead().ok());
 
   constexpr int kReaders = 4;
   constexpr int kLaps = 3;
@@ -135,7 +134,6 @@ TEST(PrefetchRaceTest, DecodeAheadSurvivesGenerationFlips) {
   version::SnapshotOptions sopts;
   sopts.build.decode_ahead_sections = 4;
   sopts.build.buffer_bytes = 32 * 1024;
-  sopts.store.mmap = true;
   auto created =
       version::SnapshotManager::Create(TempPath("flip"), g, sopts);
   ASSERT_TRUE(created.ok());

@@ -387,9 +387,7 @@ TEST(ServerLifecycleTest, LocalBuildAdminPlane) {
             "degraded: 0\n"
             "reason: -\n"
             "quarantined_sections: 0\n"
-            "checksum_failures: 0\n"
-            "sigbus_faults: 0\n"
-            "mmap_fallbacks: 0\n");
+            "checksum_failures: 0\n");
 
   HttpResult status = HttpGet(server.admin_port(), "/statusz");
   EXPECT_EQ(status.status, 200);

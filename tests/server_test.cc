@@ -520,23 +520,19 @@ TEST(QueryServiceTest, CacheCountersSpanGenerationFlips) {
   EXPECT_EQ(metrics.cache_misses, a_misses + gen_b->stats().cache_misses);
 }
 
-TEST(QueryServiceTest, MappedStoreWithQuarantinedFilesServesConcurrently) {
-  // Every other pack file demoted to pread: workers on mapped files skip
-  // io_mutex_, workers on demoted files take it inside the store read, and
-  // small pack files make one section read mix both. Answers must match
-  // the crawl; under the TSan preset the mix must not race.
+TEST(QueryServiceTest, StraddlingSectionsServeConcurrently) {
+  // Small pack files make sections straddle files, so one section read is
+  // several preads; four workers queue on io_mutex_ for them while their
+  // decodes run in parallel. Answers must match the crawl; under the TSan
+  // preset the workers must not race.
   ServerEnv& env = ServerEnv::Get();
   SNodeBuildOptions bopts;
   bopts.store.max_file_size = 4096;
   bopts.buffer_bytes = 64 << 10;  // keep evicting, so reads keep coming
-  auto built = SNodeRepr::Build(env.graph, TempPath("srv_fallback"), bopts);
+  auto built = SNodeRepr::Build(env.graph, TempPath("srv_straddle"), bopts);
   ASSERT_TRUE(built.ok());
   std::unique_ptr<SNodeRepr> repr = std::move(built).value();
-  ASSERT_TRUE(repr->MapStoreForRead().ok());
   ASSERT_GE(repr->store().num_files(), 4u);
-  for (uint32_t f = 1; f < repr->store().num_files(); f += 2) {
-    repr->store().QuarantineFile(f);
-  }
 
   QueryContext ctx;
   ctx.forward = repr.get();

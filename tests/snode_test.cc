@@ -854,10 +854,9 @@ TEST(SNodeScratchProbeTest, CacheSmallerThanOneSectionNeverAssembles) {
   EXPECT_EQ(repr->buffer_bytes_used(), 0u);
 }
 
-// A mapped store with every other pack file demoted to pread. A tiny
-// max_file_size makes sections straddle files, so one section read mixes
-// zero-copy spans and pread runs. Every read path must answer like the
-// in-memory graph, really take the pread fallback, and leak no pins.
+// A tiny max_file_size makes sections straddle pack files, so one section
+// read is one pread per file it spans. Every read path must answer like
+// the in-memory graph, really read the store, and leak no pins.
 TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
   GeneratorOptions gopts;
   gopts.num_pages = 3000;
@@ -867,28 +866,19 @@ TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
   auto built = SNodeRepr::Build(graph, TempPath("snode_fallback"), opts);
   ASSERT_TRUE(built.ok());
   SNodeRepr* repr = built.value().get();
-  ASSERT_TRUE(repr->MapStoreForRead().ok());
   const GraphStore& store = repr->store();
-  ASSERT_TRUE(store.mapped());
   ASSERT_GE(store.num_files(), 4u);
-  for (uint32_t f = 1; f < store.num_files(); f += 2) store.QuarantineFile(f);
 
-  // Sections by where their blobs live: one straddling two files (so one
-  // mapped and one quarantined), one wholly inside a mapped file.
+  // A section whose blobs straddle two files.
   const SupernodeGraph& sg = repr->supernode_graph();
   uint32_t straddler = UINT32_MAX;
-  uint32_t mapped_only = UINT32_MAX;
-  for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
+  for (uint32_t s = 0; s < sg.num_supernodes() && straddler == UINT32_MAX;
+       ++s) {
     uint32_t first_file = store.Location(sg.FirstBlob(s)).file_index;
     uint32_t last_file = store.Location(sg.FirstBlob(s + 1) - 1).file_index;
-    if (first_file != last_file && straddler == UINT32_MAX) straddler = s;
-    if (first_file == last_file && first_file % 2 == 0 &&
-        mapped_only == UINT32_MAX) {
-      mapped_only = s;
-    }
+    if (first_file != last_file) straddler = s;
   }
   ASSERT_NE(straddler, UINT32_MAX);
-  ASSERT_NE(mapped_only, UINT32_MAX);
 
   auto links_of = [&graph](PageId p) {
     auto links = graph.OutLinks(p);
@@ -901,7 +891,7 @@ TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
     ASSERT_TRUE(cursor->Links(p, &view).ok());
     EXPECT_EQ(view.ToVector(), links_of(p)) << p;
   };
-  // Runs `read` from a cold cache; it must take at least one pread.
+  // Runs `read` from a cold cache; it must read the store.
   auto expect_pread = [&](const char* what, const std::function<void()>& read) {
     repr->ClearCache();
     uint64_t before = repr->stats().disk_reads;
@@ -910,13 +900,11 @@ TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
     EXPECT_EQ(repr->PinnedCacheEntries(), 0u) << what;
   };
 
-  // Control: a section in a mapped file is served zero-copy.
-  repr->ClearCache();
-  uint64_t before = repr->stats().disk_reads;
-  probe(mapped_only);
-  EXPECT_EQ(repr->stats().disk_reads, before);
-
+  // The straddling section's lone probe is the store's first read: one
+  // pread, so one seek, per file the section spans.
+  const uint64_t seeks = store.seek_ops();
   expect_pread("lone probe", [&] { probe(straddler); });
+  EXPECT_GE(store.seek_ops() - seeks, 2u);
   expect_pread("layout sweep", [&] {
     std::unique_ptr<AdjacencyCursor> cursor = repr->NewCursor();
     for (size_t i = 0; i < graph.num_pages(); ++i) {
@@ -965,7 +953,7 @@ ParsedMeta ParseMeta(const std::string& base) {
   SerialCursor cursor(payload.value());
   auto state = SNodeResidentState::Parse(&cursor);
   WG_CHECK(state.ok());
-  auto store = GraphStore::OpenExisting(base, {}, &cursor);
+  auto store = GraphStore::OpenExisting(base, &cursor);
   WG_CHECK(store.ok());
   return {std::move(state).value(), std::move(store).value()};
 }

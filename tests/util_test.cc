@@ -9,6 +9,7 @@
 
 #include "util/bitstream.h"
 #include "util/coding.h"
+#include "util/crc32.h"
 #include "util/huffman.h"
 #include "util/parallel.h"
 #include "util/rle.h"
@@ -227,6 +228,62 @@ TEST(CodingTest, FixedRoundTrip) {
   PutFixed64(&buf, 0x0123456789abcdefULL);
   EXPECT_EQ(DecodeFixed32(buf.data()), 0xdeadbeefu);
   EXPECT_EQ(DecodeFixed64(buf.data() + 4), 0x0123456789abcdefULL);
+}
+
+// ---------- CRC-32 ----------
+
+// The bytewise table CRC the slicing-by-8 Crc32 must equal.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t n, uint32_t seed = 0) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t n) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, IeeeCheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, SeedChainsAcrossSplits) {
+  Rng rng(7);
+  std::vector<uint8_t> bytes = RandomBytes(rng, 300);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t cut : {0, 1, 7, 8, 9, 150, 299, 300}) {
+    uint32_t head = Crc32(bytes.data(), cut);
+    EXPECT_EQ(Crc32(bytes.data() + cut, bytes.size() - cut, head), whole)
+        << "cut " << cut;
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  Rng rng(11);
+  std::vector<uint8_t> bytes = RandomBytes(rng, 64 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 64; ++n) {
+      const uint8_t* p = bytes.data() + offset;
+      EXPECT_EQ(Crc32(p, n), BytewiseCrc32(p, n))
+          << "offset " << offset << " length " << n;
+      EXPECT_EQ(Crc32(p, n, 0x12345678u), BytewiseCrc32(p, n, 0x12345678u))
+          << "offset " << offset << " length " << n;
+    }
+  }
+  for (size_t n : {4093, 65536, 1 << 20}) {
+    std::vector<uint8_t> large = RandomBytes(rng, n);
+    EXPECT_EQ(Crc32(large.data(), n), BytewiseCrc32(large.data(), n))
+        << "length " << n;
+  }
 }
 
 // ---------- RLE ----------

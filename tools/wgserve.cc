@@ -40,9 +40,6 @@
 //                      "query <1..6>"; '#' comments)
 //   --deadline-ms D   attach a deadline of now+D ms to every request
 //   --buffer BYTES    decoded-graph cache budget per representation
-//   --mmap            serve store reads through a read-only mmap of the
-//                     pack files (zero-copy decode + madvise readahead)
-//                     instead of buffered pread
 //   --decode-ahead N  on a streaming cursor miss, background-decode the
 //                     next N sections in layout order (default 0 = off)
 //   --admin-port P    serve the live introspection plane on
@@ -78,7 +75,8 @@
 //                     must be >= 1)
 //
 // A numeric flag whose value is not a number, or lies outside the flag's
-// range, prints the usage and exits 2 before anything is built.
+// range, and any argument that is not one of the flags above, print the
+// usage and exit 2 before anything is built.
 //
 // Prints a per-outcome tally, service metrics (queue depth, p50/p99,
 // cache hit rate), and end-to-end throughput. Everything but flag parsing,
@@ -87,21 +85,18 @@
 
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
+#include "flags.h"
 #include "graph/generator.h"
 #include "graph/graph_io.h"
 #include "server/query_service.h"
@@ -124,7 +119,7 @@ int Usage() {
                "               [--workers W] [--queue C] [--requests R]\n"
                "               [--theta T] [--khop K] [--file PATH]\n"
                "               [--deadline-ms D] [--buffer BYTES]\n"
-               "               [--mmap] [--decode-ahead N]\n"
+               "               [--decode-ahead N]\n"
                "               [--admin-port P] [--profile-hz H]\n"
                "               [--slow-us T] [--linger S]\n"
                "               [--health-file FILE] [--metrics-out FILE]\n"
@@ -138,59 +133,12 @@ int Fail(const Status& status) {
   return 1;
 }
 
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-std::string StringFlag(int argc, char** argv, const char* flag) {
-  const char* value = FlagValue(argc, argv, flag);
-  return value != nullptr ? value : "";
-}
-
-// The one parser of numeric flags: `fallback` when `flag` is absent; a
-// value that is not entirely a number of type T, or lies outside
-// [min, max], prints the usage and exits 2.
-template <typename T>
-T NumericFlag(int argc, char** argv, const char* flag, T fallback, T min,
-              T max) {
-  const char* text = FlagValue(argc, argv, flag);
-  if (text == nullptr) return fallback;
-  const char* end = text + std::strlen(text);
-  T value{};
-  auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || ptr == text || value < min ||
-      value > max) {
-    auto show = [](T v) {
-      if constexpr (std::is_floating_point_v<T>) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%g", v);
-        return std::string(buf);
-      } else {
-        return std::to_string(v);
-      }
-    };
-    std::fprintf(stderr, "error: %s wants a number in [%s, %s], got \"%s\"\n",
-                 flag, show(min).c_str(), show(max).c_str(), text);
-    std::exit(Usage());
-  }
-  return value;
-}
-
 int Main(int argc, char** argv) {
-  const char* pages = FlagValue(argc, argv, "--pages");
-  const char* crawl = FlagValue(argc, argv, "--crawl");
+  Flags flags(argc, argv, 1, Usage);
+  const char* pages = flags.Value("--pages");
+  const char* crawl = flags.Value("--crawl");
   server::ServerOptions sopts;
-  sopts.snapshot = StringFlag(argc, argv, "--snapshot");
+  sopts.snapshot = flags.String("--snapshot");
   const bool snapshot = !sopts.snapshot.empty();
   if (snapshot) {
     if (pages != nullptr || crawl != nullptr) return Usage();
@@ -201,50 +149,46 @@ int Main(int argc, char** argv) {
   // Validate every flag before the expensive store build.
   constexpr uint32_t kMaxPages = UINT32_MAX - 1;
   const size_t num_pages_flag =
-      NumericFlag<size_t>(argc, argv, "--pages", 0, 1, kMaxPages);
-  const uint64_t seed =
-      NumericFlag<uint64_t>(argc, argv, "--seed", GeneratorOptions().seed, 0,
-                            UINT64_MAX);
-  sopts.auto_compact_backlog = NumericFlag<uint64_t>(
-      argc, argv, "--auto-compact-backlog", 0, 1, UINT64_MAX);
+      flags.Numeric<size_t>("--pages", 0, 1, kMaxPages);
+  const uint64_t seed = flags.Numeric<uint64_t>(
+      "--seed", GeneratorOptions().seed, 0, UINT64_MAX);
+  sopts.auto_compact_backlog =
+      flags.Numeric<uint64_t>("--auto-compact-backlog", 0, 1, UINT64_MAX);
   if (sopts.auto_compact_backlog > 0 && !snapshot) {
     std::fprintf(stderr,
                  "wgserve: --auto-compact-backlog requires --snapshot\n");
     return 1;
   }
-  sopts.workers = NumericFlag<size_t>(argc, argv, "--workers", 4, 1, 1024);
-  sopts.queue = NumericFlag<size_t>(argc, argv, "--queue", 256, 1, 1 << 24);
-  sopts.buffer_bytes = NumericFlag<size_t>(argc, argv, "--buffer", 4 << 20,
-                                           0, size_t{1} << 40);
-  sopts.mmap = HasFlag(argc, argv, "--mmap");
-  sopts.decode_ahead =
-      NumericFlag<int>(argc, argv, "--decode-ahead", 0, 0, 1 << 20);
-  const bool admin = HasFlag(argc, argv, "--admin-port");
-  sopts.admin_port =
-      admin ? NumericFlag<int>(argc, argv, "--admin-port", 0, 0, 65535) : -1;
+  sopts.workers = flags.Numeric<size_t>("--workers", 4, 1, 1024);
+  sopts.queue = flags.Numeric<size_t>("--queue", 256, 1, 1 << 24);
+  sopts.buffer_bytes =
+      flags.Numeric<size_t>("--buffer", 4 << 20, 0, size_t{1} << 40);
+  sopts.decode_ahead = flags.Numeric<int>("--decode-ahead", 0, 0, 1 << 20);
+  sopts.admin_port = flags.Numeric<int>("--admin-port", -1, 0, 65535);
   // The profiler runs by default whenever the admin plane does.
-  sopts.profile_hz =
-      NumericFlag<int>(argc, argv, "--profile-hz", admin ? 97 : 0, 0, 1000);
-  sopts.slow_us = NumericFlag<double>(argc, argv, "--slow-us", 10000, 0, 1e12);
-  sopts.health_file = StringFlag(argc, argv, "--health-file");
-  sopts.metrics_out = StringFlag(argc, argv, "--metrics-out");
+  sopts.profile_hz = flags.Numeric<int>(
+      "--profile-hz", sopts.admin_port >= 0 ? 97 : 0, 0, 1000);
+  sopts.slow_us = flags.Numeric<double>("--slow-us", 10000, 0, 1e12);
+  sopts.health_file = flags.String("--health-file");
+  sopts.metrics_out = flags.String("--metrics-out");
   sopts.metrics_interval =
-      NumericFlag<int>(argc, argv, "--metrics-interval", 10, 0, 1 << 24);
-  sopts.trace_out = StringFlag(argc, argv, "--trace-out");
+      flags.Numeric<int>("--metrics-interval", 10, 0, 1 << 24);
+  sopts.trace_out = flags.String("--trace-out");
   // 0 would disable sampling entirely, silently producing an empty trace
   // despite --trace-out.
-  sopts.trace_sample = NumericFlag<uint64_t>(argc, argv, "--trace-sample", 16,
-                                             1, UINT64_MAX);
+  sopts.trace_sample =
+      flags.Numeric<uint64_t>("--trace-sample", 16, 1, UINT64_MAX);
   server::WorkloadOptions wopts;
-  wopts.num_requests = NumericFlag<size_t>(argc, argv, "--requests", 20000, 1,
-                                           size_t{1} << 32);
+  wopts.num_requests =
+      flags.Numeric<size_t>("--requests", 20000, 1, size_t{1} << 32);
   wopts.zipf_theta =
-      NumericFlag<double>(argc, argv, "--theta", wopts.zipf_theta, 0, 100);
-  wopts.khop_k = NumericFlag<int>(argc, argv, "--khop", wopts.khop_k, 1, 64);
+      flags.Numeric<double>("--theta", wopts.zipf_theta, 0, 100);
+  wopts.khop_k = flags.Numeric<int>("--khop", wopts.khop_k, 1, 64);
   const long deadline_ms =
-      NumericFlag<long>(argc, argv, "--deadline-ms", 0, 0, 1L << 31);
-  const long linger_seconds =
-      NumericFlag<long>(argc, argv, "--linger", 0, 0, 1L << 31);
+      flags.Numeric<long>("--deadline-ms", 0, 0, 1L << 31);
+  const long linger_seconds = flags.Numeric<long>("--linger", 0, 0, 1L << 31);
+  const char* request_file = flags.Value("--file");
+  flags.RejectUnconsumed();
 
   // Local-build mode: the crawl, its transpose and text stack, and both
   // S-Node stores live here for the server's whole life.
@@ -301,11 +245,6 @@ int Main(int argc, char** argv) {
     auto bwd = SNodeRepr::Build(transpose, dir + "/bwd", bopts);
     if (!bwd.ok()) return Fail(bwd.status());
     backward = std::move(bwd).value();
-    if (sopts.mmap) {
-      Status mapped = forward->MapStoreForRead();
-      if (mapped.ok()) mapped = backward->MapStoreForRead();
-      if (!mapped.ok()) return Fail(mapped);
-    }
     std::printf("s-node: %u supernodes, cache budget %zu bytes\n",
                 forward->supernode_graph().num_supernodes(),
                 bopts.buffer_bytes);
@@ -322,8 +261,8 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<server::Request> requests;
-  if (const char* file = FlagValue(argc, argv, "--file")) {
-    auto parsed = server::ParseRequestFile(file, server->num_pages());
+  if (request_file != nullptr) {
+    auto parsed = server::ParseRequestFile(request_file, server->num_pages());
     if (!parsed.ok()) return Fail(parsed.status());
     requests = std::move(parsed).value();
   } else {

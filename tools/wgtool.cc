@@ -60,19 +60,22 @@
 //       reclaimable bytes. Dry-run by default; --apply unlinks them.
 //       Referenced packs, CURRENT, MANIFEST-*, and deltas.log are never
 //       touched.
+//
+// A numeric argument (--pages, --seed, --threads, --top, PAGE) that is not
+// entirely a number inside its range, and any argument a subcommand does
+// not take, print the usage and exit 2 before anything is read or written.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "graph/edge_source.h"
 #include "graph/generator.h"
 #include "graph/graph_io.h"
@@ -120,55 +123,22 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// Returns the value following `flag`, or nullptr.
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-// Parses a byte count with an optional k/m/g suffix ("512k", "64M", "1g").
-// Returns false on garbage or zero.
-bool ParseByteSize(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  uint64_t value = std::strtoull(text, &end, 10);
-  if (end == text || value == 0) return false;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': value <<= 10; break;
-      case 'm': case 'M': value <<= 20; break;
-      case 'g': case 'G': value <<= 30; break;
-      default: return false;
-    }
-    if (end[1] != '\0') return false;
-  }
-  *out = value;
-  return true;
-}
-
-// Handles the shared --max-file-size flag: leaves *size untouched when the
-// flag is absent, returns false (after printing) when it is malformed.
-bool MaxFileSizeFlag(int argc, char** argv, uint64_t* size) {
-  const char* flag = FlagValue(argc, argv, "--max-file-size");
-  if (flag == nullptr) return true;
-  if (!ParseByteSize(flag, size)) {
-    std::fprintf(stderr,
-                 "error: --max-file-size wants BYTES[k|m|g], got \"%s\"\n",
-                 flag);
-    return false;
-  }
-  return true;
+// Flags of a subcommand: everything after its name and its first
+// `positionals` arguments.
+Flags CommandFlags(int argc, char** argv, int positionals) {
+  return Flags(argc, argv, 2 + positionals, Usage);
 }
 
 int CmdGenerate(int argc, char** argv) {
-  const char* pages = FlagValue(argc, argv, "--pages");
-  const char* out = FlagValue(argc, argv, "--out");
-  const char* seed = FlagValue(argc, argv, "--seed");
-  if (pages == nullptr || out == nullptr) return Usage();
+  Flags flags = CommandFlags(argc, argv, 0);
+  const char* out = flags.Value("--out");
+  if (flags.Value("--pages") == nullptr || out == nullptr) return Usage();
   GeneratorOptions options;
-  options.num_pages = std::strtoul(pages, nullptr, 10);
-  if (seed != nullptr) options.seed = std::strtoull(seed, nullptr, 10);
+  // Page ids are uint32_t with UINT32_MAX reserved, as in wgserve.
+  options.num_pages = flags.Numeric<size_t>("--pages", 0, 1, UINT32_MAX - 1);
+  options.seed =
+      flags.Numeric<uint64_t>("--seed", options.seed, 0, UINT64_MAX);
+  flags.RejectUnconsumed();
   WebGraph graph = GenerateWebGraph(options);
   Status status = SaveWebGraph(graph, out);
   if (!status.ok()) return Fail(status);
@@ -178,7 +148,7 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdStats(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (argc != 3) return Usage();
   auto graph = LoadWebGraph(argv[2]);
   if (!graph.ok()) return Fail(graph.status());
   std::printf("%s\n", ComputeStats(graph.value()).ToString().c_str());
@@ -190,33 +160,20 @@ int CmdStats(int argc, char** argv) {
 
 int CmdBuild(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const char* store = FlagValue(argc, argv, "--store");
+  Flags flags = CommandFlags(argc, argv, 1);
+  const char* store = flags.Value("--store");
   if (store == nullptr) return Usage();
   SNodeBuildOptions options;
-  options.threads = ParallelExecutor::HardwareThreads();
-  if (!MaxFileSizeFlag(argc, argv, &options.store.max_file_size)) return 2;
-  const char* threads = FlagValue(argc, argv, "--threads");
-  if (threads != nullptr) {
-    options.threads = static_cast<int>(std::strtol(threads, nullptr, 10));
-    if (options.threads < 1) {
-      std::fprintf(stderr, "error: --threads must be >= 1\n");
-      return 2;
-    }
-  }
-  const char* mem_budget = FlagValue(argc, argv, "--mem-budget");
+  options.store.max_file_size =
+      flags.Bytes("--max-file-size", options.store.max_file_size);
+  options.threads = flags.Numeric<int>(
+      "--threads", ParallelExecutor::HardwareThreads(), 1, 1024);
+  const char* mem_budget = flags.Value("--mem-budget");
   BuildMemoryBudget budget;
-  if (mem_budget != nullptr) {
-    uint64_t bytes = 0;
-    if (!ParseByteSize(mem_budget, &bytes)) {
-      std::fprintf(stderr,
-                   "error: --mem-budget wants BYTES[k|m|g], got \"%s\"\n",
-                   mem_budget);
-      return 2;
-    }
-    budget.total_bytes = static_cast<size_t>(bytes);
-  }
+  budget.total_bytes = flags.Bytes("--mem-budget", budget.total_bytes);
+  const char* trace_out = flags.Value("--trace-out");
+  flags.RejectUnconsumed();
   obs::Tracer& tracer = obs::Tracer::Global();
-  const char* trace_out = FlagValue(argc, argv, "--trace-out");
   if (trace_out != nullptr) {
     tracer.set_sample_interval(1);  // one build = one trace; keep it all
     Status opened = tracer.OpenSink(trace_out);
@@ -268,7 +225,7 @@ int CmdBuild(int argc, char** argv) {
 }
 
 int CmdInfo(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (argc != 3) return Usage();
   auto repr = SNodeRepr::Open(argv[2], {});
   if (!repr.ok()) return Fail(repr.status());
   const SupernodeGraph& sg = repr.value()->supernode_graph();
@@ -291,10 +248,11 @@ int CmdInfo(int argc, char** argv) {
 }
 
 int CmdLinks(int argc, char** argv) {
-  if (argc < 4) return Usage();
+  if (argc != 4 && argc != 5) return Usage();
+  const PageId page = CommandFlags(argc, argv, 2).Number<PageId>(
+      "PAGE", argv[3], 0, UINT32_MAX);
   auto repr = SNodeRepr::Open(argv[2], {});
   if (!repr.ok()) return Fail(repr.status());
-  PageId page = static_cast<PageId>(std::strtoul(argv[3], nullptr, 10));
   std::unique_ptr<AdjacencyCursor> cursor = repr.value()->NewCursor();
   LinkView links;
   Status status = cursor->Links(page, &links);
@@ -320,11 +278,11 @@ int CmdLinks(int argc, char** argv) {
 
 int CmdPageRank(int argc, char** argv) {
   if (argc < 3) return Usage();
+  Flags flags = CommandFlags(argc, argv, 1);
+  size_t top = flags.Numeric<size_t>("--top", 10, 0, SIZE_MAX);
+  flags.RejectUnconsumed();
   auto repr = SNodeRepr::Open(argv[2], {});
   if (!repr.ok()) return Fail(repr.status());
-  size_t top = 10;
-  const char* top_flag = FlagValue(argc, argv, "--top");
-  if (top_flag != nullptr) top = std::strtoul(top_flag, nullptr, 10);
   auto ranks = ComputePageRank(repr.value().get());
   if (!ranks.ok()) return Fail(ranks.status());
   const std::vector<double>& rank = ranks.value();
@@ -346,7 +304,7 @@ int CmdPageRank(int argc, char** argv) {
 }
 
 int CmdCompare(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (argc != 3) return Usage();
   auto loaded = LoadWebGraph(argv[2]);
   if (!loaded.ok()) return Fail(loaded.status());
   const WebGraph& graph = loaded.value();
@@ -375,14 +333,15 @@ int CmdCompare(int argc, char** argv) {
 
 int CmdSnapshotInit(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const char* dir = FlagValue(argc, argv, "--dir");
+  Flags flags = CommandFlags(argc, argv, 1);
+  const char* dir = flags.Value("--dir");
   if (dir == nullptr) return Usage();
+  version::SnapshotOptions sopts;
+  sopts.build.store.max_file_size =
+      flags.Bytes("--max-file-size", sopts.build.store.max_file_size);
+  flags.RejectUnconsumed();
   auto graph = LoadWebGraph(argv[2]);
   if (!graph.ok()) return Fail(graph.status());
-  version::SnapshotOptions sopts;
-  if (!MaxFileSizeFlag(argc, argv, &sopts.build.store.max_file_size)) {
-    return 2;
-  }
   auto manager = version::SnapshotManager::Create(dir, graph.value(), sopts);
   if (!manager.ok()) return Fail(manager.status());
   const version::Manifest& m = manager.value()->current()->manifest;
@@ -436,7 +395,7 @@ Result<std::vector<version::DeltaRecord>> ParseDeltaFile(
 }
 
 int CmdDeltaApply(int argc, char** argv) {
-  if (argc < 4) return Usage();
+  if (argc != 4) return Usage();
   auto manager = version::SnapshotManager::Open(argv[2], {});
   if (!manager.ok()) return Fail(manager.status());
   // New pages take ids past base-plus-pending, matching what the log
@@ -459,7 +418,7 @@ int CmdDeltaApply(int argc, char** argv) {
 }
 
 int CmdCompact(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (argc != 3) return Usage();
   auto manager = version::SnapshotManager::Open(argv[2], {});
   if (!manager.ok()) return Fail(manager.status());
   uint64_t pending = manager.value()->pending_records();
@@ -484,7 +443,7 @@ int CmdCompact(int argc, char** argv) {
 }
 
 int CmdSnapshots(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (argc != 3) return Usage();
   std::string dir = argv[2];
   auto manager = version::SnapshotManager::Open(dir, {});
   if (!manager.ok()) return Fail(manager.status());
@@ -513,7 +472,7 @@ int CmdSnapshots(int argc, char** argv) {
 }
 
 int CmdScrub(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (argc != 3) return Usage();
   std::string path = argv[2];
   bool is_snapshot = ::access((path + "/CURRENT").c_str(), F_OK) == 0;
   version::ScrubReport report;
@@ -534,10 +493,10 @@ int CmdScrub(int argc, char** argv) {
 
 int CmdGc(int argc, char** argv) {
   if (argc < 3) return Usage();
+  Flags flags = CommandFlags(argc, argv, 1);
   version::GcOptions gopts;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--apply") == 0) gopts.apply = true;
-  }
+  gopts.apply = flags.Has("--apply");
+  flags.RejectUnconsumed();
   version::GcReport report;
   Status collected = version::CollectGarbage(argv[2], gopts, &report);
   if (!collected.ok()) return Fail(collected);
