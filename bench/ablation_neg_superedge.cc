@@ -33,13 +33,14 @@ void Run() {
   // Count chosen polarities in the full representation.
   size_t negative_chosen = 0;
   const SupernodeGraph& sg = a->supernode_graph();
+  std::vector<uint8_t> scratch;
+  std::vector<GraphStore::GraphSpan> graphs;
   for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
+    bench::CheckOk(a->store().ReadSection(s, &scratch, &graphs));
     for (uint32_t e = sg.offsets[s]; e < sg.offsets[s + 1]; ++e) {
-      std::vector<uint8_t> blob;
-      bench::CheckOk(a->store().ReadBlob(
-          sg.FirstBlob(s) + 1 + (e - sg.offsets[s]), &blob));
+      const GraphStore::GraphSpan& blob = graphs[1 + (e - sg.offsets[s])];
       SuperedgeGraph decoded;
-      bench::CheckOk(DecodeSuperedge(blob, sg.pages_in(s),
+      bench::CheckOk(DecodeSuperedge(blob.data, blob.length, sg.pages_in(s),
                                      sg.pages_in(sg.targets[e]), &decoded));
       if (!decoded.positive) ++negative_chosen;
     }

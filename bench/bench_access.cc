@@ -198,9 +198,18 @@ ProbeRow MeasureLoneProbes(SNodeRepr* repr, int threads) {
   return best;
 }
 
+// What the probe store holds in memory with its buffers cleared, so no
+// decoded-graph cache bytes are counted: the whole resident index and the
+// store directory's share of it.
+struct ResidentBytes {
+  size_t total = 0;
+  size_t directory = 0;
+};
+
 // Builds the serve-cold-sized store (pread reads, 256 KiB cache) and
 // measures lone probes at 1 and nproc - 1 threads.
-std::vector<ProbeRow> LoneProbeRows(size_t* sections) {
+std::vector<ProbeRow> LoneProbeRows(size_t* sections,
+                                    ResidentBytes* resident) {
   GeneratorOptions gopts;
   gopts.num_pages = kProbePages;
   gopts.seed = kSeed;
@@ -211,6 +220,9 @@ std::vector<ProbeRow> LoneProbeRows(size_t* sections) {
   auto repr =
       UnwrapOrDie(SNodeRepr::Build(graph, BenchDir() + "/acc_probe", opts));
   *sections = repr->supernode_graph().num_supernodes();
+  repr->ClearBuffers();
+  resident->total = repr->resident_memory();
+  resident->directory = repr->store().DirectoryMemoryUsage();
   int many =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1);
   std::vector<ProbeRow> rows = {MeasureLoneProbes(repr.get(), 1)};
@@ -296,7 +308,14 @@ int Main(bool smoke) {
   }
 
   size_t probe_sections = 0;
-  std::vector<ProbeRow> probe_rows = LoneProbeRows(&probe_sections);
+  ResidentBytes resident;
+  std::vector<ProbeRow> probe_rows =
+      LoneProbeRows(&probe_sections, &resident);
+  std::printf("\ns-node resident index, buffers cleared (%zu pages): %zu B, "
+              "%.2f B/page; store directory %zu B\n",
+              kProbePages, resident.total,
+              static_cast<double>(resident.total) / kProbePages,
+              resident.directory);
   std::printf("\ns-node random cold lone probes (%zu pages, %zu sections, "
               "%zu KiB cache, pread), best of %d passes:\n",
               kProbePages, probe_sections, kProbeCacheBytes >> 10, kPasses);
@@ -347,9 +366,14 @@ int Main(bool smoke) {
                "  \"lone_probe\": {\"pages\": %zu, \"sections\": %zu, "
                "\"cache_bytes\": %zu, \"store\": \"pread\", "
                "\"probes_per_thread\": %d, \"scaling\": %.3f,\n"
+               "    \"resident_bytes\": %zu, "
+               "\"resident_bytes_per_page\": %.2f, "
+               "\"directory_bytes\": %zu,\n"
                "    \"rows\": [\n",
                kProbePages, probe_sections, kProbeCacheBytes, kProbesPerThread,
-               probe_scaling);
+               probe_scaling, resident.total,
+               static_cast<double>(resident.total) / kProbePages,
+               resident.directory);
   for (size_t i = 0; i < probe_rows.size(); ++i) {
     const ProbeRow& row = probe_rows[i];
     std::fprintf(json,

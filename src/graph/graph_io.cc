@@ -53,20 +53,22 @@ Status SaveWebGraph(const WebGraph& graph, const std::string& path) {
 Result<WebGraph> LoadWebGraph(const std::string& path) {
   WG_ASSIGN_OR_RETURN(std::string payload, ReadFramedFile(path, kMagic));
   SerialCursor cursor(payload);
+  // Counts that size containers are checked against the bytes left
+  // (SerialCursor::ReadCount) before anything is allocated.
   uint64_t n = 0, m = 0;
-  if (!cursor.ReadVarint64(&n) || !cursor.ReadVarint64(&m)) {
+  if (!cursor.ReadCount(&n) || !cursor.ReadVarint64(&m)) {
     return Status::Corruption("graph file: bad counts");
   }
   std::vector<std::vector<PageId>> adjacency(n);
   uint64_t edges = 0;
   for (uint64_t p = 0; p < n; ++p) {
-    uint32_t degree = 0;
-    if (!cursor.ReadVarint32(&degree)) {
+    uint64_t degree = 0;
+    if (!cursor.ReadCount(&degree)) {
       return Status::Corruption("graph file: bad degree");
     }
     PageId prev = 0;
     adjacency[p].reserve(degree);
-    for (uint32_t i = 0; i < degree; ++i) {
+    for (uint64_t i = 0; i < degree; ++i) {
       uint32_t gap = 0;
       if (!cursor.ReadVarint32(&gap)) {
         return Status::Corruption("graph file: bad gap");
@@ -80,7 +82,7 @@ Result<WebGraph> LoadWebGraph(const std::string& path) {
   if (edges != m) return Status::Corruption("graph file: edge count");
 
   uint64_t num_domains = 0;
-  if (!cursor.ReadVarint64(&num_domains)) {
+  if (!cursor.ReadCount(&num_domains)) {
     return Status::Corruption("graph file: bad domain count");
   }
   std::vector<std::string> domains(num_domains);

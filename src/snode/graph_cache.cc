@@ -83,10 +83,10 @@ ShardedGraphCache::Claim ShardedGraphCache::BeginLoad(uint32_t key) {
   return {ClaimKind::kHit, flight->entry, Status::OK()};
 }
 
-std::vector<uint32_t> ShardedGraphCache::ClaimRange(uint32_t first,
-                                                    uint32_t last) {
+std::vector<uint32_t> ShardedGraphCache::ClaimKeys(
+    const std::vector<uint32_t>& keys) {
   std::vector<uint32_t> claimed;
-  for (uint32_t key = first; key <= last; ++key) {
+  for (uint32_t key : keys) {
     Shard& shard = shard_of(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.map.find(key) != shard.map.end()) continue;

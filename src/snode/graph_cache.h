@@ -93,11 +93,11 @@ class ShardedGraphCache {
   };
   Claim BeginLoad(uint32_t key);
 
-  // Claims every key in [first, last] that is neither cached nor already
-  // in flight (section prefetch: the caller reads the whole blob range
-  // with one sequential I/O and decodes just its claimed keys). Each
-  // returned key MUST be resolved with Publish or Abort.
-  std::vector<uint32_t> ClaimRange(uint32_t first, uint32_t last);
+  // Claims, without blocking, every one of `keys` that is neither cached
+  // nor already in flight (a section fetch: the caller reads the whole
+  // section with one sequential I/O and decodes just its claimed keys).
+  // Each returned key MUST be resolved with Publish or Abort.
+  std::vector<uint32_t> ClaimKeys(const std::vector<uint32_t>& keys);
 
   // Resolves a claim: inserts the entry, wakes waiters, evicts to budget.
   EntryPtr Publish(uint32_t key, Entry&& entry);

@@ -59,15 +59,15 @@ Status EncodeSupernodeSection(uint32_t supernode,
   }
   for (auto& list : intra) std::sort(list.begin(), list.end());
 
-  out->intranode = EncodeIntranode(intra, intranode_options);
+  out->graphs.clear();
   out->targets.clear();
-  out->superedges.clear();
+  out->graphs.reserve(1 + cross.size());
   out->targets.reserve(cross.size());
-  out->superedges.reserve(cross.size());
+  out->graphs.push_back(EncodeIntranode(intra, intranode_options));
   for (auto& [j, slot] : cross) {
     for (auto& list : slot.second) std::sort(list.begin(), list.end());
     out->targets.push_back(j);
-    out->superedges.push_back(
+    out->graphs.push_back(
         EncodeSuperedge(slot.first, slot.second, n_local,
                         page_start[j + 1] - page_start[j], superedge_options));
   }

@@ -18,25 +18,25 @@
 // appends for that supernode. Because full and incremental builds funnel
 // through this one function (and the codecs are pure/deterministic, see
 // snode/codecs.h), a generation built incrementally from deltas is
-// byte-identical per blob to a from-scratch rebuild over the same
-// partition -- the invariant that makes content-hash sharing across
-// snapshot generations sound.
+// byte-identical per section to a from-scratch rebuild over the same
+// partition.
 
 namespace wg {
 
 // One supernode's encoded section: the intranode graph followed by the
-// outgoing superedge graphs sorted by target element id.
+// outgoing superedge graphs sorted by target element id -- the graphs in
+// the order GraphStore::AppendSection lays them out.
 struct EncodedSection {
-  std::vector<uint8_t> intranode;
-  std::vector<uint32_t> targets;                 // ascending element ids
-  std::vector<std::vector<uint8_t>> superedges;  // parallel to targets
+  // graphs[0] is the intranode graph; graphs[1 + k] the superedge graph
+  // into targets[k].
+  std::vector<std::vector<uint8_t>> graphs;
+  std::vector<uint32_t> targets;  // ascending element ids
 
   size_t total_bytes() const {
-    size_t n = intranode.size();
-    for (const auto& se : superedges) n += se.size();
+    size_t n = 0;
+    for (const auto& graph : graphs) n += graph.size();
     return n;
   }
-  size_t num_blobs() const { return 1 + superedges.size(); }
 };
 
 // The paper's numbering rule over `partition` (num_pages pages): elements

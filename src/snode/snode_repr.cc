@@ -194,7 +194,7 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
         return;
       }
       repr->stats_.encoded_bytes += section.total_bytes();
-      repr->stats_.graphs_encoded += section.num_blobs();
+      repr->stats_.graphs_encoded += section.graphs.size();
     };
     {
       obs::Span encode_span("build.encode", "build");
@@ -211,11 +211,9 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::BuildFromPartitionSource(
     layout_span.AddArg("window_first", window);
     for (uint32_t s = window; s < window_end; ++s) {
       EncodedSection& section = sections[s - window];
-      WG_RETURN_IF_ERROR(store->Append(section.intranode).status());
-      for (size_t k = 0; k < section.targets.size(); ++k) {
-        WG_RETURN_IF_ERROR(store->Append(section.superedges[k]).status());
-        sg.targets.push_back(section.targets[k]);
-      }
+      WG_RETURN_IF_ERROR(store->AppendSection(section.graphs).status());
+      sg.targets.insert(sg.targets.end(), section.targets.begin(),
+                        section.targets.end());
       sg.offsets.push_back(static_cast<uint32_t>(sg.targets.size()));
     }
     layout_seconds += SecondsSince(t_layout);
@@ -246,8 +244,9 @@ namespace {
 // Bumped to SNM2 when the blob directory gained per-blob CRCs, to SNM3
 // when intranode lists dropped their per-list id (pack blobs written under
 // SNM2 decode differently), and to SNM4 when the resident state stopped
-// storing blob ids and the directory its max_file_size.
-constexpr char kMetaMagic[4] = {'S', 'N', 'M', '4'};
+// storing blob ids and the directory its max_file_size, and to SNM5 when
+// the directory became one entry per section plus a length per graph.
+constexpr char kMetaMagic[4] = {'S', 'N', 'M', '5'};
 }  // namespace
 
 void SNodeResidentState::Serialize(std::string* out) const {
@@ -276,8 +275,11 @@ void SNodeResidentState::Serialize(std::string* out) const {
 
 Result<SNodeResidentState> SNodeResidentState::Parse(SerialCursor* cursor) {
   SNodeResidentState state;
+  // Every count is checked against the bytes left before it sizes a
+  // vector (SerialCursor::ReadCount), so a crafted count fails here
+  // instead of allocating.
   uint64_t num_pages = 0;
-  if (!cursor->ReadVarint64(&num_pages) ||
+  if (!cursor->ReadCount(&num_pages) ||
       !cursor->ReadVarint64(&state.num_edges)) {
     return Status::Corruption("snode meta: bad header");
   }
@@ -290,7 +292,7 @@ Result<SNodeResidentState> SNodeResidentState::Parse(SerialCursor* cursor) {
 
   SupernodeGraph& sg = state.supernodes;
   uint64_t n_super = 0;
-  if (!cursor->ReadVarint64(&n_super)) {
+  if (!cursor->ReadCount(&n_super)) {
     return Status::Corruption("snode meta: bad supernode count");
   }
   sg.page_start.resize(n_super + 1);
@@ -306,7 +308,7 @@ Result<SNodeResidentState> SNodeResidentState::Parse(SerialCursor* cursor) {
     }
   }
   uint64_t n_edges = 0;
-  if (!cursor->ReadVarint64(&n_edges)) {
+  if (!cursor->ReadCount(&n_edges)) {
     return Status::Corruption("snode meta: bad superedge count");
   }
   sg.targets.resize(n_edges);
@@ -316,13 +318,13 @@ Result<SNodeResidentState> SNodeResidentState::Parse(SerialCursor* cursor) {
     }
   }
   uint64_t n_domains = 0;
-  if (!cursor->ReadVarint64(&n_domains)) {
+  if (!cursor->ReadCount(&n_domains)) {
     return Status::Corruption("snode meta: bad domain count");
   }
   for (uint64_t d = 0; d < n_domains; ++d) {
     std::string name;
     uint64_t count = 0;
-    if (!cursor->ReadString(&name) || !cursor->ReadVarint64(&count)) {
+    if (!cursor->ReadString(&name) || !cursor->ReadCount(&count)) {
       return Status::Corruption("snode meta: bad domain entry");
     }
     auto& list = sg.domain_supernodes[name];
@@ -370,9 +372,10 @@ namespace {
 // alike, so a state that is consistent but wrong (a writer bug, a crafted
 // manifest) fails the attach instead of a later probe. Readers index by
 // these arrays, and derive a section's blob ids from the offsets
-// (SupernodeGraph::FirstBlob), hence the blob count check.
+// (SupernodeGraph::FirstBlob), hence the check of every store section's
+// graph count.
 Status ValidateResidentShape(const SNodeResidentState& state,
-                             size_t num_blobs) {
+                             const GraphStore& store) {
   const SupernodeGraph& sg = state.supernodes;
   const uint32_t n_super = sg.num_supernodes();
   auto bad = [](const std::string& what) {
@@ -398,10 +401,19 @@ Status ValidateResidentShape(const SNodeResidentState& state,
       if (s >= n_super) return bad("domain entry past the last supernode");
     }
   }
-  if (num_blobs != sg.FirstBlob(n_super)) {
-    return bad("store holds " + std::to_string(num_blobs) +
-               " blobs, the supernode graph lays out " +
-               std::to_string(sg.FirstBlob(n_super)));
+  if (store.num_sections() != n_super) {
+    return bad("store holds " + std::to_string(store.num_sections()) +
+               " sections, the supernode graph lays out " +
+               std::to_string(n_super));
+  }
+  for (uint32_t s = 0; s < n_super; ++s) {
+    const uint32_t graphs = sg.FirstBlob(s + 1) - sg.FirstBlob(s);
+    if (store.section(s).num_graphs != graphs) {
+      return bad("store section " + std::to_string(s) + " holds " +
+                 std::to_string(store.section(s).num_graphs) +
+                 " graphs, the supernode graph lays out " +
+                 std::to_string(graphs));
+    }
   }
   return Status::OK();
 }
@@ -431,7 +443,7 @@ SNodeRepr::~SNodeRepr() {
 
 Status SNodeRepr::Install(SNodeResidentState state,
                           std::unique_ptr<GraphStore> store) {
-  WG_RETURN_IF_ERROR(ValidateResidentShape(state, store->num_blobs()));
+  WG_RETURN_IF_ERROR(ValidateResidentShape(state, *store));
   // The inverse is derived, never stored, so deriving it is the one check
   // that new_of_orig is a permutation.
   const size_t n = state.new_of_orig.size();
@@ -471,7 +483,8 @@ Status SNodeRepr::Install(SNodeResidentState state,
           if (cache_->Lookup(AssembledKey(s)) != nullptr) return;
           // Best-effort: a failed decode-ahead just leaves the section
           // for the demand path (which will surface the error).
-          Status ignored = PrefetchSection(s, SNodeLoadSource::kDecodeAhead);
+          Status ignored = PrefetchSection(s, SNodeLoadSource::kDecodeAhead,
+                                           /*all=*/true, nullptr, nullptr);
           (void)ignored;
         },
         kDecodeAheadQueueCapacity);
@@ -518,18 +531,17 @@ size_t SNodeRepr::QuarantinedSectionCount() const {
   return count;
 }
 
-Status SNodeRepr::ReadSectionBlobs(uint32_t supernode, uint32_t first,
-                                   uint32_t last,
+Status SNodeRepr::ReadSectionBlobs(uint32_t supernode,
                                    const std::vector<uint32_t>& wanted,
                                    SNodeLoadSource source,
                                    const BlobDecodeFn& decode) {
   if (SectionQuarantined(supernode)) {
     return Status::Unavailable("supernode section " +
                                std::to_string(supernode) +
-                               " quarantined after corrupt blob");
+                               " quarantined after corrupt section read");
   }
   std::vector<uint8_t> scratch;
-  std::vector<GraphStore::BlobSpan> blobs;
+  std::vector<GraphStore::GraphSpan> graphs;
   Status status;
   {
     // One disk arm (the paper's testbed): store reads queue on io_mutex_,
@@ -540,26 +552,27 @@ Status SNodeRepr::ReadSectionBlobs(uint32_t supernode, uint32_t first,
     std::lock_guard<std::mutex> io_lock(io_mutex_);
     {
       obs::Span read_span("store.read_section", "storage");
-      read_span.AddArg("blobs", last - first + 1);
-      status = store_->ReadBlobs(first, last, &scratch, &blobs);
+      read_span.AddArg("supernode", supernode);
+      status = store_->ReadSection(supernode, &scratch, &graphs);
     }
     if (status.ok()) {
       ++stats_.disk_reads;
+      stats_.bytes_read += scratch.size();
       disk_tracker_.Absorb(store_->seek_ops(), store_->transferred_bytes(),
                            &stats_);
     }
   }
+  const uint32_t first = supernodes_.FirstBlob(supernode);
   size_t loaded = 0;
   uint64_t bytes = 0;
   while (status.ok() && loaded < wanted.size()) {
     uint32_t id = wanted[loaded];
-    const GraphStore::BlobSpan& blob = blobs[id - first];
-    status = decode(id, blob.data, blob.length);
+    const GraphStore::GraphSpan& graph = graphs[id - first];
+    status = decode(id, graph.data, graph.length);
     if (!status.ok()) break;
     ++loaded;
-    bytes += blob.length;
+    bytes += graph.length;
   }
-  stats_.bytes_read += bytes;
   stats_.graphs_loaded += loaded;
   if (source == SNodeLoadSource::kDemand) stats_.cache_misses += loaded;
   cold_stats_.Bump(source, loaded, bytes);
@@ -601,63 +614,49 @@ Status SNodeRepr::DecodeSectionBlob(uint32_t supernode, uint32_t blob_id,
   return Status::OK();
 }
 
-Result<SNodeRepr::EntryPtr> SNodeRepr::LoadBlob(uint32_t blob_id,
-                                                uint32_t supernode) {
-  ShardedGraphCache::Claim claim = cache_->BeginLoad(blob_id);
-  if (claim.kind == ShardedGraphCache::ClaimKind::kHit) {
-    // Cached, or another thread's singleflight decode completed while we
-    // waited: either way no decode work was duplicated.
-    ++stats_.cache_hits;
-    return claim.entry;
-  }
-  if (claim.kind == ShardedGraphCache::ClaimKind::kFailed) {
-    return claim.status;
-  }
-  obs::Span miss_span("cache.miss_load", "cache");
-  miss_span.AddArg("blob", blob_id);
-  ShardedGraphCache::Entry entry;
-  Status read = ReadSectionBlobs(
-      supernode, blob_id, blob_id, {blob_id}, SNodeLoadSource::kDemand,
-      [&](uint32_t id, const uint8_t* data, size_t size) {
-        obs::Span decode_span("snode.decode", "cache");
-        return DecodeSectionBlob(supernode, id, data, size, &entry);
-      });
-  if (!read.ok()) {
-    cache_->Abort(blob_id, read);
-    return read;
-  }
-  return cache_->Publish(blob_id, std::move(entry));
-}
-
 bool SNodeRepr::SectionWorthPrefetching(uint32_t supernode,
                                         size_t graphs_needed) const {
   size_t section_graphs =
       1 + (supernodes_.offsets[supernode + 1] - supernodes_.offsets[supernode]);
-  // A sequential section read costs ~1 seek + the section's transfer;
-  // individual fetches cost ~1 seek each. Prefetch once a quarter of the
-  // section is wanted.
+  // Every fetch reads the whole section; decoding and caching all of it
+  // pays once a quarter of its graphs is wanted.
   return graphs_needed * 4 >= section_graphs;
 }
 
-Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
-  uint32_t first = supernodes_.FirstBlob(supernode);
-  uint32_t last = supernodes_.FirstBlob(supernode + 1) - 1;
-  // Claim the blobs this thread will decode; blobs already cached or in
-  // flight on another thread are skipped (their owners publish them).
-  std::vector<uint32_t> claimed = cache_->ClaimRange(first, last);
+Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source,
+                                  bool all, const std::vector<uint8_t>* need,
+                                  std::vector<EntryPtr>* graphs) {
+  const uint32_t first = supernodes_.FirstBlob(supernode);
+  const uint32_t num_blobs = supernodes_.FirstBlob(supernode + 1) - first;
+  auto needed = [need](uint32_t b) { return need != nullptr && (*need)[b]; };
+  std::vector<uint32_t> keys;
+  for (uint32_t b = 0; b < num_blobs; ++b) {
+    if (needed(b)) {
+      if (EntryPtr cached = cache_->Lookup(first + b); cached != nullptr) {
+        ++stats_.cache_hits;
+        (*graphs)[b] = std::move(cached);
+        continue;
+      }
+    }
+    if (all || needed(b)) keys.push_back(first + b);
+  }
+  // Graphs already cached or in flight on another thread are skipped
+  // (their owners publish them); this never blocks.
+  std::vector<uint32_t> claimed = cache_->ClaimKeys(keys);
   if (claimed.empty()) return Status::OK();
   obs::Span prefetch_span("cache.prefetch_section", "cache");
   prefetch_span.AddArg("supernode", supernode);
   prefetch_span.AddArg("blobs", claimed.size());
   size_t published = 0;
   Status read = ReadSectionBlobs(
-      supernode, first, last, claimed, source,
+      supernode, claimed, source,
       [&](uint32_t id, const uint8_t* data, size_t size) {
         ShardedGraphCache::Entry entry;
         WG_RETURN_IF_ERROR(
             DecodeSectionBlob(supernode, id, data, size, &entry));
-        cache_->Publish(id, std::move(entry));
+        EntryPtr pinned = cache_->Publish(id, std::move(entry));
         ++published;
+        if (needed(id - first)) (*graphs)[id - first] = std::move(pinned);
         return Status::OK();
       });
   // Whatever the failed read left unpublished must still be resolved.
@@ -665,6 +664,46 @@ Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source) {
     cache_->Abort(claimed[i], read);
   }
   return read;
+}
+
+Status SNodeRepr::LoadSectionGraphs(uint32_t supernode,
+                                    const std::vector<uint8_t>& need,
+                                    std::vector<EntryPtr>* graphs) {
+  size_t num_needed = 0;
+  for (uint8_t n : need) num_needed += n;
+  graphs->assign(need.size(), nullptr);
+  WG_RETURN_IF_ERROR(PrefetchSection(supernode, SNodeLoadSource::kDemand,
+                                     SectionWorthPrefetching(supernode,
+                                                             num_needed),
+                                     &need, graphs));
+  // Only now, holding no claims, wait for the graphs other threads had in
+  // flight. A graph published and evicted meanwhile comes back as a claim
+  // of ours, resolved by its own read before the next wait.
+  const uint32_t first = supernodes_.FirstBlob(supernode);
+  for (uint32_t b = 0; b < need.size(); ++b) {
+    if (!need[b] || (*graphs)[b] != nullptr) continue;
+    ShardedGraphCache::Claim claim = cache_->BeginLoad(first + b);
+    if (claim.kind == ShardedGraphCache::ClaimKind::kFailed) {
+      return claim.status;
+    }
+    if (claim.kind == ShardedGraphCache::ClaimKind::kHit) {
+      ++stats_.cache_hits;
+      (*graphs)[b] = std::move(claim.entry);
+      continue;
+    }
+    ShardedGraphCache::Entry entry;
+    Status read = ReadSectionBlobs(
+        supernode, {first + b}, SNodeLoadSource::kDemand,
+        [&](uint32_t id, const uint8_t* data, size_t size) {
+          return DecodeSectionBlob(supernode, id, data, size, &entry);
+        });
+    if (!read.ok()) {
+      cache_->Abort(first + b, read);
+      return read;
+    }
+    (*graphs)[b] = cache_->Publish(first + b, std::move(entry));
+  }
+  return Status::OK();
 }
 
 bool SNodeRepr::ProbeWithinReach(uint32_t supernode, uint64_t* stamp) {
@@ -723,8 +762,7 @@ Status SNodeRepr::GatherSection(uint32_t supernode, uint64_t scratch_stamp,
   span.AddArg("supernode", supernode);
   span.AddArg("blobs", missing.size());
   return ReadSectionBlobs(
-      supernode, first, first + num_blobs - 1, missing,
-      SNodeLoadSource::kDemand,
+      supernode, missing, SNodeLoadSource::kDemand,
       [&](uint32_t id, const uint8_t* data, size_t size) {
         const uint32_t b = id - first;
         WG_RETURN_IF_ERROR(
@@ -769,7 +807,7 @@ Status SNodeRepr::CollectPageLinks(PageId p, uint64_t stamp,
 }
 
 uint32_t SNodeRepr::AssembledKey(uint32_t supernode) const {
-  return static_cast<uint32_t>(store_->num_blobs()) + supernode;
+  return static_cast<uint32_t>(store_->num_graphs()) + supernode;
 }
 
 // One-pass supernode assembly: gathers each graph of the section exactly
@@ -1026,6 +1064,8 @@ Status SNodeRepr::VisitLinksInto(
 
   std::vector<PageId> links;
   std::vector<uint32_t> cross;
+  std::vector<uint8_t> need;
+  std::vector<EntryPtr> graphs;
   for (PageId p : sources) {
     if (p >= new_of_orig_.size()) {
       return Status::OutOfRange("page id out of range");
@@ -1055,21 +1095,22 @@ Status SNodeRepr::VisitLinksInto(
       continue;
     }
 
-    size_t needed = 0;
-    if (allowed.count(s) > 0) ++needed;
-    for (uint32_t e = supernodes_.offsets[s]; e < supernodes_.offsets[s + 1];
-         ++e) {
-      if (allowed.count(supernodes_.targets[e]) > 0) ++needed;
-    }
-    if (SectionWorthPrefetching(s, needed)) {
-      WG_RETURN_IF_ERROR(PrefetchSection(s));
-    }
-
+    // Every graph this source needs comes from one fetch of its section:
+    // the intranode graph when targets fall in s, and the superedge
+    // graphs into supernodes the targets touch (pushdown: the rest are
+    // never decoded).
+    const uint32_t e_begin = supernodes_.offsets[s];
+    const uint32_t e_end = supernodes_.offsets[s + 1];
     auto allowed_it = allowed.find(s);
+    need.assign(1 + (e_end - e_begin), 0);
+    need[0] = allowed_it != allowed.end();
+    for (uint32_t e = e_begin; e < e_end; ++e) {
+      need[1 + (e - e_begin)] = allowed.count(supernodes_.targets[e]) > 0;
+    }
+    WG_RETURN_IF_ERROR(LoadSectionGraphs(s, need, &graphs));
+
     if (allowed_it != allowed.end()) {
-      WG_ASSIGN_OR_RETURN(EntryPtr intra_entry,
-                          LoadBlob(supernodes_.FirstBlob(s), s));
-      const IntranodeGraph* intra = intra_entry->intranode.get();
+      const IntranodeGraph* intra = graphs[0]->intranode.get();
       const auto& locals = allowed_it->second;
       for (uint32_t i = intra->offsets[local]; i < intra->offsets[local + 1];
            ++i) {
@@ -1079,20 +1120,14 @@ Status SNodeRepr::VisitLinksInto(
         }
       }
     }
-    for (uint32_t e = supernodes_.offsets[s]; e < supernodes_.offsets[s + 1];
-         ++e) {
-      uint32_t j = supernodes_.targets[e];
-      auto jt = allowed.find(j);
-      if (jt == allowed.end()) continue;  // pushdown: skip this graph
-      WG_ASSIGN_OR_RETURN(
-          EntryPtr se_entry,
-          LoadBlob(supernodes_.FirstBlob(s) + 1 + (e - supernodes_.offsets[s]),
-                   s));
-      const SuperedgeGraph* se = se_entry->superedge.get();
+    for (uint32_t e = e_begin; e < e_end; ++e) {
+      if (!need[1 + (e - e_begin)]) continue;
+      const uint32_t j = supernodes_.targets[e];
+      const SuperedgeGraph* se = graphs[1 + (e - e_begin)]->superedge.get();
       cross.clear();
       se->LinksOf(local, &cross);
       uint32_t tbase = supernodes_.page_start[j];
-      const auto& locals = jt->second;
+      const auto& locals = allowed.find(j)->second;
       for (uint32_t t : cross) {
         if (std::binary_search(locals.begin(), locals.end(), t)) {
           links.push_back(orig_of_new_[tbase + t]);
@@ -1123,10 +1158,10 @@ Status SNodeRepr::PagesInDomain(const std::string& domain,
 
 uint64_t SNodeRepr::encoded_bits() const {
   // Store blobs + the Huffman-coded supernode adjacency. The paper's 4-byte
-  // blob pointers are resident directory state (reported through Figure
-  // 10's HuffmanEncodedBytes; here derived, see SupernodeGraph::FirstBlob),
-  // mirroring how the baselines' resident indexes are excluded from their
-  // bits/edge.
+  // graph pointers are resident directory state (reported through Figure
+  // 10's HuffmanEncodedBytes; here the store directory's length per graph,
+  // counted in resident_memory), mirroring how the baselines' resident
+  // indexes are excluded from their bits/edge.
   return store_->total_bytes() * 8 + supernodes_.HuffmanAdjacencyBits();
 }
 

@@ -33,9 +33,10 @@
 // instrumentation the paper used to explain Figures 11/12.
 //
 // One read path: every byte this repr reads from the store goes through
-// ReadSectionBlobs, whether for a lone probe, a section prefetch, or a
-// supernode assembly. The store (storage/graph_store.h) owns the pread
-// and the CRC check of every blob. ReadSectionBlobs owns what a read
+// ReadSectionBlobs, whether for a lone probe, a VisitLinksInto fetch, a
+// decode-ahead, or a supernode assembly, and every such read is one whole
+// section. The store (storage/graph_store.h) owns the pread and the
+// section's CRC check. ReadSectionBlobs owns what a read
 // means here: the quarantined-section check and quarantine on corruption,
 // io_mutex_ with the disk-model charge, the storage trace span, and every
 // load counter (disk_reads, bytes_read, graphs_loaded, cache_misses,
@@ -136,7 +137,7 @@ class SNodeRepr : public GraphRepresentation {
   // The second half of Build: numbering, encode, and layout over an
   // already-refined partition. Exposed for the versioned-snapshot layer,
   // whose byte-identity contract ("incremental generation == from-scratch
-  // rebuild, per blob") is defined against this entry point with the
+  // rebuild, per section") is defined against this entry point with the
   // deterministically maintained partition -- both paths then funnel
   // through EncodeSupernodeSection and the pure codecs, so equal inputs
   // give equal bytes. Fills stats->encode/layout/total_seconds (adding any
@@ -165,8 +166,8 @@ class SNodeRepr : public GraphRepresentation {
   // apply. Derives the inverse permutation. Returns Corruption when the
   // state is inconsistent: new_of_orig is not a permutation, page ranges
   // or superedge offsets do not ascend to their totals, a superedge target
-  // or domain entry is past the last supernode, or the store holds a
-  // different number of blobs than the supernode graph lays out.
+  // or domain entry is past the last supernode, or a store section holds a
+  // different number of graphs than the supernode graph lays out there.
   static Result<std::unique_ptr<SNodeRepr>> FromParts(
       SNodeResidentState state, std::unique_ptr<GraphStore> store,
       const std::string& base_path, const SNodeBuildOptions& options);
@@ -239,7 +240,7 @@ class SNodeRepr : public GraphRepresentation {
   // readers mid-walk); 0 once every view is dropped.
   size_t PinnedCacheEntries() const { return cache_->PinnedEntries(); }
 
-  // True when `supernode`'s section was quarantined after a corrupt blob:
+  // True when `supernode`'s section was quarantined after a corrupt read:
   // store reads of it fail fast with Unavailable (one request fails, the
   // process and every other section keep serving) until the store is
   // repaired and the generation reloaded. Graphs of the section already
@@ -262,8 +263,8 @@ class SNodeRepr : public GraphRepresentation {
 
   using EntryPtr = ShardedGraphCache::EntryPtr;
 
-  // Cache key of supernode s's assembled-adjacency block. Blob ids occupy
-  // [0, num_blobs); assembled blocks live past them in the same key space
+  // Cache key of supernode s's assembled-adjacency block. Blob (graph) ids
+  // occupy [0, num_graphs); assembled blocks live past them in the key space
   // so they share the cache's sharding, budget, and singleflight.
   uint32_t AssembledKey(uint32_t supernode) const;
 
@@ -308,40 +309,44 @@ class SNodeRepr : public GraphRepresentation {
   // probe assembled it. A cache smaller than one such section never admits.
   bool ProbeWithinReach(uint32_t supernode, uint64_t* stamp);
 
-  // Read-through fetch of one graph of `supernode`'s section for
-  // VisitLinksInto: cache hit, wait on another thread's in-flight decode,
-  // or claim + decode + publish a per-blob cache entry. The returned
-  // shared_ptr pins the graph for the caller regardless of concurrent
-  // eviction.
-  Result<EntryPtr> LoadBlob(uint32_t blob_id, uint32_t supernode);
+  // Claim-read-publish over `supernode`'s section, the fetch behind
+  // VisitLinksInto and decode-ahead. Pins every cached graph marked in
+  // `need` into (*graphs)[b] (b: the graph's index in the section), then
+  // claims without blocking every graph -- all of the section's when
+  // `all` is set, else those marked in `need` -- that is neither cached
+  // nor in flight, reads the section once for them, and decodes and
+  // publishes each, pinning the needed ones. Needed graphs in flight on
+  // another thread stay null: their owners publish them. `need` and
+  // `graphs` may be null when nothing is needed.
+  Status PrefetchSection(uint32_t supernode, SNodeLoadSource source, bool all,
+                         const std::vector<uint8_t>* need,
+                         std::vector<EntryPtr>* graphs);
 
-  // Loads a supernode's whole disk section (intranode graph + all its
-  // outgoing superedge graphs, which the builder laid out contiguously)
-  // with one sequential read, decoding everything into the cache. This is
-  // the payoff of the paper's Section 3.3 linear ordering: a query that
-  // needs most of a section pays one seek for it. Under concurrency, only
-  // blobs this thread claimed are decoded here; blobs already in flight
-  // elsewhere are left to their owners.
-  Status PrefetchSection(uint32_t supernode,
-                         SNodeLoadSource source = SNodeLoadSource::kDemand);
+  // Read-through fetch of the graphs of `supernode`'s section marked in
+  // `need`, for VisitLinksInto: one PrefetchSection (the whole section
+  // decoded when SectionWorthPrefetching), then, holding no claims, a
+  // wait for the graphs other threads had in flight. (*graphs)[b] pins
+  // every needed graph for the caller regardless of concurrent eviction.
+  Status LoadSectionGraphs(uint32_t supernode, const std::vector<uint8_t>& need,
+                           std::vector<EntryPtr>* graphs);
 
   // Hands sections supernode+1 .. supernode+decode_ahead_sections to the
   // background executor (no-op when decode-ahead is off).
   void MaybeDecodeAhead(uint32_t supernode);
 
-  // True if enough of the section is wanted that a single sequential
-  // section read beats per-graph seeks.
+  // True if enough of the section is wanted that decoding (and caching)
+  // all of its graphs beats decoding just the wanted ones.
   bool SectionWorthPrefetching(uint32_t supernode, size_t graphs_needed) const;
 
-  // The one store read (see the header comment): reads blobs [first,
-  // last] of `supernode`'s section and hands each blob in `wanted`
-  // (ascending ids inside the range) to `decode`, whose bytes are borrowed
+  // The one store read (see the header comment): reads `supernode`'s
+  // section (one pread, one CRC) and hands each blob in `wanted`
+  // (ascending ids of the section) to `decode`, whose bytes are borrowed
   // for the call only. Fails fast with Unavailable on a quarantined
   // section and quarantines it when the bytes prove corrupt. The caller
   // resolves its cache claims from the returned status.
   using BlobDecodeFn =
       std::function<Status(uint32_t blob_id, const uint8_t* data, size_t size)>;
-  Status ReadSectionBlobs(uint32_t supernode, uint32_t first, uint32_t last,
+  Status ReadSectionBlobs(uint32_t supernode,
                           const std::vector<uint32_t>& wanted,
                           SNodeLoadSource source, const BlobDecodeFn& decode);
 
@@ -396,9 +401,9 @@ class SNodeRepr : public GraphRepresentation {
   mutable std::mutex io_mutex_;
   DiskCounterTracker disk_tracker_;
 
-  // One bit per supernode section, set when a corrupt blob was found in
-  // it (allocated by Install; relaxed ops -- a race on first set
-  // only costs one extra failing read).
+  // One bit per supernode section, set when a read of it proved corrupt
+  // (allocated by Install; relaxed ops -- a race on first set only costs
+  // one extra failing read).
   std::unique_ptr<std::atomic<uint64_t>[]> section_quarantined_;
 };
 

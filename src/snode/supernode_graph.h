@@ -13,9 +13,11 @@
 // iff some page in N_i links into N_j, a pointer from each supernode to
 // its intranode graph and from each superedge to its positive or negative
 // superedge graph, plus the two resident indexes of Figure 7. The pointers
-// are not stored: the disk layout (Section 3.3, Figure 8) puts sections in
-// supernode order, each intranode graph right before its outgoing
-// superedge graphs, so FirstBlob derives them.
+// are not stored here: the disk layout (Section 3.3, Figure 8) puts
+// sections in supernode order, each intranode graph right before its
+// outgoing superedge graphs, so FirstBlob derives which store graph a
+// pointer names, and the store directory's 4-byte length per graph where
+// its bytes lie within the section.
 //
 //  * PageID index -- supernodes own contiguous page-id ranges (the paper's
 //    numbering rule), so it is an array of range starts;

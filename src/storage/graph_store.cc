@@ -10,17 +10,66 @@ namespace wg {
 
 namespace {
 
-std::string BlobErrorDetail(const char* what, uint32_t id, uint32_t file_index,
-                            uint64_t offset, uint32_t length) {
+std::string SectionErrorDetail(const char* what, uint32_t s,
+                               const GraphStore::Section& section) {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "graph store: %s: blob %u (file %u offset %llu length %u)",
-                what, id, file_index,
-                static_cast<unsigned long long>(offset), length);
+                "graph store: %s: section %u (file %u offset %llu length %u)",
+                what, s, section.file_index,
+                static_cast<unsigned long long>(section.offset),
+                section.length);
   return buf;
 }
 
 }  // namespace
+
+void GraphStore::Directory::Serialize(std::string* out) const {
+  PutVarint64(out, sections.size());
+  uint32_t graph = 0;
+  for (const Section& section : sections) {
+    PutVarint32(out, section.file_index);
+    PutVarint64(out, section.offset);
+    PutVarint32(out, section.crc);
+    PutVarint32(out, section.num_graphs);
+    for (uint32_t k = 0; k < section.num_graphs; ++k) {
+      PutVarint32(out, graph_lengths[graph++]);
+    }
+  }
+}
+
+Result<GraphStore::Directory> GraphStore::Directory::Parse(
+    SerialCursor* cursor) {
+  Directory directory;
+  uint64_t num_sections = 0;
+  if (!cursor->ReadCount(&num_sections)) {
+    return Status::Corruption("graph store: bad section count");
+  }
+  directory.sections.resize(num_sections);
+  for (Section& section : directory.sections) {
+    uint64_t num_graphs = 0;
+    if (!cursor->ReadVarint32(&section.file_index) ||
+        !cursor->ReadVarint64(&section.offset) ||
+        !cursor->ReadVarint32(&section.crc) ||
+        !cursor->ReadCount(&num_graphs) || num_graphs > UINT32_MAX) {
+      return Status::Corruption("graph store: bad section entry");
+    }
+    section.num_graphs = static_cast<uint32_t>(num_graphs);
+    uint64_t length = 0;
+    for (uint64_t k = 0; k < num_graphs; ++k) {
+      uint32_t graph_length = 0;
+      if (!cursor->ReadVarint32(&graph_length)) {
+        return Status::Corruption("graph store: bad graph length");
+      }
+      length += graph_length;
+      directory.graph_lengths.push_back(graph_length);
+    }
+    if (length > UINT32_MAX) {
+      return Status::Corruption("graph store: section longer than 4 GiB");
+    }
+    section.length = static_cast<uint32_t>(length);
+  }
+  return directory;
+}
 
 Result<std::unique_ptr<GraphStore>> GraphStore::Create(std::string base_path,
                                                        Options options) {
@@ -41,102 +90,63 @@ Status GraphStore::OpenNextFile() {
   return Status::OK();
 }
 
-Result<uint32_t> GraphStore::Append(const std::vector<uint8_t>& blob) {
+Result<uint32_t> GraphStore::AppendSection(
+    const std::vector<std::vector<uint8_t>>& graphs) {
   if (read_only_) {
     return Status::InvalidArgument("graph store: attached read-only");
   }
+  uint64_t length = 0;
+  for (const std::vector<uint8_t>& graph : graphs) length += graph.size();
+  if (length > UINT32_MAX) {
+    return Status::InvalidArgument("graph store: section longer than 4 GiB");
+  }
   RandomAccessFile* file = files_.back().get();
-  if (file->size() > 0 &&
-      file->size() + blob.size() > options_.max_file_size) {
+  if (file->size() > 0 && file->size() + length > options_.max_file_size) {
     WG_RETURN_IF_ERROR(OpenNextFile());
     file = files_.back().get();
   }
-  BlobRef ref;
-  ref.file_index = static_cast<uint32_t>(files_.size() - 1);
-  ref.offset = file->size();
-  ref.length = static_cast<uint32_t>(blob.size());
-  ref.crc = blob.empty() ? 0 : Crc32(blob.data(), blob.size());
-  if (!blob.empty()) {
-    WG_RETURN_IF_ERROR(
-        file->Append(reinterpret_cast<const char*>(blob.data()), blob.size()));
+  Section section;
+  section.file_index = static_cast<uint32_t>(files_.size() - 1);
+  section.num_graphs = static_cast<uint32_t>(graphs.size());
+  section.offset = file->size();
+  section.length = static_cast<uint32_t>(length);
+  for (const std::vector<uint8_t>& graph : graphs) {
+    if (!graph.empty()) {
+      WG_RETURN_IF_ERROR(file->Append(
+          reinterpret_cast<const char*>(graph.data()), graph.size()));
+    }
+    section.crc = Crc32(graph.data(), graph.size(), section.crc);
+    directory_.graph_lengths.push_back(static_cast<uint32_t>(graph.size()));
   }
-  directory_.push_back(ref);
-  total_bytes_ += blob.size();
-  return static_cast<uint32_t>(directory_.size() - 1);
+  directory_.sections.push_back(section);
+  first_graph_.push_back(static_cast<uint32_t>(num_graphs()));
+  total_bytes_ += length;
+  return static_cast<uint32_t>(num_sections() - 1);
 }
 
-Status GraphStore::ReadBlobs(uint32_t first, uint32_t last,
-                             std::vector<uint8_t>* scratch,
-                             std::vector<BlobSpan>* out) const {
-  if (first > last || last >= directory_.size()) {
-    return Status::OutOfRange("graph store: bad blob range");
+Status GraphStore::ReadSection(uint32_t s, std::vector<uint8_t>* scratch,
+                               std::vector<GraphSpan>* graphs) const {
+  if (s >= num_sections()) {
+    return Status::OutOfRange("graph store: section out of range");
   }
-  uint64_t total = 0;
-  for (uint32_t b = first; b <= last; ++b) total += directory_[b].length;
-  scratch->resize(total);
-  out->resize(last - first + 1);
-  uint8_t* dst = scratch->data();
-  uint32_t id = first;
-  while (id <= last) {
-    // Greedily take the run of blobs laid out back to back in one file.
-    // Manifest-composed stores (version layer) can place consecutive ids
-    // in different files or at non-adjacent offsets -- such neighbors get
-    // their own read instead of one mis-sized span.
-    const uint32_t file_index = directory_[id].file_index;
-    uint32_t run_end = id;
-    while (run_end < last &&
-           directory_[run_end + 1].file_index == file_index &&
-           directory_[run_end + 1].offset ==
-               directory_[run_end].offset + directory_[run_end].length) {
-      ++run_end;
-    }
-    const uint64_t begin = directory_[id].offset;
-    const uint64_t length =
-        directory_[run_end].offset + directory_[run_end].length - begin;
-    if (length > 0) {
-      WG_RETURN_IF_ERROR(files_[file_index]->Read(
-          begin, length, reinterpret_cast<char*>(dst)));
-    }
-    for (uint32_t b = id; b <= run_end; ++b) {
-      const BlobRef& ref = directory_[b];
-      const uint8_t* data =
-          ref.length == 0 ? nullptr : dst + (ref.offset - begin);
-      if (data != nullptr && Crc32(data, ref.length) != ref.crc) {
-        ++IntegrityCounters::Get().checksum_failures;
-        return Status::Corruption(BlobErrorDetail(
-            "checksum mismatch", b, ref.file_index, ref.offset, ref.length));
-      }
-      (*out)[b - first] = {data, ref.length};
-    }
-    dst += length;
-    id = run_end + 1;
+  const Section& section = directory_.sections[s];
+  scratch->resize(section.length);
+  if (section.length > 0) {
+    WG_RETURN_IF_ERROR(files_[section.file_index]->Read(
+        section.offset, section.length,
+        reinterpret_cast<char*>(scratch->data())));
   }
-  return Status::OK();
-}
-
-Status GraphStore::ReadBlob(uint32_t id, std::vector<uint8_t>* out) const {
-  // ReadBlobs sizes its scratch to the blobs it reads, so one blob's
-  // bytes fill *out exactly.
-  std::vector<BlobSpan> span;
-  return ReadBlobs(id, id, out, &span);
-}
-
-Status GraphStore::VerifyBlob(uint32_t id) const {
-  if (id >= directory_.size()) {
-    return Status::OutOfRange("graph store: blob id out of range");
+  if (Crc32(scratch->data(), section.length) != section.crc) {
+    ++IntegrityCounters::Get().checksum_failures;
+    return Status::Corruption(
+        SectionErrorDetail("checksum mismatch", s, section));
   }
-  const BlobRef& ref = directory_[id];
-  if (ref.length == 0) return Status::OK();
-  if (ref.offset + ref.length > files_[ref.file_index]->size()) {
-    return Status::Corruption(BlobErrorDetail(
-        "blob outside file", id, ref.file_index, ref.offset, ref.length));
-  }
-  std::vector<uint8_t> buffer(ref.length);
-  WG_RETURN_IF_ERROR(files_[ref.file_index]->Read(
-      ref.offset, ref.length, reinterpret_cast<char*>(buffer.data())));
-  if (Crc32(buffer.data(), ref.length) != ref.crc) {
-    return Status::Corruption(BlobErrorDetail(
-        "checksum mismatch", id, ref.file_index, ref.offset, ref.length));
+  graphs->resize(section.num_graphs);
+  const uint8_t* data = scratch->data();
+  for (uint32_t k = 0; k < section.num_graphs; ++k) {
+    const uint32_t length = directory_.graph_lengths[first_graph_[s] + k];
+    (*graphs)[k] = {length == 0 ? nullptr : data, length};
+    data += length;
   }
   return Status::OK();
 }
@@ -154,32 +164,16 @@ void GraphStore::EvictFromPageCache() const {
 
 void GraphStore::SerializeDirectory(std::string* payload) const {
   PutVarint64(payload, files_.size());
-  PutVarint64(payload, directory_.size());
-  for (const BlobRef& ref : directory_) {
-    PutVarint32(payload, ref.file_index);
-    PutVarint64(payload, ref.offset);
-    PutVarint32(payload, ref.length);
-    PutVarint32(payload, ref.crc);
-  }
+  directory_.Serialize(payload);
 }
 
 Result<std::unique_ptr<GraphStore>> GraphStore::OpenExisting(
     const std::string& base_path, SerialCursor* cursor) {
-  uint64_t num_files = 0, num_blobs = 0;
-  if (!cursor->ReadVarint64(&num_files) ||
-      !cursor->ReadVarint64(&num_blobs)) {
+  uint64_t num_files = 0;
+  if (!cursor->ReadCount(&num_files)) {
     return Status::Corruption("graph store: bad directory header");
   }
-  std::vector<BlobLocation> directory;
-  for (uint64_t b = 0; b < num_blobs; ++b) {
-    BlobLocation loc;
-    if (!cursor->ReadVarint32(&loc.file_index) ||
-        !cursor->ReadVarint64(&loc.offset) ||
-        !cursor->ReadVarint32(&loc.length) || !cursor->ReadVarint32(&loc.crc)) {
-      return Status::Corruption("graph store: bad directory entry");
-    }
-    directory.push_back(loc);
-  }
+  WG_ASSIGN_OR_RETURN(Directory directory, Directory::Parse(cursor));
   std::vector<std::string> paths;
   for (uint64_t f = 0; f < num_files; ++f) {
     char suffix[32];
@@ -191,8 +185,7 @@ Result<std::unique_ptr<GraphStore>> GraphStore::OpenExisting(
 }
 
 Result<std::unique_ptr<GraphStore>> GraphStore::OpenFiles(
-    const std::vector<std::string>& paths,
-    std::vector<BlobLocation> directory) {
+    const std::vector<std::string>& paths, Directory directory) {
   std::unique_ptr<GraphStore> store(new GraphStore("", Options()));
   store->read_only_ = true;
   for (const std::string& path : paths) {
@@ -200,19 +193,34 @@ Result<std::unique_ptr<GraphStore>> GraphStore::OpenFiles(
     if (!file.ok()) return file.status();
     store->files_.push_back(std::move(file).value());
   }
-  store->directory_.reserve(directory.size());
-  for (const BlobLocation& loc : directory) {
-    if (loc.file_index >= store->files_.size()) {
-      return Status::Corruption("graph store: blob references unknown file");
+  uint64_t graph = 0;
+  for (const Section& section : directory.sections) {
+    if (section.file_index >= store->files_.size()) {
+      return Status::Corruption("graph store: section references unknown file");
     }
-    const uint64_t file_size = store->files_[loc.file_index]->size();
-    if (loc.offset > file_size || loc.length > file_size - loc.offset) {
-      return Status::Corruption("graph store: blob outside file");
+    const uint64_t file_size = store->files_[section.file_index]->size();
+    if (section.offset > file_size ||
+        section.length > file_size - section.offset) {
+      return Status::Corruption("graph store: section outside file");
     }
-    store->directory_.push_back(
-        {loc.file_index, loc.length, loc.offset, loc.crc});
-    store->total_bytes_ += loc.length;
+    if (section.num_graphs > directory.graph_lengths.size() - graph) {
+      return Status::Corruption("graph store: sections list more graphs");
+    }
+    uint64_t length = 0;
+    for (uint32_t k = 0; k < section.num_graphs; ++k) {
+      length += directory.graph_lengths[graph++];
+    }
+    if (length != section.length) {
+      return Status::Corruption(
+          "graph store: section length is not its graphs' sum");
+    }
+    store->first_graph_.push_back(static_cast<uint32_t>(graph));
+    store->total_bytes_ += section.length;
   }
+  if (graph != directory.graph_lengths.size()) {
+    return Status::Corruption("graph store: graphs outside every section");
+  }
+  store->directory_ = std::move(directory);
   return store;
 }
 

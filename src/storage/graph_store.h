@@ -11,23 +11,26 @@
 #include "util/status.h"
 
 // The on-disk home of S-Node's intranode and superedge graphs (Section 3.3
-// of the paper): a sequence of bounded-size "index files", each holding
-// whole encoded graphs back to back in the caller-chosen linear order (the
-// paper places each intranode graph immediately before its outgoing
-// superedge graphs so one seek loads a query's working set). A blob never
-// straddles a file boundary, matching the paper's "a given intranode or
-// superedge graph was completely located within a single file".
+// of the paper): a sequence of bounded-size "index files" (packs), each
+// holding whole sections back to back in the caller's linear order. A
+// section is one supernode's intranode graph followed by its outgoing
+// superedge graphs, so one seek loads a query's working set. No section
+// spans two packs: the paper's "a given intranode or superedge graph was
+// completely located within a single file", lifted from graphs to
+// sections.
 //
-// The directory (blob id -> file, offset, length) is kept in memory and is
-// charged to the representation's resident-index budget, like the paper's
-// PageID/domain indexes.
+// The section is the one unit the store writes, reads and checks. The
+// directory holds one entry per section (pack, offset, length, CRC32) and
+// a 4-byte length per graph, the paper's Fig. 10 pointer. It is kept in
+// memory and charged to the representation's resident-index budget, like
+// the paper's PageID/domain indexes.
 //
-// Every read goes through ReadBlobs: one pread per run of back-to-back
-// blobs, every non-empty blob CRC-checked on every read, every byte
-// through the Env fault seam (storage/env.h) and the disk model
-// (RandomAccessFile's seek/transfer counters). What a read means above
-// this layer belongs to SNodeRepr::ReadSectionBlobs (snode/snode_repr.h):
-// section quarantine, the disk-model lock and the load counters.
+// Every read is ReadSection: one pread of one whole section, checked by
+// one CRC, every byte through the Env fault seam (storage/env.h) and the
+// disk model (RandomAccessFile's seek/transfer counters). What a read
+// means above this layer belongs to SNodeRepr::ReadSectionBlobs
+// (snode/snode_repr.h): section quarantine, the disk-model lock and the
+// load counters.
 
 namespace wg {
 
@@ -41,18 +44,30 @@ class GraphStore {
     uint64_t max_file_size = 512 * 1024;
   };
 
-  // Physical home of one blob, exposed so the version subsystem's
-  // manifests can reference blobs across store generations (a manifest
-  // maps dense per-generation blob ids onto an arbitrary set of pack
-  // files, sharing unchanged blobs byte-identically between generations).
-  // file_index is internal to the store it came from: pair it with that
-  // store's FilePath.
-  struct BlobLocation {
-    uint32_t file_index;
-    uint64_t offset;
-    uint32_t length;
-    // CRC32 of the blob bytes, checked on every read of a non-empty blob.
-    uint32_t crc = 0;
+  // Physical home of one section. file_index is internal to whoever lists
+  // the section: a store's own file list, or a snapshot manifest's.
+  struct Section {
+    uint32_t file_index = 0;
+    uint32_t num_graphs = 0;
+    uint64_t offset = 0;
+    uint32_t length = 0;  // the sum of its graphs' lengths
+    uint32_t crc = 0;     // CRC32 of its bytes, checked on every read
+  };
+
+  // Where every section lives and how each splits into graphs: the form a
+  // store's `.meta` and a snapshot MANIFEST persist. Graph ids are dense
+  // in layout order, so section s holds the num_graphs graphs after those
+  // of sections [0, s).
+  struct Directory {
+    std::vector<Section> sections;
+    std::vector<uint32_t> graph_lengths;  // every graph's bytes, by id
+
+    // Per section: file index, offset, CRC, graph count and the graphs'
+    // lengths (varints). The section length is not written: it is derived.
+    void Serialize(std::string* out) const;
+    // Corruption when a field is missing, a count exceeds the bytes left,
+    // or a section's length overflows 32 bits.
+    static Result<Directory> Parse(SerialCursor* cursor);
   };
 
   // Creates a store writing files `<base_path>.000`, `<base_path>.001`, ...
@@ -69,79 +84,66 @@ class GraphStore {
       const std::string& base_path, SerialCursor* cursor);
 
   // Read-only store over an explicit set of files with an explicit
-  // directory: blob i lives at directory[i] inside paths[file_index].
-  // The one attach path: it opens every file without creating any (a
-  // missing one is NotFound) and rejects an entry that names an unknown
-  // file or lies outside its file. A versioned snapshot generation reads
-  // this way too: its manifest's blob table spans pack files written by
-  // several earlier generations, so blob ids stay dense and
-  // section-contiguous while the bytes are shared with whichever
-  // generation first wrote them.
+  // directory: section s lives in paths[sections[s].file_index]. The one
+  // attach path: it opens every file without creating any (a missing one
+  // is NotFound) and rejects a section that names an unknown file, lies
+  // outside its file, or whose length is not its graphs' sum. A snapshot
+  // generation reads this way too: its manifest's sections span pack
+  // files written by several earlier generations, shared whole.
   static Result<std::unique_ptr<GraphStore>> OpenFiles(
-      const std::vector<std::string>& paths,
-      std::vector<BlobLocation> directory);
+      const std::vector<std::string>& paths, Directory directory);
 
-  // Appends the blob directory to *payload (varints), for the owner's
-  // metadata file.
+  // Appends the file count and the directory to *payload (varints), for
+  // the owner's metadata file.
   void SerializeDirectory(std::string* payload) const;
 
-  // Appends a blob in linear order; returns its dense id (0, 1, 2, ...).
-  // Rejected on a store attached via OpenExisting.
-  Result<uint32_t> Append(const std::vector<uint8_t>& blob);
+  // Appends one section, `graphs` back to back in order, and returns its
+  // index. A section that would push a non-empty pack past max_file_size
+  // starts a new pack, so no section spans two packs and a section larger
+  // than max_file_size gets a pack of its own. Rejected on a store
+  // attached via OpenExisting or OpenFiles.
+  Result<uint32_t> AppendSection(
+      const std::vector<std::vector<uint8_t>>& graphs);
 
-  // A borrowed view of one blob's bytes in the caller's scratch buffer
+  // A borrowed view of one graph's bytes in the caller's scratch buffer
   // (valid until that buffer changes). data is never null for length > 0.
-  struct BlobSpan {
+  struct GraphSpan {
     const uint8_t* data = nullptr;
     uint32_t length = 0;
   };
 
-  // The store's one read path: points (*out)[i] at blob first+i for every
-  // blob in [first, last]. Each run of blobs laid out back to back in one
-  // file is read with one pread into *scratch, which holds the blobs'
-  // bytes in id order and nothing else, and every non-empty blob is
-  // CRC-verified on every read (Corruption on a mismatch). Not
-  // thread-safe: concurrent readers serialize on their own lock
-  // (SNodeRepr's io_mutex_), which also guards the disk-model counters
-  // every read bumps.
-  Status ReadBlobs(uint32_t first, uint32_t last,
-                   std::vector<uint8_t>* scratch,
-                   std::vector<BlobSpan>* out) const;
-
-  // Reads blob `id` into *out (ReadBlobs of one blob).
-  Status ReadBlob(uint32_t id, std::vector<uint8_t>* out) const;
-
-  // CRC verification of one blob that leaves the integrity counters alone
-  // (the scrub path). OK for empty blobs.
-  Status VerifyBlob(uint32_t id) const;
+  // The store's one read path: reads section `s` with one pread into
+  // *scratch, checks its CRC (Corruption on a mismatch), and points
+  // (*graphs)[k] at its k-th graph. Not thread-safe: concurrent readers
+  // serialize on their own lock (SNodeRepr's io_mutex_), which also
+  // guards the disk-model counters every read bumps.
+  Status ReadSection(uint32_t s, std::vector<uint8_t>* scratch,
+                     std::vector<GraphSpan>* graphs) const;
 
   // fsyncs every store file. Writers must call this before publishing a
-  // manifest that references the blobs. (Logically const: nothing about
-  // the store's state changes, only its durability.)
+  // manifest that references the sections. (Logically const: nothing
+  // about the store's state changes, only its durability.)
   Status SyncAll() const;
 
   // Best-effort page-cache eviction of every store file (cold-read
   // benchmarks; see RandomAccessFile::EvictFromPageCache).
   void EvictFromPageCache() const;
 
-  size_t num_blobs() const { return directory_.size(); }
+  const Directory& directory() const { return directory_; }
+  size_t num_sections() const { return directory_.sections.size(); }
+  size_t num_graphs() const { return directory_.graph_lengths.size(); }
   size_t num_files() const { return files_.size(); }
   uint64_t total_bytes() const { return total_bytes_; }
-  uint64_t blob_size(uint32_t id) const { return directory_[id].length; }
-  uint32_t blob_crc(uint32_t id) const { return directory_[id].crc; }
-
-  // Physical placement of blob `id` (for manifest composition).
-  BlobLocation Location(uint32_t id) const {
-    const BlobRef& ref = directory_[id];
-    return {ref.file_index, ref.offset, ref.length, ref.crc};
-  }
+  const Section& section(uint32_t s) const { return directory_.sections[s]; }
   const std::string& FilePath(uint32_t file_index) const {
     return files_[file_index]->path();
   }
 
   // In-memory size of the directory (a resident index).
   size_t DirectoryMemoryUsage() const {
-    return directory_.size() * sizeof(BlobRef);
+    return directory_.sections.size() * sizeof(Section) +
+           (directory_.graph_lengths.size() + first_graph_.size()) *
+               sizeof(uint32_t);
   }
 
   // Disk-model seeks / transferred bytes across all files.
@@ -149,13 +151,6 @@ class GraphStore {
   uint64_t transferred_bytes() const;
 
  private:
-  struct BlobRef {
-    uint32_t file_index;
-    uint32_t length;
-    uint64_t offset;
-    uint32_t crc;
-  };
-
   GraphStore(std::string base_path, Options options)
       : base_path_(std::move(base_path)), options_(options) {}
 
@@ -164,7 +159,9 @@ class GraphStore {
   std::string base_path_;
   Options options_;
   std::vector<std::unique_ptr<RandomAccessFile>> files_;
-  std::vector<BlobRef> directory_;
+  Directory directory_;
+  // Id of each section's first graph, derived; size sections + 1.
+  std::vector<uint32_t> first_graph_ = {0};
   uint64_t total_bytes_ = 0;
   bool read_only_ = false;
 };

@@ -8,7 +8,7 @@ IntegrityCounters& IntegrityCounters::Get() {
     auto& reg = obs::MetricRegistry::Default();
     c->checksum_failures.Bind(
         reg, "wg_integrity_checksum_failures_total", {},
-        "Blob reads that failed CRC verification");
+        "Section reads that failed CRC verification");
     c->quarantined_sections.Bind(reg, "wg_integrity_quarantined_sections", {},
                                  "S-Node sections quarantined after corruption");
     return c;

@@ -11,9 +11,9 @@
 namespace wg {
 
 struct IntegrityCounters {
-  // Blob reads that failed CRC verification.
+  // Section reads that failed CRC verification.
   obs::Counter checksum_failures;
-  // S-Node sections quarantined after a corrupt blob (requests touching
+  // S-Node sections quarantined after a corrupt read (requests touching
   // them fail fast with Unavailable until the store is repaired).
   obs::Counter quarantined_sections;
 

@@ -73,10 +73,15 @@ bool SerialCursor::ReadVarint32(uint32_t* v) {
 
 bool SerialCursor::ReadString(std::string* s) {
   uint64_t len = 0;
-  if (!ReadVarint64(&len) || pos_ + len > size_) return false;
+  // Compared against what is left, so a huge length cannot wrap the sum.
+  if (!ReadVarint64(&len) || len > size_ - pos_) return false;
   s->assign(data_ + pos_, len);
   pos_ += len;
   return true;
+}
+
+bool SerialCursor::ReadCount(uint64_t* n) {
+  return ReadVarint64(n) && *n <= size_ - pos_;
 }
 
 }  // namespace wg

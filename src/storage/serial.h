@@ -54,6 +54,10 @@ class SerialCursor {
   bool ReadVarint64(uint64_t* v);
   bool ReadVarint32(uint32_t* v);
   bool ReadString(std::string* s);
+  // Reads the count of a list whose every item takes at least one byte, so
+  // the caller may size a container by it: false when the count exceeds
+  // the bytes left, before anything is allocated.
+  bool ReadCount(uint64_t* n);
   size_t position() const { return pos_; }
   bool exhausted() const { return pos_ >= size_; }
 

@@ -42,12 +42,12 @@ Status CollectGarbage(const std::string& dir, const GcOptions& options,
   WG_ASSIGN_OR_RETURN(Manifest manifest,
                       Manifest::ReadFrom(dir + "/" + manifest_name));
 
-  // Referenced = packs some live blob actually reads. The manifest's
-  // `files` table is append-only and may name packs no blob indexes
-  // anymore -- those are exactly the garbage.
+  // Referenced = packs some live section actually lives in. The
+  // manifest's `files` table is append-only and may name packs no section
+  // indexes anymore -- those are exactly the garbage.
   std::set<std::string> referenced;
-  for (const ManifestBlob& b : manifest.blobs) {
-    referenced.insert(manifest.files[b.file_index]);
+  for (const GraphStore::Section& section : manifest.directory.sections) {
+    referenced.insert(manifest.files[section.file_index]);
   }
 
   DIR* d = ::opendir(dir.c_str());

@@ -2,14 +2,12 @@
 
 #include <chrono>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "snode/section_encode.h"
-#include "version/content_hash.h"
 
 namespace wg::version {
 
@@ -133,49 +131,21 @@ Result<Manifest> BuildIncrementalGeneration(
   NumberPages(partition, num_pages, &state.new_of_orig, &sg.page_start);
   std::vector<uint32_t> owner = partition.ElementOf(num_pages);
 
-  // Content-hash table of the base generation's blobs: the sharing key.
-  // (128-bit hashes; an accidental collision would silently alias two
-  // blobs, but at ~2^-64 per pair across a store of thousands that risk
-  // is the design's stated trade for never reading old packs here.)
-  std::unordered_map<ContentHash, ManifestBlob, ContentHashHasher> known;
-  known.reserve(base_manifest.blobs.size());
-  for (const ManifestBlob& b : base_manifest.blobs) {
-    known.emplace(b.hash, b);
-  }
-
   Manifest manifest;
   manifest.generation = generation;
   manifest.log_applied = log_applied;
   manifest.files = base_manifest.files;
 
-  // Fresh pack for this generation, created lazily: a compaction whose
-  // every re-encoded blob hash-matches the base writes no pack at all.
+  // Fresh pack for this generation, created lazily: a compaction with no
+  // dirty section writes no pack at all.
   std::unique_ptr<GraphStore> pack;
   char pack_name[32];
   std::snprintf(pack_name, sizeof(pack_name), "gen-%06llu",
                 static_cast<unsigned long long>(generation));
-  uint32_t base_file_count = static_cast<uint32_t>(base_manifest.files.size());
-  auto emit_blob = [&](const std::vector<uint8_t>& bytes) -> Status {
-    ContentHash hash = HashBlob(bytes);
-    auto it = known.find(hash);
-    if (it != known.end()) {
-      manifest.blobs.push_back(it->second);
-      ++manifest.blobs_shared;
-      return Status::OK();
-    }
-    if (pack == nullptr) {
-      WG_ASSIGN_OR_RETURN(
-          pack, GraphStore::Create(dir + "/" + pack_name, options.store));
-    }
-    WG_ASSIGN_OR_RETURN(uint32_t id, pack->Append(bytes));
-    GraphStore::BlobLocation loc = pack->Location(id);
-    ManifestBlob entry{base_file_count + loc.file_index, loc.offset,
-                       loc.length, loc.crc, hash};
-    manifest.blobs.push_back(entry);
-    known.emplace(hash, entry);  // dedup within this generation too
-    ++manifest.blobs_written;
-    return Status::OK();
-  };
+  const uint32_t base_file_count =
+      static_cast<uint32_t>(base_manifest.files.size());
+  const GraphStore::Directory& base_directory = base_manifest.directory;
+  GraphStore::Directory& directory = manifest.directory;
 
   // Adjacency source for dirty sections: base cursor views merged with
   // the overlay -- exactly the mutated graph's out-links, so the encoded
@@ -211,11 +181,12 @@ Result<Manifest> BuildIncrementalGeneration(
       // dense ids. file_index values carry over because the new file
       // list starts with the base's.
       auto t_layout = std::chrono::steady_clock::now();
-      manifest.blobs.insert(
-          manifest.blobs.end(),
-          base_manifest.blobs.begin() + base_sg.FirstBlob(s),
-          base_manifest.blobs.begin() + base_sg.FirstBlob(s + 1));
-      manifest.blobs_shared += base_sg.FirstBlob(s + 1) - base_sg.FirstBlob(s);
+      directory.sections.push_back(base_directory.sections[s]);
+      directory.graph_lengths.insert(
+          directory.graph_lengths.end(),
+          base_directory.graph_lengths.begin() + base_sg.FirstBlob(s),
+          base_directory.graph_lengths.begin() + base_sg.FirstBlob(s + 1));
+      ++manifest.sections_shared;
       sg.targets.insert(sg.targets.end(),
                         base_sg.targets.begin() + base_sg.offsets[s],
                         base_sg.targets.begin() + base_sg.offsets[s + 1]);
@@ -223,17 +194,26 @@ Result<Manifest> BuildIncrementalGeneration(
       layout_seconds += SecondsSince(t_layout);
       continue;
     }
+    // A dirty section is written whole into this generation's pack.
     auto t_encode = std::chrono::steady_clock::now();
     WG_RETURN_IF_ERROR(EncodeSupernodeSection(
         s, partition.elements[s], links_of, owner, state.new_of_orig,
         sg.page_start, options.intranode, options.superedge, &section));
     encode_seconds += SecondsSince(t_encode);
     auto t_layout = std::chrono::steady_clock::now();
-    WG_RETURN_IF_ERROR(emit_blob(section.intranode));
-    for (size_t k = 0; k < section.targets.size(); ++k) {
-      sg.targets.push_back(section.targets[k]);
-      WG_RETURN_IF_ERROR(emit_blob(section.superedges[k]));
+    if (pack == nullptr) {
+      WG_ASSIGN_OR_RETURN(
+          pack, GraphStore::Create(dir + "/" + pack_name, options.store));
     }
+    WG_ASSIGN_OR_RETURN(uint32_t written, pack->AppendSection(section.graphs));
+    directory.sections.push_back(pack->section(written));
+    directory.sections.back().file_index += base_file_count;
+    for (const std::vector<uint8_t>& graph : section.graphs) {
+      directory.graph_lengths.push_back(static_cast<uint32_t>(graph.size()));
+    }
+    ++manifest.sections_written;
+    sg.targets.insert(sg.targets.end(), section.targets.begin(),
+                      section.targets.end());
     sg.offsets.push_back(static_cast<uint32_t>(sg.targets.size()));
     layout_seconds += SecondsSince(t_layout);
   }
@@ -258,8 +238,8 @@ Result<Manifest> BuildIncrementalGeneration(
 
   state.Serialize(&manifest.resident);
 
-  span.AddArg("blobs_shared", manifest.blobs_shared);
-  span.AddArg("blobs_written", manifest.blobs_written);
+  span.AddArg("sections_shared", manifest.sections_shared);
+  span.AddArg("sections_written", manifest.sections_written);
   if (stats != nullptr) {
     stats->encode_seconds = encode_seconds;
     stats->layout_seconds = layout_seconds;

@@ -14,8 +14,8 @@
 // Incremental S-Node maintenance: given a base generation and a delta
 // overlay, produce the next generation's partition, mark the supernodes
 // whose disk sections must be re-encoded, and assemble the generation's
-// manifest -- re-encoding only dirty sections and sharing every other
-// blob byte-identically with the base generation.
+// manifest -- re-encoding and writing only dirty sections, each whole, and
+// sharing every clean section whole with the base generation.
 //
 // The partition is maintained *deterministically* (no clustered split, no
 // RNG), which is what gives the byte-identity contract its meaning:
@@ -31,8 +31,7 @@
 //     the classic "incremental maintenance plus periodic rebuild" split.
 //
 // Dirty rules (conservative -- re-encoding a section whose bytes end up
-// unchanged is harmless, because the content-hash match makes it share
-// instead of write):
+// unchanged only costs its write):
 //   1. the element of any page with out-link edits, any tombstoned page,
 //      and every new element;
 //   2. any element with a base superedge INTO a tombstoned page's element
@@ -71,9 +70,8 @@ MaintainedPartition MaintainPartition(const SNodeRepr& base,
 
 // Assembles generation `generation` from (base, overlay, maintained):
 // re-encodes dirty sections through EncodeSupernodeSection over the
-// overlay-merged adjacency, writes only blobs whose content hash is not
-// already present in the base generation into a fresh pack
-// (`<dir>/gen-%06u.NNN`), and shares everything else. Returns the new
+// overlay-merged adjacency, writes each whole into a fresh pack
+// (`<dir>/gen-%06u.NNN`), and shares every clean section. Returns the new
 // manifest (not yet published -- the SnapshotManager writes and points
 // CURRENT at it). `num_edges` is the overlay's exact edge count;
 // `log_applied` the log position this generation folds in. Fills

@@ -9,9 +9,11 @@ namespace wg::version {
 namespace {
 // Bumped to WGM2 when blob entries gained per-blob CRCs, to WGM3 when
 // intranode lists dropped their per-list id (pack blobs written under WGM2
-// decode differently), and to WGM4 when the embedded resident state
-// stopped storing blob ids and the inverse permutation.
-constexpr char kManifestMagic[4] = {'W', 'G', 'M', '4'};
+// decode differently), to WGM4 when the embedded resident state stopped
+// storing blob ids and the inverse permutation, and to WGM5 when the blob
+// table (location, CRC and content hash per blob) became the store's
+// section directory.
+constexpr char kManifestMagic[4] = {'W', 'G', 'M', '5'};
 }  // namespace
 
 Status Manifest::WriteTo(const std::string& path) const {
@@ -23,17 +25,9 @@ Status Manifest::WriteTo(const std::string& path) const {
     PutVarint64(&payload, f.size());
     payload.append(f);
   }
-  PutVarint64(&payload, blobs.size());
-  for (const ManifestBlob& b : blobs) {
-    PutVarint32(&payload, b.file_index);
-    PutVarint64(&payload, b.offset);
-    PutVarint32(&payload, b.length);
-    PutVarint32(&payload, b.crc);
-    PutVarint64(&payload, b.hash.hi);
-    PutVarint64(&payload, b.hash.lo);
-  }
-  PutVarint64(&payload, blobs_shared);
-  PutVarint64(&payload, blobs_written);
+  directory.Serialize(&payload);
+  PutVarint64(&payload, sections_shared);
+  PutVarint64(&payload, sections_written);
   PutVarint64(&payload, resident.size());
   payload.append(resident);
   return WriteFramedFile(path, kManifestMagic, payload);
@@ -46,8 +40,7 @@ Result<Manifest> Manifest::ReadFrom(const std::string& path) {
   Manifest m;
   uint64_t n_files = 0;
   if (!cursor.ReadVarint64(&m.generation) ||
-      !cursor.ReadVarint64(&m.log_applied) ||
-      !cursor.ReadVarint64(&n_files)) {
+      !cursor.ReadVarint64(&m.log_applied) || !cursor.ReadCount(&n_files)) {
     return Status::Corruption("manifest: bad header");
   }
   m.files.resize(n_files);
@@ -56,23 +49,14 @@ Result<Manifest> Manifest::ReadFrom(const std::string& path) {
       return Status::Corruption("manifest: bad file name");
     }
   }
-  uint64_t n_blobs = 0;
-  if (!cursor.ReadVarint64(&n_blobs)) {
-    return Status::Corruption("manifest: bad blob count");
-  }
-  m.blobs.resize(n_blobs);
-  for (auto& b : m.blobs) {
-    uint64_t hi = 0, lo = 0;
-    if (!cursor.ReadVarint32(&b.file_index) || !cursor.ReadVarint64(&b.offset) ||
-        !cursor.ReadVarint32(&b.length) || !cursor.ReadVarint32(&b.crc) ||
-        !cursor.ReadVarint64(&hi) || !cursor.ReadVarint64(&lo) ||
-        b.file_index >= m.files.size()) {
-      return Status::Corruption("manifest: bad blob entry");
+  WG_ASSIGN_OR_RETURN(m.directory, GraphStore::Directory::Parse(&cursor));
+  for (const GraphStore::Section& section : m.directory.sections) {
+    if (section.file_index >= m.files.size()) {
+      return Status::Corruption("manifest: section names an unknown file");
     }
-    b.hash = {hi, lo};
   }
-  if (!cursor.ReadVarint64(&m.blobs_shared) ||
-      !cursor.ReadVarint64(&m.blobs_written) ||
+  if (!cursor.ReadVarint64(&m.sections_shared) ||
+      !cursor.ReadVarint64(&m.sections_written) ||
       !cursor.ReadString(&m.resident)) {
     return Status::Corruption("manifest: bad trailer");
   }
@@ -83,19 +67,23 @@ Result<std::unique_ptr<GraphStore>> Manifest::OpenStore(
     const std::string& dir) const {
   // Store file index of each referenced manifest file, in manifest order.
   std::vector<uint32_t> store_index(files.size(), UINT32_MAX);
-  for (const ManifestBlob& b : blobs) store_index[b.file_index] = 0;
+  for (const GraphStore::Section& section : directory.sections) {
+    if (section.file_index >= files.size()) {
+      return Status::Corruption("manifest: section names an unknown file");
+    }
+    store_index[section.file_index] = 0;
+  }
   std::vector<std::string> paths;
   for (size_t f = 0; f < files.size(); ++f) {
     if (store_index[f] == UINT32_MAX) continue;
     store_index[f] = static_cast<uint32_t>(paths.size());
     paths.push_back(dir + "/" + files[f]);
   }
-  std::vector<GraphStore::BlobLocation> directory;
-  directory.reserve(blobs.size());
-  for (const ManifestBlob& b : blobs) {
-    directory.push_back({store_index[b.file_index], b.offset, b.length, b.crc});
+  GraphStore::Directory opened = directory;
+  for (GraphStore::Section& section : opened.sections) {
+    section.file_index = store_index[section.file_index];
   }
-  return GraphStore::OpenFiles(paths, std::move(directory));
+  return GraphStore::OpenFiles(paths, std::move(opened));
 }
 
 Result<SNodeResidentState> Manifest::ParseResident() const {

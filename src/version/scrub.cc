@@ -13,14 +13,15 @@ std::string ScrubReport::ToString() const {
   char line[256];
   std::string out;
   std::snprintf(line, sizeof(line),
-                "scrubbed %llu blobs (%llu bytes) in %zu files; %zu errors\n",
-                static_cast<unsigned long long>(blobs_checked),
+                "scrubbed %llu sections (%llu bytes) in %zu files; %zu "
+                "errors\n",
+                static_cast<unsigned long long>(sections_checked),
                 static_cast<unsigned long long>(bytes_checked), files.size(),
                 errors.size());
   out += line;
   for (const ScrubError& e : errors) {
-    std::snprintf(line, sizeof(line), "  blob %u (file %u %s): ", e.blob_id,
-                  e.file_index, e.file.c_str());
+    std::snprintf(line, sizeof(line), "  section %u (file %u %s): ",
+                  e.section, e.file_index, e.file.c_str());
     out += line;
     out += e.message;
     out += '\n';
@@ -32,15 +33,18 @@ Status ScrubStore(const GraphStore& store, ScrubReport* report) {
   for (uint32_t f = 0; f < store.num_files(); ++f) {
     report->files.push_back(store.FilePath(f));
   }
-  for (uint32_t id = 0; id < store.num_blobs(); ++id) {
-    GraphStore::BlobLocation loc = store.Location(id);
-    Status verified = store.VerifyBlob(id);
-    ++report->blobs_checked;
+  std::vector<uint8_t> scratch;
+  std::vector<GraphStore::GraphSpan> graphs;
+  for (uint32_t s = 0; s < store.num_sections(); ++s) {
+    const GraphStore::Section& section = store.section(s);
+    Status verified = store.ReadSection(s, &scratch, &graphs);
+    ++report->sections_checked;
     if (verified.ok()) {
-      report->bytes_checked += loc.length;
+      report->bytes_checked += section.length;
       continue;
     }
-    report->errors.push_back({id, loc.file_index, store.FilePath(loc.file_index),
+    report->errors.push_back({s, section.file_index,
+                              store.FilePath(section.file_index),
                               verified.ToString()});
   }
   return Status::OK();

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "version/content_hash.h"
 #include "version/incremental.h"
 
 namespace wg::version {
@@ -40,11 +39,12 @@ SnapshotManager::SnapshotManager(std::string dir, SnapshotOptions options)
   deltas_applied_total_.Bind(registry, "wg_version_deltas_applied_total",
                              labels,
                              "Delta records folded into a generation");
-  blobs_shared_total_.Bind(
-      registry, "wg_version_blobs_shared_total", labels,
-      "Blobs shared byte-identically with an earlier generation");
-  blobs_written_total_.Bind(registry, "wg_version_blobs_written_total",
-                            labels, "Blobs newly written by compactions");
+  sections_shared_total_.Bind(
+      registry, "wg_version_sections_shared_total", labels,
+      "Sections shared whole with an earlier generation");
+  sections_written_total_.Bind(registry, "wg_version_sections_written_total",
+                               labels,
+                               "Sections written whole by compactions");
   compactions_total_.Bind(registry, "wg_version_compactions_total", labels,
                           "Completed compactions");
 }
@@ -58,8 +58,8 @@ Result<std::unique_ptr<SnapshotManager>> SnapshotManager::Create(
       std::unique_ptr<SNodeRepr> built,
       SNodeRepr::Build(base, PackBasePath(dir, 0), options.build, &stats));
 
-  // Generation 0's manifest: every blob is this generation's own, hashed
-  // so the first compaction has the full sharing table.
+  // Generation 0's manifest: every section is this generation's own, and
+  // the store's directory is its section list verbatim.
   Manifest manifest;
   manifest.generation = 0;
   manifest.log_applied = 0;
@@ -68,15 +68,8 @@ Result<std::unique_ptr<SnapshotManager>> SnapshotManager::Create(
   for (uint32_t f = 0; f < store.num_files(); ++f) {
     manifest.files.push_back(store.FilePath(f).substr(dir.size() + 1));
   }
-  manifest.blobs.reserve(store.num_blobs());
-  std::vector<uint8_t> bytes;
-  for (uint32_t id = 0; id < store.num_blobs(); ++id) {
-    WG_RETURN_IF_ERROR(store.ReadBlob(id, &bytes));
-    GraphStore::BlobLocation loc = store.Location(id);
-    manifest.blobs.push_back(
-        {loc.file_index, loc.offset, loc.length, loc.crc, HashBlob(bytes)});
-  }
-  manifest.blobs_written = store.num_blobs();
+  manifest.directory = store.directory();
+  manifest.sections_written = store.num_sections();
 
   // Resident state through the public surface (the repr is about to be
   // dropped; every generation is loaded uniformly from its manifest).
@@ -136,8 +129,10 @@ Result<GenerationPtr> SnapshotManager::LoadGeneration(
   WG_ASSIGN_OR_RETURN(std::unique_ptr<GraphStore> store,
                       manifest.OpenStore(dir_));
   if (options_.verify_before_install) {
-    for (uint32_t id = 0; id < store->num_blobs(); ++id) {
-      WG_RETURN_IF_ERROR(store->VerifyBlob(id));
+    std::vector<uint8_t> scratch;
+    std::vector<GraphStore::GraphSpan> graphs;
+    for (uint32_t s = 0; s < store->num_sections(); ++s) {
+      WG_RETURN_IF_ERROR(store->ReadSection(s, &scratch, &graphs));
     }
   }
   WG_ASSIGN_OR_RETURN(
@@ -255,8 +250,8 @@ Result<GenerationPtr> SnapshotManager::Compact() {
   }
   generation_gauge_.Set(static_cast<double>(manifest.generation));
   deltas_applied_total_ += total - applied;
-  blobs_shared_total_ += manifest.blobs_shared;
-  blobs_written_total_ += manifest.blobs_written;
+  sections_shared_total_ += manifest.sections_shared;
+  sections_written_total_ += manifest.sections_written;
   ++compactions_total_;
   return next;
 }

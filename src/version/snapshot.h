@@ -13,9 +13,9 @@
 #include "version/manifest.h"
 #include "version/overlay.h"
 
-// The versioned snapshot store: a directory of immutable, content-hash-
-// shared generations plus one write-ahead delta log, with LevelDB-style
-// atomic publication.
+// The versioned snapshot store: a directory of immutable generations that
+// share unchanged sections whole, plus one write-ahead delta log, with
+// LevelDB-style atomic publication.
 //
 //   <dir>/gen-000000.000 ...   pack files (never modified once written)
 //   <dir>/MANIFEST-000000 ...  one manifest per generation
@@ -61,7 +61,7 @@ inline std::shared_ptr<GraphRepresentation> ReprOf(const GenerationPtr& gen) {
 
 struct SnapshotOptions {
   SNodeBuildOptions build;
-  // Scrub (pread + CRC) every blob of a generation before installing it.
+  // Scrub (pread + CRC) every section of a generation before installing it.
   // A corrupt generation then fails Open()/Refresh()/Compact() with
   // Corruption while the previously installed generation keeps serving
   // (degraded mode), instead of the corruption surfacing mid-query later.
@@ -138,8 +138,8 @@ class SnapshotManager {
   obs::Gauge generation_gauge_;
   obs::Counter log_records_total_;
   obs::Counter deltas_applied_total_;
-  obs::Counter blobs_shared_total_;
-  obs::Counter blobs_written_total_;
+  obs::Counter sections_shared_total_;
+  obs::Counter sections_written_total_;
   obs::Counter compactions_total_;
 };
 

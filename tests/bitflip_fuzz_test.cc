@@ -1,15 +1,15 @@
 // Bit-flip fuzz over the graph store's pack files, plus the read-path
 // fault contracts the fuzz relies on:
 //
-//  * Every corrupted byte inside a live blob is detected: the covering
-//    blob's CRC verification fails on pread, and the blob's read returns
-//    Corruption instead of decoded garbage. Bytes outside every live blob
-//    (there should be none in an append-only pack) must leave a full
-//    scrub clean.
-//  * A cursor read of a corrupt blob fails its CRC check with
-//    Corruption, the owning S-Node section is quarantined (later reads
-//    fail fast with Unavailable, other sections keep serving), and the
-//    process never decodes the bad bytes.
+//  * Every corrupted byte inside a live section is detected: the covering
+//    section's read fails its CRC check with Corruption instead of
+//    handing out garbage, and a scrub names exactly that section. Bytes
+//    outside every live section (there should be none in an append-only
+//    pack) must leave a full scrub clean.
+//  * A cursor read of a corrupt section fails its CRC check with
+//    Corruption, the section is quarantined (later reads fail fast with
+//    Unavailable, other sections keep serving), and the process never
+//    decodes the bad bytes.
 //  * Injected transient EIO on pread surfaces as a clean IOError from the
 //    cursor with no cache pins leaked, and the same read succeeds once
 //    the fault is lifted -- EIO must not quarantine.
@@ -56,14 +56,6 @@ void FlipByte(const std::string& path, uint64_t offset) {
   ::close(fd);
 }
 
-// Supernode owning blob `id` (sections are laid out contiguously).
-uint32_t SectionOfBlob(const SupernodeGraph& sg, uint32_t id) {
-  for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
-    if (id >= sg.FirstBlob(s) && id < sg.FirstBlob(s + 1)) return s;
-  }
-  return sg.num_supernodes();
-}
-
 TEST(BitflipFuzzTest, EveryFlippedByteIsDetectedOrOutsideLiveBlobs) {
   std::string base = TempBase("sweep");
   WebGraph graph = SmallGraph();
@@ -72,20 +64,22 @@ TEST(BitflipFuzzTest, EveryFlippedByteIsDetectedOrOutsideLiveBlobs) {
   ASSERT_TRUE(built.value()->SaveMeta().ok());
   const GraphStore& store = built.value()->store();
 
-  // Byte -> covering blob map per file.
+  // Byte -> covering section map per file.
   struct Extent {
-    uint32_t blob;
+    uint32_t section;
     uint64_t offset;
     uint64_t end;
   };
   std::vector<std::vector<Extent>> extents(store.num_files());
-  for (uint32_t id = 0; id < store.num_blobs(); ++id) {
-    GraphStore::BlobLocation loc = store.Location(id);
-    if (loc.length == 0) continue;
-    extents[loc.file_index].push_back(
-        {id, loc.offset, loc.offset + loc.length});
+  for (uint32_t s = 0; s < store.num_sections(); ++s) {
+    const GraphStore::Section& section = store.section(s);
+    if (section.length == 0) continue;
+    extents[section.file_index].push_back(
+        {s, section.offset, section.offset + section.length});
   }
 
+  std::vector<uint8_t> scratch;
+  std::vector<GraphStore::GraphSpan> graphs;
   uint64_t covered = 0;
   uint64_t uncovered = 0;
   for (uint32_t f = 0; f < store.num_files(); ++f) {
@@ -102,24 +96,24 @@ TEST(BitflipFuzzTest, EveryFlippedByteIsDetectedOrOutsideLiveBlobs) {
         }
       }
       FlipByte(path, byte);
+      version::ScrubReport report;
+      ASSERT_TRUE(version::ScrubStore(store, &report).ok());
       if (hit != nullptr) {
         ++covered;
-        Status verified = store.VerifyBlob(hit->blob);
-        EXPECT_EQ(verified.code(), StatusCode::kCorruption)
-            << "file " << f << " byte " << byte << " blob " << hit->blob
-            << " undetected: " << verified.ToString();
-        // The real read path must refuse the bytes too.
-        std::vector<uint8_t> out;
-        EXPECT_EQ(store.ReadBlob(hit->blob, &out).code(),
-                  StatusCode::kCorruption);
+        Status read = store.ReadSection(hit->section, &scratch, &graphs);
+        EXPECT_EQ(read.code(), StatusCode::kCorruption)
+            << "file " << f << " byte " << byte << " section "
+            << hit->section << " undetected: " << read.ToString();
+        // The scrub names exactly that section and its pack.
+        ASSERT_EQ(report.errors.size(), 1u) << report.ToString();
+        EXPECT_EQ(report.errors[0].section, hit->section);
+        EXPECT_EQ(report.errors[0].file, path);
       } else {
-        // No live blob covers this byte: prove it cannot damage a read.
+        // No live section covers this byte: prove it cannot damage a read.
         ++uncovered;
-        version::ScrubReport report;
-        ASSERT_TRUE(version::ScrubStore(store, &report).ok());
         EXPECT_TRUE(report.clean())
             << "byte " << byte << " of file " << f
-            << " is outside every blob yet scrub found damage";
+            << " is outside every section yet scrub found damage";
       }
       FlipByte(path, byte);  // restore
     }
@@ -147,21 +141,19 @@ TEST(BitflipFuzzTest, MappedCorruptionQuarantinesOnlyItsSection) {
   const SupernodeGraph& sg = repr.value()->supernode_graph();
   ASSERT_GE(sg.num_supernodes(), 2u) << "need a healthy section to compare";
 
-  // Corrupt the first nonempty intranode blob under the open store; its
-  // section's first read must catch it.
-  uint32_t victim_blob = UINT32_MAX;
+  // Corrupt the first byte of the first nonempty section under the open
+  // store; the section's first read must catch it.
+  const GraphStore& store = repr.value()->store();
+  uint32_t victim_section = UINT32_MAX;
   for (uint32_t s = 0; s < sg.num_supernodes(); ++s) {
-    if (repr.value()->store().blob_size(sg.FirstBlob(s)) > 0) {
-      victim_blob = sg.FirstBlob(s);
+    if (store.section(s).length > 0) {
+      victim_section = s;
       break;
     }
   }
-  ASSERT_NE(victim_blob, UINT32_MAX);
-  GraphStore::BlobLocation loc = repr.value()->store().Location(victim_blob);
-  FlipByte(repr.value()->store().FilePath(loc.file_index), loc.offset);
-
-  uint32_t victim_section = SectionOfBlob(sg, victim_blob);
-  ASSERT_LT(victim_section, sg.num_supernodes());
+  ASSERT_NE(victim_section, UINT32_MAX);
+  FlipByte(store.FilePath(store.section(victim_section).file_index),
+           store.section(victim_section).offset);
   PageId victim_page = repr.value()->PageInNaturalOrder(
       sg.page_start[victim_section]);
 

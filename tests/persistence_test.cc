@@ -8,6 +8,7 @@
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "storage/serial.h"
+#include "util/coding.h"
 #include "test_temp_dir.h"
 
 namespace wg {
@@ -120,6 +121,35 @@ TEST(GraphIoTest, GarbageFileIsError) {
 
 // ---------- S-Node persistence ----------
 
+// ---------- Untrusted lengths and counts ----------
+
+// A string length near 2^64 must not wrap the cursor's bounds check: the
+// read fails softly instead of asking std::string for 2^64 bytes.
+TEST(SerialCursorTest, HugeStringLengthFailsSoftly) {
+  std::string payload;
+  PutVarint64(&payload, 1);
+  PutVarint64(&payload, UINT64_MAX - 9);
+  payload += "abc";
+  SerialCursor cursor(payload);
+  uint64_t one = 0;
+  ASSERT_TRUE(cursor.ReadVarint64(&one));
+  std::string s;
+  EXPECT_FALSE(cursor.ReadString(&s));
+}
+
+TEST(SerialCursorTest, CountPastTheBytesLeftFails) {
+  std::string payload;
+  PutVarint64(&payload, 3);
+  payload += "abc";
+  SerialCursor fits(payload);
+  uint64_t n = 0;
+  EXPECT_TRUE(fits.ReadCount(&n));
+  EXPECT_EQ(n, 3u);
+  payload.pop_back();
+  SerialCursor short_by_one(payload);
+  EXPECT_FALSE(short_by_one.ReadCount(&n));
+}
+
 class SNodePersistenceTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -194,18 +224,38 @@ TEST_F(SNodePersistenceTest, CorruptMetaRejected) {
   EXPECT_FALSE(SNodeRepr::Open(base_path_, {}).ok());
 }
 
-// A store saved in the previous format (SNM3 .meta: stored blob ids and a
-// max_file_size in the directory) must not open: its payload parses
-// differently.
+// A store saved in the previous format (SNM4 .meta: a file, offset,
+// length and CRC per blob in the directory) must not open: its payload
+// parses differently.
 TEST_F(SNodePersistenceTest, PreviousFormatMagicRejected) {
   ASSERT_TRUE(built_->SaveMeta().ok());
   auto file = RandomAccessFile::Open(base_path_ + ".meta");
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file.value()->Write(0, "SNM3", 4).ok());
+  ASSERT_TRUE(file.value()->Write(0, "SNM4", 4).ok());
   auto opened = SNodeRepr::Open(base_path_, {});
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
   EXPECT_NE(opened.status().ToString().find("bad magic"), std::string::npos)
+      << opened.status().ToString();
+}
+
+// A `.meta` whose frame checks out but whose page count is 2^62 fails
+// the attach with Corruption before anything is sized by the count.
+TEST_F(SNodePersistenceTest, HugeCountInMetaIsCorruption) {
+  ASSERT_TRUE(built_->SaveMeta().ok());
+  const char magic[4] = {'S', 'N', 'M', '5'};
+  auto payload = ReadFramedFile(base_path_ + ".meta", magic);
+  ASSERT_TRUE(payload.ok());
+  SerialCursor cursor(payload.value());
+  uint64_t pages = 0;
+  ASSERT_TRUE(cursor.ReadVarint64(&pages));
+  std::string edited;
+  PutVarint64(&edited, uint64_t{1} << 62);
+  edited += payload.value().substr(cursor.position());
+  ASSERT_TRUE(WriteFramedFile(base_path_ + ".meta", magic, edited).ok());
+  auto opened = SNodeRepr::Open(base_path_, {});
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
       << opened.status().ToString();
 }
 
@@ -215,8 +265,7 @@ TEST_F(SNodePersistenceTest, AttachedStoreRejectsAppends) {
   ASSERT_TRUE(opened.ok());
   // The attached store is read-only: reach it through the public accessor.
   GraphStore& store = const_cast<GraphStore&>(opened.value()->store());
-  std::vector<uint8_t> blob = {1, 2, 3};
-  EXPECT_FALSE(store.Append(blob).ok());
+  EXPECT_FALSE(store.AppendSection({{1, 2, 3}}).ok());
 }
 
 }  // namespace

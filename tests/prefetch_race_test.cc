@@ -7,6 +7,7 @@
 // best-effort by contract, so these tests assert reader-visible
 // correctness and clean shutdown, never executor progress.
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -129,6 +130,70 @@ TEST(PrefetchRaceTest, DecodeAheadVsReadersEvictionAndClears) {
 // the last reference to a generation destroys its repr mid-prefetch. The
 // destructor must stop the executor before the state it decodes from
 // dies, with no use-after-free visible to TSan/ASan.
+// Two VisitLinksInto callers race over overlapping graph sets of one
+// section. Each fetch claims what it can without blocking, reads and
+// publishes, and only then waits for the graphs the other thread has in
+// flight -- so neither waits while holding claims (a cycle would hang
+// here), both answer exactly, and no pin outlives the calls.
+TEST(PrefetchRaceTest, OverlappingSectionFetchesNeverWaitHoldingClaims) {
+  WebGraph graph = TestGraph(20000);
+  auto built = SNodeRepr::Build(graph, TempPath("visit_race"), {});
+  ASSERT_TRUE(built.ok());
+  SNodeRepr* repr = built.value().get();
+  const SupernodeGraph& sg = repr->supernode_graph();
+
+  // The section with the most outgoing superedges.
+  uint32_t s = 0;
+  for (uint32_t i = 1; i < sg.num_supernodes(); ++i) {
+    if (sg.offsets[i + 1] - sg.offsets[i] > sg.offsets[s + 1] - sg.offsets[s]) {
+      s = i;
+    }
+  }
+  ASSERT_GE(sg.offsets[s + 1] - sg.offsets[s], 4u);
+  auto pages_of = [&](uint32_t t, std::vector<PageId>* out) {
+    for (PageId nid = sg.page_start[t]; nid < sg.page_start[t + 1]; ++nid) {
+      out->push_back(repr->PageInNaturalOrder(nid));
+    }
+  };
+  // Sources: the section's pages. Targets: A reaches s itself and its
+  // first three superedge targets, B the second through fourth -- two
+  // graph sets that share two superedge graphs.
+  std::vector<PageId> sources, targets_a, targets_b;
+  pages_of(s, &sources);
+  pages_of(s, &targets_a);
+  for (uint32_t k = 0; k < 4; ++k) {
+    const uint32_t t = sg.targets[sg.offsets[s] + k];
+    if (k < 3) pages_of(t, &targets_a);
+    if (k > 0) pages_of(t, &targets_b);
+  }
+  std::sort(targets_a.begin(), targets_a.end());
+  std::sort(targets_b.begin(), targets_b.end());
+
+  auto visit = [&](const std::vector<PageId>& targets) {
+    return repr->VisitLinksInto(
+        sources, targets, [&](PageId p, const std::vector<PageId>& links) {
+          std::vector<PageId> want;
+          for (PageId q : graph.OutLinks(p)) {
+            if (std::binary_search(targets.begin(), targets.end(), q)) {
+              want.push_back(q);
+            }
+          }
+          EXPECT_EQ(links, want) << p;
+        });
+  };
+  for (int round = 0; round < 200; ++round) {
+    repr->ClearCache();
+    Status a_status, b_status;
+    std::thread a([&] { a_status = visit(targets_a); });
+    std::thread b([&] { b_status = visit(targets_b); });
+    a.join();
+    b.join();
+    ASSERT_TRUE(a_status.ok()) << a_status.ToString();
+    ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  }
+  EXPECT_EQ(repr->PinnedCacheEntries(), 0u);
+}
+
 TEST(PrefetchRaceTest, DecodeAheadSurvivesGenerationFlips) {
   WebGraph g = TestGraph(2000);
   version::SnapshotOptions sopts;

@@ -1,10 +1,10 @@
 // Scrub + degraded-mode contracts:
 //
-//  * ScrubStore / ScrubSNodeStore / ScrubSnapshotDir verify every blob
-//    against its recorded CRC and extents, accumulate (not stop at) every
-//    finding, and name the damaged blob and pack precisely.
+//  * ScrubStore / ScrubSNodeStore / ScrubSnapshotDir verify every section
+//    against its recorded CRC, accumulate (not stop at) every finding,
+//    and name the damaged section and pack precisely.
 //  * A snapshot scrub follows the live manifest across generations --
-//    blobs shared from older packs are verified too.
+//    sections shared from older packs are verified too.
 //  * verify_before_install: a manager refreshing onto a generation whose
 //    pack bytes are damaged refuses the flip with Corruption and keeps
 //    serving the previously installed generation (wgserve's degraded
@@ -61,13 +61,13 @@ TEST(ScrubTest, CleanSNodeStoreScrubsClean) {
   auto built = SNodeRepr::Build(graph, dir + "/base", {});
   ASSERT_TRUE(built.ok());
   ASSERT_TRUE(built.value()->SaveMeta().ok());
-  size_t num_blobs = built.value()->store().num_blobs();
+  size_t num_sections = built.value()->store().num_sections();
   built.value().reset();
 
   ScrubReport report;
   ASSERT_TRUE(version::ScrubSNodeStore(dir + "/base", &report).ok());
   EXPECT_TRUE(report.clean());
-  EXPECT_EQ(report.blobs_checked, num_blobs);
+  EXPECT_EQ(report.sections_checked, num_sections);
   EXPECT_GT(report.bytes_checked, 0u);
   EXPECT_FALSE(report.files.empty());
 }
@@ -78,28 +78,34 @@ TEST(ScrubTest, DamageIsNamedPrecisely) {
   auto built = SNodeRepr::Build(graph, dir + "/base", {});
   ASSERT_TRUE(built.ok());
   ASSERT_TRUE(built.value()->SaveMeta().ok());
-  // Pick a mid-store nonempty blob and smash its first byte.
+  // Pick a mid-store nonempty section and smash its last byte.
   const GraphStore& store = built.value()->store();
   uint32_t victim = UINT32_MAX;
-  for (uint32_t id = store.num_blobs() / 2; id < store.num_blobs(); ++id) {
-    if (store.blob_size(id) > 0) {
-      victim = id;
+  for (uint32_t s = static_cast<uint32_t>(store.num_sections() / 2);
+       s < store.num_sections(); ++s) {
+    if (store.section(s).length > 0) {
+      victim = s;
       break;
     }
   }
   ASSERT_NE(victim, UINT32_MAX);
-  GraphStore::BlobLocation loc = store.Location(victim);
-  std::string pack = store.FilePath(loc.file_index);
+  const GraphStore::Section section = store.section(victim);
+  std::string pack = store.FilePath(section.file_index);
   built.value().reset();
-  FlipByte(pack, loc.offset);
+  FlipByte(pack, section.offset + section.length - 1);
 
   ScrubReport report;
   ASSERT_TRUE(version::ScrubSNodeStore(dir + "/base", &report).ok());
   ASSERT_EQ(report.errors.size(), 1u) << report.ToString();
-  EXPECT_EQ(report.errors[0].blob_id, victim);
-  EXPECT_EQ(report.errors[0].file_index, loc.file_index);
+  EXPECT_EQ(report.errors[0].section, victim);
+  EXPECT_EQ(report.errors[0].file_index, section.file_index);
   EXPECT_EQ(report.errors[0].file, pack);
-  EXPECT_NE(report.ToString().find("checksum mismatch"), std::string::npos);
+  const std::string text = report.ToString();
+  EXPECT_NE(text.find("checksum mismatch"), std::string::npos);
+  EXPECT_NE(text.find("section " + std::to_string(victim) + " (file "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(pack), std::string::npos) << text;
 }
 
 TEST(ScrubTest, SnapshotScrubCoversSharedBlobsAcrossGenerations) {
@@ -117,33 +123,34 @@ TEST(ScrubTest, SnapshotScrubCoversSharedBlobsAcrossGenerations) {
   ASSERT_TRUE(manager.value()->AppendDeltas(batch).ok());
   auto gen1 = manager.value()->Compact();
   ASSERT_TRUE(gen1.ok());
-  ASSERT_GT(gen1.value()->manifest.blobs_shared, 0u)
+  ASSERT_GT(gen1.value()->manifest.sections_shared, 0u)
       << "scenario needs cross-generation sharing to mean anything";
 
   ScrubReport report;
   ASSERT_TRUE(version::ScrubSnapshotDir(dir, &report).ok());
   EXPECT_TRUE(report.clean()) << report.ToString();
-  EXPECT_EQ(report.blobs_checked, gen1.value()->manifest.blobs.size());
+  EXPECT_EQ(report.sections_checked,
+            gen1.value()->manifest.directory.sections.size());
   // Both the base pack and the new generation's pack were visited.
   EXPECT_GE(report.files.size(), 2u);
 
-  // Damage a blob in the BASE pack that gen 1 shares: the live-generation
-  // scrub must still see it.
+  // Damage a section in the BASE pack that gen 1 shares: the
+  // live-generation scrub must still see it.
   const GraphStore& store = gen1.value()->repr->store();
   uint32_t victim = UINT32_MAX;
-  for (uint32_t id = 0; id < store.num_blobs(); ++id) {
-    if (store.Location(id).file_index == 0 && store.blob_size(id) > 0) {
-      victim = id;
+  for (uint32_t s = 0; s < store.num_sections(); ++s) {
+    if (store.section(s).file_index == 0 && store.section(s).length > 0) {
+      victim = s;
       break;
     }
   }
   ASSERT_NE(victim, UINT32_MAX);
-  GraphStore::BlobLocation loc = store.Location(victim);
-  FlipByte(store.FilePath(loc.file_index), loc.offset);
+  FlipByte(store.FilePath(store.section(victim).file_index),
+           store.section(victim).offset);
   ScrubReport damaged;
   ASSERT_TRUE(version::ScrubSnapshotDir(dir, &damaged).ok());
-  ASSERT_FALSE(damaged.clean());
-  EXPECT_EQ(damaged.errors[0].blob_id, victim);
+  ASSERT_EQ(damaged.errors.size(), 1u) << damaged.ToString();
+  EXPECT_EQ(damaged.errors[0].section, victim);
 }
 
 TEST(ScrubTest, VerifyBeforeInstallHoldsLastGoodGeneration) {
@@ -174,22 +181,22 @@ TEST(ScrubTest, VerifyBeforeInstallHoldsLastGoodGeneration) {
   auto gen1 = writer.value()->Compact();
   ASSERT_TRUE(gen1.ok());
   ASSERT_EQ(gen1.value()->manifest.generation, 1u);
-  ASSERT_GT(gen1.value()->manifest.blobs_written, 0u);
+  ASSERT_GT(gen1.value()->manifest.sections_written, 0u);
 
-  // Corrupt a blob gen 1 wrote itself (lives in its own pack).
+  // Corrupt a section gen 1 wrote itself (lives in its own pack).
   const GraphStore& store = gen1.value()->repr->store();
   uint32_t victim = UINT32_MAX;
-  for (uint32_t id = 0; id < store.num_blobs(); ++id) {
-    GraphStore::BlobLocation loc = store.Location(id);
-    if (loc.length > 0 &&
-        store.FilePath(loc.file_index).find("gen-000001") !=
+  for (uint32_t s = 0; s < store.num_sections(); ++s) {
+    const GraphStore::Section& section = store.section(s);
+    if (section.length > 0 &&
+        store.FilePath(section.file_index).find("gen-000001") !=
             std::string::npos) {
-      victim = id;
+      victim = s;
       break;
     }
   }
-  ASSERT_NE(victim, UINT32_MAX) << "gen 1 wrote no blob of its own";
-  GraphStore::BlobLocation loc = store.Location(victim);
+  ASSERT_NE(victim, UINT32_MAX) << "gen 1 wrote no section of its own";
+  const GraphStore::Section loc = store.section(victim);
   std::string pack = store.FilePath(loc.file_index);
   FlipByte(pack, loc.offset);
 
@@ -237,8 +244,8 @@ TEST(ScrubTest, GcRemovesOnlyUnreferencedPacks) {
   // Every pack the live store reads must survive gc.
   const GraphStore& store = gen1.value()->repr->store();
   std::vector<std::string> referenced;
-  for (uint32_t id = 0; id < store.num_blobs(); ++id) {
-    referenced.push_back(store.FilePath(store.Location(id).file_index));
+  for (uint32_t s = 0; s < store.num_sections(); ++s) {
+    referenced.push_back(store.FilePath(store.section(s).file_index));
   }
   ASSERT_FALSE(referenced.empty());
 
@@ -308,7 +315,7 @@ TEST(ScrubTest, MissingStoreIsNotFoundAndCreatesNothing) {
   EXPECT_NE(::access((dir + "/CURRENT").c_str(), F_OK), 0);
 }
 
-// A manifest may list a pack no blob references (gc removes such packs
+// A manifest may list a pack no section lives in (gc removes such packs
 // while manifests, being immutable, keep their names). Opening the
 // generation must not look for it: the live generation opens, serves and
 // scrubs clean, and the missing pack is not recreated.
@@ -320,11 +327,13 @@ TEST(ScrubTest, UnreferencedMissingPackOpensServesAndScrubs) {
   ASSERT_TRUE(name.ok());
   auto manifest = version::Manifest::ReadFrom(dir + "/" + name.value());
   ASSERT_TRUE(manifest.ok());
-  // Listed first, so every blob's file index moves past it.
+  // Listed first, so every section's file index moves past it.
   const std::string missing = "gen-000077.000";
   version::Manifest edited = manifest.value();
   edited.files.insert(edited.files.begin(), missing);
-  for (version::ManifestBlob& b : edited.blobs) ++b.file_index;
+  for (GraphStore::Section& section : edited.directory.sections) {
+    ++section.file_index;
+  }
   ASSERT_TRUE(edited.WriteTo(dir + "/" + name.value()).ok());
 
   auto reopened = SnapshotManager::Open(dir, {});
@@ -340,7 +349,7 @@ TEST(ScrubTest, UnreferencedMissingPackOpensServesAndScrubs) {
   ScrubReport report;
   ASSERT_TRUE(version::ScrubSnapshotDir(dir, &report).ok());
   EXPECT_TRUE(report.clean()) << report.ToString();
-  EXPECT_EQ(report.blobs_checked, edited.blobs.size());
+  EXPECT_EQ(report.sections_checked, edited.directory.sections.size());
   EXPECT_NE(::access((dir + "/" + missing).c_str(), F_OK), 0)
       << "opening recreated the unreferenced pack";
 }

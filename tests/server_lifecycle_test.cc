@@ -193,7 +193,7 @@ TEST(ServerLifecycleTest, RefusedFlipServesOldGenerationUntilRepaired) {
   EXPECT_EQ(ReadFile(options.health_file), "ok generation=0\n");
   const std::vector<PageId> gen0_links = OutLinks(server, 5);
 
-  // Another process publishes generation 1, and one byte of a blob it
+  // Another process publishes generation 1, and one byte of a section it
   // wrote into its own pack goes bad.
   auto writer = SnapshotManager::Open(dir, {});
   ASSERT_TRUE(writer.ok());
@@ -203,15 +203,15 @@ TEST(ServerLifecycleTest, RefusedFlipServesOldGenerationUntilRepaired) {
   const GraphStore& store = gen1.value()->repr->store();
   std::string pack;
   uint64_t offset = 0;
-  for (uint32_t id = 0; id < store.num_blobs() && pack.empty(); ++id) {
-    GraphStore::BlobLocation loc = store.Location(id);
-    std::string path = store.FilePath(loc.file_index);
-    if (loc.length > 0 && path.find("gen-000001") != std::string::npos) {
+  for (uint32_t s = 0; s < store.num_sections() && pack.empty(); ++s) {
+    const GraphStore::Section& section = store.section(s);
+    std::string path = store.FilePath(section.file_index);
+    if (section.length > 0 && path.find("gen-000001") != std::string::npos) {
       pack = path;
-      offset = loc.offset;
+      offset = section.offset;
     }
   }
-  ASSERT_FALSE(pack.empty()) << "generation 1 wrote no blob of its own";
+  ASSERT_FALSE(pack.empty()) << "generation 1 wrote no section of its own";
   FlipByte(pack, offset);
 
   testing::internal::CaptureStderr();

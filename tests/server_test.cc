@@ -521,10 +521,10 @@ TEST(QueryServiceTest, CacheCountersSpanGenerationFlips) {
 }
 
 TEST(QueryServiceTest, StraddlingSectionsServeConcurrently) {
-  // Small pack files make sections straddle files, so one section read is
-  // several preads; four workers queue on io_mutex_ for them while their
-  // decodes run in parallel. Answers must match the crawl; under the TSan
-  // preset the workers must not race.
+  // Small pack files spread the store over many packs, each section in
+  // one, so every section read is one pread; four workers queue on
+  // io_mutex_ for them while their decodes run in parallel. Answers must
+  // match the crawl; under the TSan preset the workers must not race.
   ServerEnv& env = ServerEnv::Get();
   SNodeBuildOptions bopts;
   bopts.store.max_file_size = 4096;
@@ -533,6 +533,7 @@ TEST(QueryServiceTest, StraddlingSectionsServeConcurrently) {
   ASSERT_TRUE(built.ok());
   std::unique_ptr<SNodeRepr> repr = std::move(built).value();
   ASSERT_GE(repr->store().num_files(), 4u);
+  const uint64_t seeks = repr->stats().disk_seeks;
 
   QueryContext ctx;
   ctx.forward = repr.get();
@@ -559,7 +560,9 @@ TEST(QueryServiceTest, StraddlingSectionsServeConcurrently) {
           << "page " << p;
     }
   }
+  // One section per read: no read costs more than one seek.
   EXPECT_GT(repr->stats().disk_reads, 0u);
+  EXPECT_LE(repr->stats().disk_seeks - seeks, repr->stats().disk_reads);
   EXPECT_EQ(repr->PinnedCacheEntries(), 0u);
 }
 

@@ -854,9 +854,48 @@ TEST(SNodeScratchProbeTest, CacheSmallerThanOneSectionNeverAssembles) {
   EXPECT_EQ(repr->buffer_bytes_used(), 0u);
 }
 
-// A tiny max_file_size makes sections straddle pack files, so one section
-// read is one pread per file it spans. Every read path must answer like
-// the in-memory graph, really read the store, and leak no pins.
+// At max_file_size 4096 a build spreads over many packs, and each pack
+// holds whole sections back to back from offset 0: no section spans two
+// packs, and a section larger than 4096 bytes has a pack of its own.
+TEST(SNodeStoreLayoutTest, NoSectionSpansTwoPacks) {
+  GeneratorOptions gopts;
+  gopts.num_pages = 20000;
+  WebGraph graph = GenerateWebGraph(gopts);
+  SNodeBuildOptions opts;
+  opts.store.max_file_size = 4096;
+  auto built = SNodeRepr::Build(graph, TempPath("snode_layout"), opts);
+  ASSERT_TRUE(built.ok());
+  const GraphStore& store = built.value()->store();
+  ASSERT_GE(store.num_files(), 4u);
+  std::vector<uint64_t> file_end(store.num_files(), 0);
+  std::vector<uint32_t> sections_in(store.num_files(), 0);
+  size_t oversized = 0;
+  for (uint32_t s = 0; s < store.num_sections(); ++s) {
+    const GraphStore::Section& section = store.section(s);
+    ASSERT_LT(section.file_index, store.num_files());
+    // Sections in layout order fill their pack back to back.
+    EXPECT_EQ(section.offset, file_end[section.file_index]) << s;
+    file_end[section.file_index] += section.length;
+    ++sections_in[section.file_index];
+    if (s > 0) {
+      EXPECT_GE(section.file_index, store.section(s - 1).file_index);
+    }
+  }
+  for (uint32_t f = 0; f < store.num_files(); ++f) {
+    auto file = RandomAccessFile::OpenForRead(store.FilePath(f));
+    ASSERT_TRUE(file.ok());
+    EXPECT_EQ(file.value()->size(), file_end[f]) << "pack " << f;
+    if (file_end[f] > 4096) {
+      ++oversized;
+      EXPECT_EQ(sections_in[f], 1u) << "pack " << f;
+    }
+  }
+  EXPECT_GT(oversized, 0u) << "no section outgrew max_file_size";
+}
+
+// A tiny max_file_size spreads the store over many packs, each section in
+// one. Every read path must answer like the in-memory graph, really read
+// the store, and leak no pins; a lone probe costs exactly one seek.
 TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
   GeneratorOptions gopts;
   gopts.num_pages = 3000;
@@ -869,16 +908,13 @@ TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
   const GraphStore& store = repr->store();
   ASSERT_GE(store.num_files(), 4u);
 
-  // A section whose blobs straddle two files.
+  // A section in a later pack than the first.
   const SupernodeGraph& sg = repr->supernode_graph();
-  uint32_t straddler = UINT32_MAX;
-  for (uint32_t s = 0; s < sg.num_supernodes() && straddler == UINT32_MAX;
-       ++s) {
-    uint32_t first_file = store.Location(sg.FirstBlob(s)).file_index;
-    uint32_t last_file = store.Location(sg.FirstBlob(s + 1) - 1).file_index;
-    if (first_file != last_file) straddler = s;
+  uint32_t late = UINT32_MAX;
+  for (uint32_t s = 0; s < sg.num_supernodes() && late == UINT32_MAX; ++s) {
+    if (store.section(s).file_index > 0) late = s;
   }
-  ASSERT_NE(straddler, UINT32_MAX);
+  ASSERT_NE(late, UINT32_MAX);
 
   auto links_of = [&graph](PageId p) {
     auto links = graph.OutLinks(p);
@@ -900,11 +936,11 @@ TEST(SNodeReadFallbackTest, QuarantinedFilesServeThroughPread) {
     EXPECT_EQ(repr->PinnedCacheEntries(), 0u) << what;
   };
 
-  // The straddling section's lone probe is the store's first read: one
-  // pread, so one seek, per file the section spans.
+  // The section's lone probe is the store's first read: one pread of one
+  // section in one pack, so exactly one seek.
   const uint64_t seeks = store.seek_ops();
-  expect_pread("lone probe", [&] { probe(straddler); });
-  EXPECT_GE(store.seek_ops() - seeks, 2u);
+  expect_pread("lone probe", [&] { probe(late); });
+  EXPECT_EQ(store.seek_ops() - seeks, 1u);
   expect_pread("layout sweep", [&] {
     std::unique_ptr<AdjacencyCursor> cursor = repr->NewCursor();
     for (size_t i = 0; i < graph.num_pages(); ++i) {
@@ -947,7 +983,7 @@ struct ParsedMeta {
 };
 
 ParsedMeta ParseMeta(const std::string& base) {
-  static const char kMetaMagic[4] = {'S', 'N', 'M', '4'};
+  static const char kMetaMagic[4] = {'S', 'N', 'M', '5'};
   auto payload = ReadFramedFile(base + ".meta", kMetaMagic);
   WG_CHECK(payload.ok());
   SerialCursor cursor(payload.value());
@@ -1087,14 +1123,28 @@ TEST_F(SNodeResidentShapeTest, ShapeViolationsFailFromParts) {
              st->supernodes.num_supernodes());
        },
        "domain entry"},
-      {"store holds a different blob count than the layout",
+      {"a store section holds a different graph count than the layout",
        [](SNodeResidentState* st) {
          // One more superedge of the last supernode: the layout now needs
-         // one blob more than the store holds.
+         // one graph more in the last section than the store holds.
          st->supernodes.targets.push_back(0);
          ++st->supernodes.offsets.back();
        },
        "lays out"},
+      {"the store holds a different section count than the layout",
+       [](SNodeResidentState* st) {
+         // The last supernode's pages fold into the one before it.
+         SupernodeGraph& sg = st->supernodes;
+         const uint32_t last = sg.num_supernodes() - 1;
+         sg.page_start.erase(sg.page_start.begin() + last);
+         sg.offsets.erase(sg.offsets.begin() + last);
+         sg.offsets.back() = static_cast<uint32_t>(sg.targets.size());
+         for (uint32_t& t : sg.targets) t = std::min(t, last - 1);
+         for (auto& [domain, list] : sg.domain_supernodes) {
+           for (uint32_t& s : list) s = std::min(s, last - 1);
+         }
+       },
+       "sections"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

@@ -3,6 +3,7 @@
 // boundary payload sizes, the graph store's range reads, and cold-buffer
 // behaviour of the pager.
 
+#include <functional>
 #include <map>
 #include <random>
 #include <string>
@@ -142,47 +143,75 @@ INSTANTIATE_TEST_SUITE_P(Boundaries, HeapBoundaryTest,
                          testing::Values(3, 100, 8192 - 80, 8192, 8192 + 80,
                                          2 * 8192, 5 * 8192 + 11));
 
-// ---------- Graph store range reads ----------
+// ---------- Graph store section reads ----------
 
+// Random sections over several packs: every section read hands back
+// exactly the graphs appended, and a reopened store (OpenFiles over the
+// same directory) reads the same bytes.
 TEST(GraphStoreRangeTest, RangeEqualsIndividualReads) {
   GraphStore::Options opts;
   opts.max_file_size = 700;  // force several files
-  auto store = GraphStore::Create(TempPath("gsr"), opts);
+  const std::string base = TempPath("gsr");
+  auto store = GraphStore::Create(base, opts);
   ASSERT_TRUE(store.ok());
   std::mt19937_64 gen(5);
-  std::vector<std::vector<uint8_t>> blobs;
-  for (int i = 0; i < 60; ++i) {
-    std::vector<uint8_t> blob(gen() % 300);
-    for (auto& b : blob) b = static_cast<uint8_t>(gen());
-    ASSERT_TRUE(store.value()->Append(blob).ok());
-    blobs.push_back(std::move(blob));
+  std::vector<std::vector<std::vector<uint8_t>>> sections;
+  for (int i = 0; i < 30; ++i) {
+    std::vector<std::vector<uint8_t>> graphs(1 + gen() % 4);
+    for (auto& graph : graphs) {
+      graph.resize(gen() % 150);
+      for (auto& b : graph) b = static_cast<uint8_t>(gen());
+    }
+    ASSERT_TRUE(store.value()->AppendSection(graphs).ok());
+    sections.push_back(std::move(graphs));
   }
   ASSERT_GT(store.value()->num_files(), 1u);
-  for (int trial = 0; trial < 40; ++trial) {
-    uint32_t first = static_cast<uint32_t>(gen() % blobs.size());
-    uint32_t last =
-        first + static_cast<uint32_t>(gen() % (blobs.size() - first));
+  std::vector<std::string> paths;
+  for (uint32_t f = 0; f < store.value()->num_files(); ++f) {
+    paths.push_back(store.value()->FilePath(f));
+  }
+  auto reopened = GraphStore::OpenFiles(paths, store.value()->directory());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (const GraphStore* s : {store.value().get(), reopened.value().get()}) {
     std::vector<uint8_t> scratch;
-    std::vector<GraphStore::BlobSpan> range;
-    ASSERT_TRUE(store.value()->ReadBlobs(first, last, &scratch, &range).ok());
-    ASSERT_EQ(range.size(), last - first + 1u);
-    for (uint32_t b = first; b <= last; ++b) {
-      const GraphStore::BlobSpan& span = range[b - first];
-      ASSERT_EQ(std::vector<uint8_t>(span.data, span.data + span.length),
-                blobs[b])
-          << b;
+    std::vector<GraphStore::GraphSpan> spans;
+    for (uint32_t i = 0; i < sections.size(); ++i) {
+      ASSERT_TRUE(s->ReadSection(i, &scratch, &spans).ok());
+      ASSERT_EQ(spans.size(), sections[i].size());
+      for (size_t k = 0; k < spans.size(); ++k) {
+        ASSERT_EQ(std::vector<uint8_t>(spans[k].data,
+                                       spans[k].data + spans[k].length),
+                  sections[i][k])
+            << i << "/" << k;
+      }
     }
   }
 }
 
+// A directory that does not fit its files is rejected at attach.
 TEST(GraphStoreRangeTest, BadRangeRejected) {
-  auto store = GraphStore::Create(TempPath("gsr2"), {});
+  const std::string base = TempPath("gsr2");
+  auto store = GraphStore::Create(base, {});
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store.value()->Append({1, 2, 3}).ok());
-  std::vector<uint8_t> scratch;
-  std::vector<GraphStore::BlobSpan> out;
-  EXPECT_FALSE(store.value()->ReadBlobs(0, 5, &scratch, &out).ok());
-  EXPECT_FALSE(store.value()->ReadBlobs(1, 0, &scratch, &out).ok());
+  ASSERT_TRUE(store.value()->AppendSection({{1, 2, 3}, {4}}).ok());
+  const std::vector<std::string> paths = {store.value()->FilePath(0)};
+  auto open = [&](const std::function<void(GraphStore::Directory*)>& edit) {
+    GraphStore::Directory directory = store.value()->directory();
+    edit(&directory);
+    return GraphStore::OpenFiles(paths, std::move(directory)).status();
+  };
+  EXPECT_TRUE(open([](GraphStore::Directory*) {}).ok());
+  for (const auto& edit :
+       std::vector<std::function<void(GraphStore::Directory*)>>{
+           [](GraphStore::Directory* d) { d->sections[0].file_index = 1; },
+           [](GraphStore::Directory* d) { d->sections[0].offset = 1; },
+           [](GraphStore::Directory* d) { ++d->sections[0].length; },
+           [](GraphStore::Directory* d) { ++d->graph_lengths[0]; },
+           [](GraphStore::Directory* d) { ++d->sections[0].num_graphs; },
+           [](GraphStore::Directory* d) { d->graph_lengths.push_back(0); },
+       }) {
+    EXPECT_EQ(open(edit).code(), StatusCode::kCorruption);
+  }
 }
 
 // ---------- Pager cold-buffer behaviour ----------

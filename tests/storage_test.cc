@@ -403,77 +403,108 @@ TEST(HeapFileTest, BadRowIdIsError) {
 
 // ---------- GraphStore ----------
 
+// The graphs of one section, each `size` bytes of value `fill`.
+std::vector<std::vector<uint8_t>> Graphs(std::vector<size_t> sizes,
+                                         uint8_t fill) {
+  std::vector<std::vector<uint8_t>> graphs;
+  for (size_t size : sizes) graphs.emplace_back(size, fill++);
+  return graphs;
+}
+
+// Reads section `s` back as its graphs' bytes.
+std::vector<std::vector<uint8_t>> ReadBack(const GraphStore& store,
+                                           uint32_t s) {
+  std::vector<uint8_t> scratch;
+  std::vector<GraphStore::GraphSpan> spans;
+  Status read = store.ReadSection(s, &scratch, &spans);
+  EXPECT_TRUE(read.ok()) << read.ToString();
+  std::vector<std::vector<uint8_t>> graphs;
+  for (const GraphStore::GraphSpan& span : spans) {
+    graphs.emplace_back(span.data, span.data + span.length);
+  }
+  return graphs;
+}
+
 TEST(GraphStoreTest, AppendReadRoundTrip) {
   TempDir dir;
   GraphStore::Options opts;
   auto store = GraphStore::Create(dir.File("gs"), opts);
   ASSERT_TRUE(store.ok());
-  std::vector<uint8_t> a = {1, 2, 3};
-  std::vector<uint8_t> b = {9, 8, 7, 6};
-  auto ida = store.value()->Append(a);
-  auto idb = store.value()->Append(b);
-  ASSERT_TRUE(ida.ok());
-  ASSERT_TRUE(idb.ok());
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(store.value()->ReadBlob(ida.value(), &out).ok());
-  EXPECT_EQ(out, a);
-  ASSERT_TRUE(store.value()->ReadBlob(idb.value(), &out).ok());
-  EXPECT_EQ(out, b);
+  std::vector<std::vector<uint8_t>> a = {{1, 2, 3}, {}, {4}};
+  std::vector<std::vector<uint8_t>> b = {{9, 8, 7, 6}};
+  auto sa = store.value()->AppendSection(a);
+  auto sb = store.value()->AppendSection(b);
+  ASSERT_TRUE(sa.ok());
+  ASSERT_TRUE(sb.ok());
+  EXPECT_EQ(sa.value(), 0u);
+  EXPECT_EQ(sb.value(), 1u);
+  EXPECT_EQ(store.value()->num_graphs(), 4u);
+  EXPECT_EQ(store.value()->section(0).num_graphs, 3u);
+  EXPECT_EQ(store.value()->section(0).length, 4u);
+  EXPECT_EQ(ReadBack(*store.value(), 0), a);
+  EXPECT_EQ(ReadBack(*store.value(), 1), b);
 }
 
 TEST(GraphStoreTest, EmptyBlob) {
   TempDir dir;
   auto store = GraphStore::Create(dir.File("gs"), {});
   ASSERT_TRUE(store.ok());
-  auto id = store.value()->Append({});
-  ASSERT_TRUE(id.ok());
-  std::vector<uint8_t> out = {1};
-  ASSERT_TRUE(store.value()->ReadBlob(id.value(), &out).ok());
-  EXPECT_TRUE(out.empty());
+  // A section of empty graphs has no bytes; it still reads back whole.
+  std::vector<std::vector<uint8_t>> empty = {{}, {}};
+  auto s = store.value()->AppendSection(empty);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(store.value()->section(s.value()).length, 0u);
+  EXPECT_EQ(ReadBack(*store.value(), s.value()), empty);
 }
 
+// Sections never span two packs: one that would push a non-empty pack
+// past max_file_size starts the next pack.
 TEST(GraphStoreTest, RollsOverAtMaxFileSize) {
   TempDir dir;
   GraphStore::Options opts;
   opts.max_file_size = 1000;
   auto store = GraphStore::Create(dir.File("gs"), opts);
   ASSERT_TRUE(store.ok());
-  std::vector<uint32_t> ids;
   for (int i = 0; i < 20; ++i) {
-    std::vector<uint8_t> blob(300, static_cast<uint8_t>(i));
-    auto id = store.value()->Append(blob);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
+    ASSERT_TRUE(store.value()
+                    ->AppendSection(Graphs({100, 200}, static_cast<uint8_t>(i)))
+                    .ok());
   }
-  EXPECT_GT(store.value()->num_files(), 1u);
-  for (int i = 0; i < 20; ++i) {
-    std::vector<uint8_t> out;
-    ASSERT_TRUE(store.value()->ReadBlob(ids[i], &out).ok());
-    ASSERT_EQ(out.size(), 300u);
-    EXPECT_EQ(out[0], static_cast<uint8_t>(i));
+  EXPECT_EQ(store.value()->num_files(), 7u);  // three sections per pack
+  for (uint32_t s = 0; s < 20; ++s) {
+    const GraphStore::Section& section = store.value()->section(s);
+    EXPECT_EQ(section.file_index, s / 3);
+    EXPECT_EQ(section.offset, (s % 3) * 300u);
+    EXPECT_EQ(ReadBack(*store.value(), s),
+              Graphs({100, 200}, static_cast<uint8_t>(s)));
   }
 }
 
+// A section larger than max_file_size gets a pack of its own, whole.
 TEST(GraphStoreTest, OversizedBlobStillStoredWhole) {
   TempDir dir;
   GraphStore::Options opts;
   opts.max_file_size = 100;
   auto store = GraphStore::Create(dir.File("gs"), opts);
   ASSERT_TRUE(store.ok());
-  std::vector<uint8_t> blob(500, 42);
-  auto id = store.value()->Append(blob);
-  ASSERT_TRUE(id.ok());
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(store.value()->ReadBlob(id.value(), &out).ok());
-  EXPECT_EQ(out, blob);
+  ASSERT_TRUE(store.value()->AppendSection(Graphs({10}, 1)).ok());
+  ASSERT_TRUE(store.value()->AppendSection(Graphs({300, 200}, 2)).ok());
+  ASSERT_TRUE(store.value()->AppendSection(Graphs({10}, 3)).ok());
+  ASSERT_EQ(store.value()->num_files(), 3u);
+  EXPECT_EQ(store.value()->section(1).file_index, 1u);
+  EXPECT_EQ(store.value()->section(1).offset, 0u);
+  EXPECT_EQ(store.value()->section(2).file_index, 2u);
+  EXPECT_EQ(ReadBack(*store.value(), 1), Graphs({300, 200}, 2));
 }
 
 TEST(GraphStoreTest, OutOfRangeIdIsError) {
   TempDir dir;
   auto store = GraphStore::Create(dir.File("gs"), {});
   ASSERT_TRUE(store.ok());
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(store.value()->ReadBlob(0, &out).ok());
+  std::vector<uint8_t> scratch;
+  std::vector<GraphStore::GraphSpan> graphs;
+  EXPECT_EQ(store.value()->ReadSection(0, &scratch, &graphs).code(),
+            StatusCode::kOutOfRange);
 }
 
 }  // namespace

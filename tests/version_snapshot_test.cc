@@ -2,9 +2,9 @@
 //
 //  * Byte identity: a generation built incrementally from deltas equals a
 //    from-scratch BuildFromPartition rebuild of the mutated graph over the
-//    maintained partition -- per blob, byte for byte.
-//  * Sharing: blobs of clean supernode sections are referenced from the
-//    base generation's pack files, not rewritten.
+//    maintained partition -- per section, byte for byte.
+//  * Sharing: clean supernode sections are referenced whole from the base
+//    generation's pack files, not rewritten; dirty ones are written whole.
 //  * Durability: a store reopened from its directory serves the published
 //    generation, and unapplied log records stay pending across reopens.
 //  * Live flip: a QueryService keeps answering correctly while another
@@ -24,6 +24,8 @@
 #include "server/query_service.h"
 #include "snode/snode_repr.h"
 #include "storage/file.h"
+#include "storage/serial.h"
+#include "util/coding.h"
 #include "version/incremental.h"
 #include "version/overlay.h"
 #include "version/snapshot.h"
@@ -39,7 +41,6 @@ using version::GenerationPtr;
 using version::MaintainedPartition;
 using version::MaintainPartition;
 using version::Manifest;
-using version::ManifestBlob;
 using version::SnapshotManager;
 
 using test::TempDirFor;
@@ -71,10 +72,17 @@ std::vector<DeltaRecord> TestDeltas(const WebGraph& base) {
   };
 }
 
-std::vector<uint8_t> ReadBlobOrDie(const GraphStore& store, uint32_t id) {
-  std::vector<uint8_t> bytes;
-  WG_CHECK(store.ReadBlob(id, &bytes).ok());
-  return bytes;
+// Section s of `store` as its graphs' bytes.
+std::vector<std::vector<uint8_t>> ReadSectionOrDie(const GraphStore& store,
+                                                   uint32_t s) {
+  std::vector<uint8_t> scratch;
+  std::vector<GraphStore::GraphSpan> spans;
+  WG_CHECK(store.ReadSection(s, &scratch, &spans).ok());
+  std::vector<std::vector<uint8_t>> graphs;
+  for (const GraphStore::GraphSpan& span : spans) {
+    graphs.emplace_back(span.data, span.data + span.length);
+  }
+  return graphs;
 }
 
 // Cursor sweep: the representation must answer exactly like the ground
@@ -126,12 +134,18 @@ TEST(VersionSnapshotTest, IncrementalGenerationIsByteIdenticalToRebuild) {
       {});
   ASSERT_TRUE(rebuilt.ok());
 
-  ASSERT_EQ(m1.blobs.size(), rebuilt.value()->store().num_blobs());
-  for (uint32_t id = 0; id < m1.blobs.size(); ++id) {
-    EXPECT_EQ(ReadBlobOrDie(gen1.value()->repr->store(), id),
-              ReadBlobOrDie(rebuilt.value()->store(), id))
-        << "blob " << id;
+  const GraphStore& store1 = gen1.value()->repr->store();
+  const GraphStore& rebuilt_store = rebuilt.value()->store();
+  ASSERT_EQ(m1.directory.sections.size(), rebuilt_store.num_sections());
+  for (uint32_t s = 0; s < rebuilt_store.num_sections(); ++s) {
+    EXPECT_EQ(store1.section(s).length, rebuilt_store.section(s).length);
+    EXPECT_EQ(store1.section(s).crc, rebuilt_store.section(s).crc);
+    EXPECT_EQ(ReadSectionOrDie(store1, s),
+              ReadSectionOrDie(rebuilt_store, s))
+        << "section " << s;
   }
+  EXPECT_EQ(m1.directory.graph_lengths,
+            rebuilt_store.directory().graph_lengths);
 
   // Resident structures agree too (same numbering rule on both paths).
   const SupernodeGraph& sg1 = gen1.value()->repr->supernode_graph();
@@ -163,52 +177,82 @@ TEST(VersionSnapshotTest, CleanSectionsAreSharedNotRewritten) {
   const Manifest& m0 = gen0->manifest;
   const Manifest& m1 = gen1.value()->manifest;
 
-  EXPECT_GT(m1.blobs_shared, 0u);
-  EXPECT_GT(m1.blobs_written, 0u);
-  EXPECT_EQ(m1.blobs_shared + m1.blobs_written, m1.blobs.size());
-  // The overwhelming majority of a small delta's blobs are shared.
-  EXPECT_GT(m1.blobs_shared, m1.blobs.size() / 2);
+  EXPECT_GT(m1.sections_shared, 0u);
+  EXPECT_GT(m1.sections_written, 0u);
+  EXPECT_EQ(m1.sections_shared + m1.sections_written,
+            m1.directory.sections.size());
+  // Only the dirty sections were written, each whole; every clean one was
+  // shared.
+  EXPECT_EQ(m1.sections_written, maintained.dirty_count());
   // The file list grows append-only: the base generation's packs first.
   ASSERT_GE(m1.files.size(), m0.files.size());
   for (size_t f = 0; f < m0.files.size(); ++f) {
     EXPECT_EQ(m1.files[f], m0.files[f]);
   }
 
-  // Every clean old section's blobs point into the base generation's pack
-  // files at the base generation's exact locations -- shared, not copied.
+  // Every clean old section points into the base generation's pack files
+  // at the base generation's exact location -- shared, not copied -- and
+  // every dirty section lies in this generation's own pack.
   const SupernodeGraph& sg0 = gen0->repr->supernode_graph();
   const SupernodeGraph& sg1 = gen1.value()->repr->supernode_graph();
   size_t clean_checked = 0;
-  for (uint32_t s = 0; s < maintained.num_old_elements; ++s) {
-    if (maintained.dirty[s] != 0) continue;
-    uint32_t n_out = sg0.offsets[s + 1] - sg0.offsets[s];
-    ASSERT_EQ(sg1.offsets[s + 1] - sg1.offsets[s], n_out);
-    for (uint32_t k = 0; k <= n_out; ++k) {
-      const ManifestBlob& b0 = m0.blobs[sg0.FirstBlob(s) + k];
-      const ManifestBlob& b1 = m1.blobs[sg1.FirstBlob(s) + k];
-      ASSERT_LT(b1.file_index, m0.files.size());
-      EXPECT_EQ(b1.file_index, b0.file_index);
-      EXPECT_EQ(b1.offset, b0.offset);
-      EXPECT_EQ(b1.length, b0.length);
-      ++clean_checked;
+  for (uint32_t s = 0; s < maintained.partition.num_elements(); ++s) {
+    const GraphStore::Section& b1 = m1.directory.sections[s];
+    if (s >= maintained.num_old_elements || maintained.dirty[s] != 0) {
+      EXPECT_GE(b1.file_index, m0.files.size()) << "dirty section " << s;
+      continue;
     }
+    const GraphStore::Section& b0 = m0.directory.sections[s];
+    ASSERT_EQ(sg1.offsets[s + 1] - sg1.offsets[s],
+              sg0.offsets[s + 1] - sg0.offsets[s]);
+    EXPECT_EQ(b1.file_index, b0.file_index);
+    EXPECT_EQ(b1.offset, b0.offset);
+    EXPECT_EQ(b1.length, b0.length);
+    EXPECT_EQ(b1.crc, b0.crc);
+    ++clean_checked;
   }
   EXPECT_GT(clean_checked, 0u);
 }
 
-// A snapshot directory written in the previous format (WGM3 manifests,
-// whose resident state stored blob ids and the inverse permutation) must
-// not open: the embedded state parses differently.
+// A snapshot directory written in the previous format (WGM4 manifests,
+// with a location, CRC and content hash per blob) must not open: its
+// payload parses differently.
 TEST(VersionSnapshotTest, PreviousFormatManifestRejected) {
   std::string dir = TempDirFor("previous_format");
   ASSERT_TRUE(SnapshotManager::Create(dir, TestGraph(600), {}).ok());
   auto file = RandomAccessFile::Open(dir + "/MANIFEST-000000");
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file.value()->Write(0, "WGM3", 4).ok());
+  ASSERT_TRUE(file.value()->Write(0, "WGM4", 4).ok());
   auto opened = SnapshotManager::Open(dir, {});
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
   EXPECT_NE(opened.status().ToString().find("bad magic"), std::string::npos)
+      << opened.status().ToString();
+}
+
+// A MANIFEST whose frame checks out but whose file count is 2^62 fails
+// the open with Corruption before anything is sized by the count.
+TEST(VersionSnapshotTest, HugeCountInManifestIsCorruption) {
+  std::string dir = TempDirFor("huge_count");
+  ASSERT_TRUE(SnapshotManager::Create(dir, TestGraph(600), {}).ok());
+  const std::string path = dir + "/MANIFEST-000000";
+  const char magic[4] = {'W', 'G', 'M', '5'};
+  auto payload = ReadFramedFile(path, magic);
+  ASSERT_TRUE(payload.ok());
+  SerialCursor cursor(payload.value());
+  uint64_t generation = 0, log_applied = 0, files = 0;
+  ASSERT_TRUE(cursor.ReadVarint64(&generation) &&
+              cursor.ReadVarint64(&log_applied) &&
+              cursor.ReadVarint64(&files));
+  std::string edited;
+  PutVarint64(&edited, generation);
+  PutVarint64(&edited, log_applied);
+  PutVarint64(&edited, uint64_t{1} << 62);
+  edited += payload.value().substr(cursor.position());
+  ASSERT_TRUE(WriteFramedFile(path, magic, edited).ok());
+  auto opened = SnapshotManager::Open(dir, {});
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
       << opened.status().ToString();
 }
 

@@ -40,20 +40,21 @@
 //       against base-plus-pending state and appended atomically.
 //   wgtool compact DIR
 //       Fold all pending deltas into the next generation: re-refine and
-//       re-encode only dirty supernode sections, share every unchanged
-//       blob byte-identically with the base generation, and atomically
-//       repoint CURRENT. A running wgserve --snapshot flips live.
+//       re-encode only dirty supernode sections, writing each whole, share
+//       every clean section whole with the base generation, and
+//       atomically repoint CURRENT. A running wgserve --snapshot flips
+//       live.
 //   wgtool snapshots DIR
-//       List the store's generations (live one starred) with their blob
-//       sharing counts and pending delta-log records.
+//       List the store's generations (live one starred) with their
+//       section sharing counts and pending delta-log records.
 //   wgtool scrub PATH
 //       Offline integrity scrub. PATH is either a snapshot directory
-//       (contains CURRENT; the live generation's blobs are verified,
+//       (contains CURRENT; the live generation's sections are verified,
 //       including ones shared from older packs) or an S-Node store base
-//       path (BASE.meta). Every blob is pread and checked against its
-//       recorded CRC32 and file extents; prints a per-store report and
-//       exits non-zero if any blob is damaged. Read-only -- safe against
-//       a store another process is serving.
+//       path (BASE.meta). Every section is pread and checked against its
+//       recorded CRC32; prints a report naming each damaged section and
+//       its pack, and exits non-zero if any is damaged. Read-only -- safe
+//       against a store another process is serving.
 //   wgtool gc DIR [--apply]
 //       Find pack files no longer referenced by the live manifest (after
 //       compactions have re-encoded everything they held) and report the
@@ -238,11 +239,13 @@ int CmdInfo(int argc, char** argv) {
   std::printf("bits/link:      %.2f\n", repr.value()->BitsPerEdge());
   std::printf("top level:      %.1f KB (Huffman + pointers)\n",
               sg.HuffmanEncodedBytes() / 1024.0);
-  std::printf("store:          %llu bytes in %zu files, %zu graphs\n",
+  std::printf("store:          %llu bytes in %zu files, %zu sections, "
+              "%zu graphs\n",
               static_cast<unsigned long long>(
                   repr.value()->store().total_bytes()),
               repr.value()->store().num_files(),
-              repr.value()->store().num_blobs());
+              repr.value()->store().num_sections(),
+              repr.value()->store().num_graphs());
   std::printf("domains:        %zu\n", sg.domain_supernodes.size());
   return 0;
 }
@@ -345,9 +348,9 @@ int CmdSnapshotInit(int argc, char** argv) {
   auto manager = version::SnapshotManager::Create(dir, graph.value(), sopts);
   if (!manager.ok()) return Fail(manager.status());
   const version::Manifest& m = manager.value()->current()->manifest;
-  std::printf("snapshot %s: generation 0 published, %zu blobs in %zu files, "
-              "%zu pages, %llu links\n",
-              dir, m.blobs.size(), m.files.size(),
+  std::printf("snapshot %s: generation 0 published, %zu sections in %zu "
+              "files, %zu pages, %llu links\n",
+              dir, m.directory.sections.size(), m.files.size(),
               manager.value()->current()->repr->num_pages(),
               static_cast<unsigned long long>(
                   manager.value()->current()->repr->num_edges()));
@@ -430,12 +433,12 @@ int CmdCompact(int argc, char** argv) {
                 static_cast<unsigned long long>(m.generation));
     return 0;
   }
-  std::printf("generation %llu: folded %llu deltas, shared %llu blobs, "
+  std::printf("generation %llu: folded %llu deltas, shared %llu sections, "
               "wrote %llu, %zu pages, %llu links\n",
               static_cast<unsigned long long>(m.generation),
               static_cast<unsigned long long>(pending),
-              static_cast<unsigned long long>(m.blobs_shared),
-              static_cast<unsigned long long>(m.blobs_written),
+              static_cast<unsigned long long>(m.sections_shared),
+              static_cast<unsigned long long>(m.sections_written),
               generation.value()->repr->num_pages(),
               static_cast<unsigned long long>(
                   generation.value()->repr->num_edges()));
@@ -449,7 +452,7 @@ int CmdSnapshots(int argc, char** argv) {
   if (!manager.ok()) return Fail(manager.status());
   uint64_t live = manager.value()->current()->manifest.generation;
   std::printf("%-4s %-12s %8s %8s %8s %8s %12s\n", "", "generation",
-              "files", "blobs", "shared", "written", "log-applied");
+              "files", "sections", "shared", "written", "log-applied");
   for (uint64_t g = 0; g <= live; ++g) {
     char name[32];
     std::snprintf(name, sizeof(name), "MANIFEST-%06llu",
@@ -459,9 +462,10 @@ int CmdSnapshots(int argc, char** argv) {
     std::printf("%-4s %-12llu %8zu %8zu %8llu %8llu %12llu\n",
                 g == live ? "*" : "",
                 static_cast<unsigned long long>(m.value().generation),
-                m.value().files.size(), m.value().blobs.size(),
-                static_cast<unsigned long long>(m.value().blobs_shared),
-                static_cast<unsigned long long>(m.value().blobs_written),
+                m.value().files.size(),
+                m.value().directory.sections.size(),
+                static_cast<unsigned long long>(m.value().sections_shared),
+                static_cast<unsigned long long>(m.value().sections_written),
                 static_cast<unsigned long long>(m.value().log_applied));
   }
   std::printf("log: %llu records, %llu pending\n",
@@ -484,7 +488,7 @@ int CmdScrub(int argc, char** argv) {
               is_snapshot ? "snapshot (live generation)\n" : "s-node store\n",
               report.ToString().c_str());
   if (!report.clean()) {
-    std::fprintf(stderr, "scrub: %zu damaged blobs in %s\n",
+    std::fprintf(stderr, "scrub: %zu damaged sections in %s\n",
                  report.errors.size(), path.c_str());
     return 1;
   }
