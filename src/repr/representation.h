@@ -294,13 +294,15 @@ class GraphRepresentation {
 
  protected:
   // Publishes this instance's counters into the default metric registry
-  // under {scheme=<scheme>, instance=<unique ordinal>}. Each scheme's
-  // Build/Open calls this once the instance identity is known.
-  void RegisterStats(const std::string& scheme) {
+  // under {scheme=<scheme>, instance=<unique ordinal>} and returns the
+  // ordinal, for a scheme's own series to carry the same label. Each
+  // scheme's Build/Open calls this once the instance identity is known.
+  uint64_t RegisterStats(const std::string& scheme) {
+    const uint64_t instance = obs::NextInstanceId();
     stats_.Register(
         obs::MetricRegistry::Default(),
-        {{"scheme", scheme},
-         {"instance", std::to_string(obs::NextInstanceId())}});
+        {{"scheme", scheme}, {"instance", std::to_string(instance)}});
+    return instance;
   }
 
   ReprStats stats_;

@@ -52,7 +52,6 @@ std::string FormatHealthLine(uint64_t generation, bool degraded,
 SNodeBuildOptions StoreOptions(const ServerOptions& options) {
   SNodeBuildOptions build;
   build.buffer_bytes = options.buffer_bytes;
-  build.decode_ahead_sections = options.decode_ahead;
   return build;
 }
 

@@ -36,7 +36,6 @@ struct ServerOptions {
   size_t workers = 4;                 // --workers
   size_t queue = 256;                 // --queue
   size_t buffer_bytes = 4 << 20;      // --buffer
-  int decode_ahead = 0;               // --decode-ahead
   int admin_port = -1;                // --admin-port (-1: no admin plane)
   int profile_hz = 0;                 // --profile-hz (0: no profiler)
   double slow_us = 10000;             // --slow-us

@@ -1,8 +1,9 @@
 #include "server/workload.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <charconv>
+#include <fstream>
+#include <sstream>
 
 #include "util/rng.h"
 
@@ -46,40 +47,50 @@ std::vector<Request> SyntheticWorkload(const WorkloadOptions& options) {
 
 Result<std::vector<Request>> ParseRequestFile(const std::string& path,
                                               size_t num_pages) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::IOError("cannot open request file: " + path);
-  }
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open request file: " + path);
   std::vector<Request> requests;
-  char line[256];
-  int lineno = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    ++lineno;
-    char op[32];
-    unsigned long a = 0, b = 0;
-    if (line[0] == '#' || std::sscanf(line, "%31s", op) != 1) continue;
-    Request request;
-    int fields = std::sscanf(line, "%31s %lu %lu", op, &a, &b);
+  std::string line;
+  std::vector<std::string> fields;
+  for (size_t lineno = 1; std::getline(in, line); ++lineno) {
+    fields.clear();
+    std::istringstream split(line);
+    for (std::string field; split >> field;) fields.push_back(field);
+    if (fields.empty() || fields[0][0] == '#') continue;
     auto bad = [&](const char* why) {
-      std::fclose(f);
       return Status::InvalidArgument(path + ":" + std::to_string(lineno) +
                                      ": " + why);
     };
-    if (std::strcmp(op, "out") == 0 || std::strcmp(op, "in") == 0) {
-      if (fields < 2) return bad("expected: out|in <page>");
+    // True when fields[i] is a whole unsigned decimal number.
+    auto number = [&fields](size_t i, uint64_t* value) {
+      const std::string& f = fields[i];
+      auto [end, ec] = std::from_chars(f.data(), f.data() + f.size(), *value);
+      return ec == std::errc() && end == f.data() + f.size();
+    };
+    const std::string& op = fields[0];
+    Request request;
+    uint64_t a = 0, b = 0;
+    if (op == "out" || op == "in") {
+      if (fields.size() != 2 || !number(1, &a)) {
+        return bad("expected: out|in <page>");
+      }
       if (a >= num_pages) return bad("page id out of range");
-      request.type = std::strcmp(op, "out") == 0 ? RequestType::kOutNeighbors
-                                                 : RequestType::kInNeighbors;
+      request.type = op == "out" ? RequestType::kOutNeighbors
+                                 : RequestType::kInNeighbors;
       request.page = static_cast<PageId>(a);
-    } else if (std::strcmp(op, "khop") == 0) {
-      if (fields < 3) return bad("expected: khop <page> <k>");
+    } else if (op == "khop") {
+      if (fields.size() != 3 || !number(1, &a) || !number(2, &b)) {
+        return bad("expected: khop <page> <k>");
+      }
       if (a >= num_pages) return bad("page id out of range");
       if (b == 0 || b > 16) return bad("k must be in [1, 16]");
       request.type = RequestType::kKHop;
       request.page = static_cast<PageId>(a);
       request.k = static_cast<int>(b);
-    } else if (std::strcmp(op, "query") == 0) {
-      if (fields < 2) return bad("expected: query <1..6>");
+    } else if (op == "query") {
+      if (fields.size() != 2 || !number(1, &a)) {
+        return bad("expected: query <1..6>");
+      }
       if (a < 1 || a > 6) return bad("query number must be 1..6");
       request.type = RequestType::kComplexQuery;
       request.query_number = static_cast<int>(a);
@@ -88,7 +99,7 @@ Result<std::vector<Request>> ParseRequestFile(const std::string& path,
     }
     requests.push_back(request);
   }
-  std::fclose(f);
+  if (in.bad()) return Status::IOError("cannot read request file: " + path);
   return requests;
 }
 

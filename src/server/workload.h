@@ -35,12 +35,15 @@ struct WorkloadOptions {
 // Deterministic for a given options struct.
 std::vector<Request> SyntheticWorkload(const WorkloadOptions& options);
 
-// Parses one request per line; blank lines and '#' comments are skipped:
+// Parses one request per line; blank lines and lines whose first field
+// starts with '#' are skipped:
 //   out <page>
 //   in <page>
 //   khop <page> <k>
 //   query <number 1..6>
-// Page ids must be < num_pages.
+// Fields are separated by blanks, numbers are unsigned decimal, and a line
+// with more or fewer fields than its op takes is an error. Page ids must be
+// < num_pages. Errors name the file and the 1-based line.
 Result<std::vector<Request>> ParseRequestFile(const std::string& path,
                                               size_t num_pages);
 

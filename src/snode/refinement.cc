@@ -86,29 +86,33 @@ void CoalesceSmallGroups(size_t min_group_size,
   *groups = std::move(kept);
 }
 
-// --- URL split: groups `element` pages by a one-level-longer URL prefix.
-// Returns the groups (empty if the element cannot be subdivided further at
-// any remaining level), advancing element->url_level past trivial levels.
-std::vector<std::vector<PageId>> UrlSplit(const ElementData& data,
-                                          Element* element, int max_levels,
+// --- URL split, the one rule behind the build's passes and incremental
+// maintenance (RefineNewElement): groups `pages` by the URL prefix one
+// level deeper than *level, coalesces groups below `min_group_size`, and
+// probes deeper levels until one leaves at least two groups. *level ends
+// at the last level probed. Returns the groups in prefix order (URL order
+// over URL-sorted pages), or none when no level up to `max_levels` splits.
+template <typename UrlOf>
+std::vector<std::vector<PageId>> UrlSplit(const std::vector<PageId>& pages,
+                                          const UrlOf& url_of, int* level,
+                                          int max_levels,
                                           size_t min_group_size) {
-  while (element->url_level < max_levels) {
-    int level = element->url_level + 1;
-    std::map<std::string, std::vector<PageId>> groups;
-    for (PageId p : element->pages) {
-      groups[UrlPrefix(data.url(p), level)].push_back(p);
+  while (*level < max_levels) {
+    ++*level;
+    std::map<std::string, std::vector<PageId>> by_prefix;
+    for (PageId p : pages) {
+      by_prefix[UrlPrefix(url_of(p), *level)].push_back(p);
     }
-    element->url_level = level;
-    if (groups.size() > 1) {
-      std::vector<std::vector<PageId>> result;
-      result.reserve(groups.size());
-      for (auto& [prefix, pages] : groups) result.push_back(std::move(pages));
-      CoalesceSmallGroups(min_group_size, &result);
-      if (result.size() > 1) return result;
-      // All groups below the floor: keep probing deeper levels.
+    if (by_prefix.size() < 2) continue;
+    std::vector<std::vector<PageId>> groups;
+    groups.reserve(by_prefix.size());
+    for (auto& [prefix, members] : by_prefix) {
+      groups.push_back(std::move(members));
     }
+    CoalesceSmallGroups(min_group_size, &groups);
+    if (groups.size() > 1) return groups;
+    // All groups below the floor: keep probing deeper levels.
   }
-  element->url_exhausted = true;
   return {};
 }
 
@@ -404,11 +408,14 @@ Result<Partition> RefinePartitionFrom(const RefinementGraph& source,
       out.status = source.Borrow(elements[e].pages, need_links, &data);
       if (!out.status.ok()) return;
       if (!elements[e].url_exhausted) {
-        out.groups = UrlSplit(data, &elements[e],
-                              options.url_split_max_levels,
-                              options.min_group_size);
+        out.groups = UrlSplit(
+            elements[e].pages,
+            [&data](PageId p) -> const std::string& { return data.url(p); },
+            &elements[e].url_level, options.url_split_max_levels,
+            options.min_group_size);
         // If URL split exhausted without splitting, the element stays a
         // candidate and is clustered-split in a later pass.
+        elements[e].url_exhausted = out.groups.empty();
       } else {
         out.clustered_attempt = true;
         Rng rng(SplitSeed(pass, e));
@@ -507,30 +514,13 @@ std::vector<std::vector<PageId>> RefineNewElement(
   while (!work.empty()) {
     auto [group, level] = std::move(work.front());
     work.pop_front();
-    bool split = false;
+    std::vector<std::vector<PageId>> groups;
     if (group.size() >= options.min_split_size) {
-      while (level < options.url_split_max_levels) {
-        ++level;
-        std::map<std::string, std::vector<PageId>> by_prefix;
-        for (PageId p : group) {
-          by_prefix[UrlPrefix(url_of(p), level)].push_back(p);
-        }
-        if (by_prefix.size() > 1) {
-          std::vector<std::vector<PageId>> groups;
-          groups.reserve(by_prefix.size());
-          for (auto& [prefix, members] : by_prefix) {
-            groups.push_back(std::move(members));
-          }
-          CoalesceSmallGroups(options.min_group_size, &groups);
-          if (groups.size() > 1) {
-            for (auto& g : groups) work.emplace_back(std::move(g), level);
-            split = true;
-            break;
-          }
-        }
-      }
+      groups = UrlSplit(group, url_of, &level, options.url_split_max_levels,
+                        options.min_group_size);
     }
-    if (!split) done.push_back(std::move(group));
+    if (groups.empty()) done.push_back(std::move(group));
+    for (auto& g : groups) work.emplace_back(std::move(g), level);
   }
   return done;
 }

@@ -173,14 +173,15 @@ Partition InitialDomainPartition(const WebGraph& graph);
 
 // Partial-refinement entry point for incremental S-Node maintenance:
 // refines one page group that arrived via crawl deltas (the pages of a new
-// supernode-to-be) using the URL-split rule alone, with the same
-// min_split_size / min_group_size / url_split_max_levels thresholds as
-// full refinement. Clustered split is deliberately absent -- it clusters
-// over supernode out-adjacency bit vectors, global context that only a
-// full rebuild recomputes. `url_of` supplies page URLs (delta pages live
-// outside the base WebGraph). Deterministic: output groups are URL-sorted
-// internally and emitted in URL order, so an incremental build and a
-// from-scratch rebuild over the same maintained partition agree exactly.
+// supernode-to-be) using the URL-split rule alone -- the same split
+// function full refinement's passes call, with the same min_split_size /
+// min_group_size / url_split_max_levels thresholds. Clustered split is
+// deliberately absent -- it clusters over supernode out-adjacency bit
+// vectors, global context that only a full rebuild recomputes. `url_of`
+// supplies page URLs (delta pages live outside the base WebGraph).
+// Deterministic: output groups are URL-sorted internally and emitted in
+// URL order, so an incremental build and a from-scratch rebuild over the
+// same maintained partition agree exactly.
 std::vector<std::vector<PageId>> RefineNewElement(
     std::vector<PageId> pages,
     const std::function<const std::string&(PageId)>& url_of,

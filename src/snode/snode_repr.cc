@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "snode/prefetch.h"
 #include "snode/section_encode.h"
 #include "storage/integrity.h"
 #include "storage/serial.h"
@@ -33,11 +32,6 @@ constexpr uint32_t kEncodeWindow = 4096;
 // when their graphs hash to the same shard.
 constexpr size_t kCacheShards = 8;
 
-// Bound on sections queued to the decode-ahead executor at once; beyond
-// this the reader is so far ahead of the worker that more queue would
-// only decode sections destined for eviction before use.
-constexpr size_t kDecodeAheadQueueCapacity = 64;
-
 // Decode scratch for GatherSection, one per thread and shared by lone
 // probes and supernode assembly (so a worker holds at most one section's
 // graphs outside the cache). Slot b holds blob b of the tagged section;
@@ -61,37 +55,8 @@ SectionScratch& ThreadScratch() {
 
 void SNodeColdStats::Register(obs::MetricRegistry& registry,
                               const obs::Labels& labels) {
-  auto with_source = [&labels](const char* source) {
-    obs::Labels out = labels;
-    out.emplace_back("source", source);
-    return out;
-  };
-  demand_blobs.Bind(registry, "wg_cold_blobs_total", with_source("demand"),
-                    "Cold blob loads (a query was waiting)");
-  demand_bytes.Bind(registry, "wg_cold_bytes_total", with_source("demand"),
-                    "Encoded bytes of cold demand loads");
-  decode_ahead_blobs.Bind(registry, "wg_cold_blobs_total",
-                          with_source("decode_ahead"),
-                          "Blobs decoded ahead by the locality executor");
-  decode_ahead_bytes.Bind(registry, "wg_cold_bytes_total",
-                          with_source("decode_ahead"),
-                          "Encoded bytes decoded ahead");
   assembles.Bind(registry, "wg_cold_assembles_total", labels,
                  "Supernode CSR assemblies (cold cursor work)");
-}
-
-void SNodeColdStats::Bump(SNodeLoadSource source, uint64_t blobs,
-                          uint64_t bytes) {
-  switch (source) {
-    case SNodeLoadSource::kDemand:
-      demand_blobs += blobs;
-      demand_bytes += bytes;
-      break;
-    case SNodeLoadSource::kDecodeAhead:
-      decode_ahead_blobs += blobs;
-      decode_ahead_bytes += bytes;
-      break;
-  }
 }
 
 Result<std::unique_ptr<SNodeRepr>> SNodeRepr::Build(
@@ -422,10 +387,12 @@ Status ValidateResidentShape(const SNodeResidentState& state,
 
 SNodeRepr::SNodeRepr(std::string base_path, const SNodeBuildOptions& options)
     : base_path_(std::move(base_path)),
-      options_(options),
       cache_(std::make_unique<ShardedGraphCache>(kCacheShards,
-                                                 options.buffer_bytes)) {
-  RegisterStats("s-node");
+                                                 options.buffer_bytes)),
+      instance_id_(RegisterStats("s-node")) {
+  cold_stats_.Register(
+      obs::MetricRegistry::Default(),
+      {{"scheme", "s-node"}, {"instance", std::to_string(instance_id_)}});
 }
 
 Result<std::unique_ptr<SNodeRepr>> SNodeRepr::FromParts(
@@ -434,11 +401,6 @@ Result<std::unique_ptr<SNodeRepr>> SNodeRepr::FromParts(
   std::unique_ptr<SNodeRepr> repr(new SNodeRepr(base_path, options));
   WG_RETURN_IF_ERROR(repr->Install(std::move(state), std::move(store)));
   return repr;
-}
-
-SNodeRepr::~SNodeRepr() {
-  // Stop the background worker before any member it reads is destroyed.
-  if (decode_ahead_ != nullptr) decode_ahead_->Stop();
 }
 
 Status SNodeRepr::Install(SNodeResidentState state,
@@ -471,35 +433,7 @@ Status SNodeRepr::Install(SNodeResidentState state,
         4.0 * static_cast<double>(num_pages() + n_super + num_edges_) /
         static_cast<double>(n_super);
   }
-  instance_id_ = obs::NextInstanceId();
-  cold_stats_.Register(
-      obs::MetricRegistry::Default(),
-      {{"scheme", "s-node"}, {"instance", std::to_string(instance_id_)}});
-  if (options_.decode_ahead_sections > 0) {
-    decode_ahead_ = std::make_unique<PrefetchExecutor>(
-        [this](uint32_t s) {
-          if (s >= supernodes_.num_supernodes()) return;
-          // Already assembled => the section's graphs were all decoded.
-          if (cache_->Lookup(AssembledKey(s)) != nullptr) return;
-          // Best-effort: a failed decode-ahead just leaves the section
-          // for the demand path (which will surface the error).
-          Status ignored = PrefetchSection(s, SNodeLoadSource::kDecodeAhead,
-                                           /*all=*/true, nullptr, nullptr);
-          (void)ignored;
-        },
-        kDecodeAheadQueueCapacity);
-  }
   return Status::OK();
-}
-
-void SNodeRepr::MaybeDecodeAhead(uint32_t supernode) {
-  if (decode_ahead_ == nullptr) return;
-  uint32_t n_super = static_cast<uint32_t>(supernodes_.num_supernodes());
-  for (int k = 1; k <= options_.decode_ahead_sections; ++k) {
-    uint32_t s = supernode + static_cast<uint32_t>(k);
-    if (s >= n_super) break;
-    decode_ahead_->Submit(s);
-  }
 }
 
 void SNodeRepr::DropToColdState() {
@@ -533,7 +467,6 @@ size_t SNodeRepr::QuarantinedSectionCount() const {
 
 Status SNodeRepr::ReadSectionBlobs(uint32_t supernode,
                                    const std::vector<uint32_t>& wanted,
-                                   SNodeLoadSource source,
                                    const BlobDecodeFn& decode) {
   if (SectionQuarantined(supernode)) {
     return Status::Unavailable("supernode section " +
@@ -564,18 +497,16 @@ Status SNodeRepr::ReadSectionBlobs(uint32_t supernode,
   }
   const uint32_t first = supernodes_.FirstBlob(supernode);
   size_t loaded = 0;
-  uint64_t bytes = 0;
   while (status.ok() && loaded < wanted.size()) {
     uint32_t id = wanted[loaded];
     const GraphStore::GraphSpan& graph = graphs[id - first];
     status = decode(id, graph.data, graph.length);
     if (!status.ok()) break;
     ++loaded;
-    bytes += graph.length;
   }
+  // Every read is a demand read, so each graph it loads is a cache miss.
   stats_.graphs_loaded += loaded;
-  if (source == SNodeLoadSource::kDemand) stats_.cache_misses += loaded;
-  cold_stats_.Bump(source, loaded, bytes);
+  stats_.cache_misses += loaded;
   // Only persistent damage quarantines the section; a transient I/O error
   // (injected EIO, for instance) leaves it retryable.
   if (status.code() == StatusCode::kCorruption) {
@@ -623,63 +554,54 @@ bool SNodeRepr::SectionWorthPrefetching(uint32_t supernode,
   return graphs_needed * 4 >= section_graphs;
 }
 
-Status SNodeRepr::PrefetchSection(uint32_t supernode, SNodeLoadSource source,
-                                  bool all, const std::vector<uint8_t>* need,
-                                  std::vector<EntryPtr>* graphs) {
+Status SNodeRepr::LoadSectionGraphs(uint32_t supernode,
+                                    const std::vector<uint8_t>& need,
+                                    std::vector<EntryPtr>* graphs) {
   const uint32_t first = supernodes_.FirstBlob(supernode);
   const uint32_t num_blobs = supernodes_.FirstBlob(supernode + 1) - first;
-  auto needed = [need](uint32_t b) { return need != nullptr && (*need)[b]; };
+  size_t num_needed = 0;
+  for (uint8_t n : need) num_needed += n;
+  const bool all = SectionWorthPrefetching(supernode, num_needed);
+  graphs->assign(need.size(), nullptr);
   std::vector<uint32_t> keys;
   for (uint32_t b = 0; b < num_blobs; ++b) {
-    if (needed(b)) {
+    if (need[b]) {
       if (EntryPtr cached = cache_->Lookup(first + b); cached != nullptr) {
         ++stats_.cache_hits;
         (*graphs)[b] = std::move(cached);
         continue;
       }
     }
-    if (all || needed(b)) keys.push_back(first + b);
+    if (all || need[b]) keys.push_back(first + b);
   }
   // Graphs already cached or in flight on another thread are skipped
   // (their owners publish them); this never blocks.
   std::vector<uint32_t> claimed = cache_->ClaimKeys(keys);
-  if (claimed.empty()) return Status::OK();
-  obs::Span prefetch_span("cache.prefetch_section", "cache");
-  prefetch_span.AddArg("supernode", supernode);
-  prefetch_span.AddArg("blobs", claimed.size());
-  size_t published = 0;
-  Status read = ReadSectionBlobs(
-      supernode, claimed, source,
-      [&](uint32_t id, const uint8_t* data, size_t size) {
-        ShardedGraphCache::Entry entry;
-        WG_RETURN_IF_ERROR(
-            DecodeSectionBlob(supernode, id, data, size, &entry));
-        EntryPtr pinned = cache_->Publish(id, std::move(entry));
-        ++published;
-        if (needed(id - first)) (*graphs)[id - first] = std::move(pinned);
-        return Status::OK();
-      });
-  // Whatever the failed read left unpublished must still be resolved.
-  for (size_t i = published; i < claimed.size(); ++i) {
-    cache_->Abort(claimed[i], read);
+  if (!claimed.empty()) {
+    obs::Span prefetch_span("cache.prefetch_section", "cache");
+    prefetch_span.AddArg("supernode", supernode);
+    prefetch_span.AddArg("blobs", claimed.size());
+    size_t published = 0;
+    Status read = ReadSectionBlobs(
+        supernode, claimed,
+        [&](uint32_t id, const uint8_t* data, size_t size) {
+          ShardedGraphCache::Entry entry;
+          WG_RETURN_IF_ERROR(
+              DecodeSectionBlob(supernode, id, data, size, &entry));
+          EntryPtr pinned = cache_->Publish(id, std::move(entry));
+          ++published;
+          if (need[id - first]) (*graphs)[id - first] = std::move(pinned);
+          return Status::OK();
+        });
+    // Whatever the failed read left unpublished must still be resolved.
+    for (size_t i = published; i < claimed.size(); ++i) {
+      cache_->Abort(claimed[i], read);
+    }
+    WG_RETURN_IF_ERROR(read);
   }
-  return read;
-}
-
-Status SNodeRepr::LoadSectionGraphs(uint32_t supernode,
-                                    const std::vector<uint8_t>& need,
-                                    std::vector<EntryPtr>* graphs) {
-  size_t num_needed = 0;
-  for (uint8_t n : need) num_needed += n;
-  graphs->assign(need.size(), nullptr);
-  WG_RETURN_IF_ERROR(PrefetchSection(supernode, SNodeLoadSource::kDemand,
-                                     SectionWorthPrefetching(supernode,
-                                                             num_needed),
-                                     &need, graphs));
   // Only now, holding no claims, wait for the graphs other threads had in
   // flight. A graph published and evicted meanwhile comes back as a claim
   // of ours, resolved by its own read before the next wait.
-  const uint32_t first = supernodes_.FirstBlob(supernode);
   for (uint32_t b = 0; b < need.size(); ++b) {
     if (!need[b] || (*graphs)[b] != nullptr) continue;
     ShardedGraphCache::Claim claim = cache_->BeginLoad(first + b);
@@ -693,7 +615,7 @@ Status SNodeRepr::LoadSectionGraphs(uint32_t supernode,
     }
     ShardedGraphCache::Entry entry;
     Status read = ReadSectionBlobs(
-        supernode, {first + b}, SNodeLoadSource::kDemand,
+        supernode, {first + b},
         [&](uint32_t id, const uint8_t* data, size_t size) {
           return DecodeSectionBlob(supernode, id, data, size, &entry);
         });
@@ -762,7 +684,7 @@ Status SNodeRepr::GatherSection(uint32_t supernode, uint64_t scratch_stamp,
   span.AddArg("supernode", supernode);
   span.AddArg("blobs", missing.size());
   return ReadSectionBlobs(
-      supernode, missing, SNodeLoadSource::kDemand,
+      supernode, missing,
       [&](uint32_t id, const uint8_t* data, size_t size) {
         const uint32_t b = id - first;
         WG_RETURN_IF_ERROR(
@@ -988,11 +910,9 @@ class SNodeRepr::Cursor : public AdjacencyCursor {
         // Streaming: either a second page in this supernode, or the
         // stream just crossed into the next section at its first page (a
         // layout-order sweep). Assembling now pays for itself across the
-        // rest of the streak -- and crossing a section boundary is the
-        // decode-ahead signal, so queue the sections after this one.
+        // rest of the streak.
         WG_ASSIGN_OR_RETURN(entry,
                             repr_->AssembleSupernode(s, probe_stamp_));
-        repr_->MaybeDecodeAhead(s);
       } else if (repr_->ProbeWithinReach(s, &stamp)) {
         WG_ASSIGN_OR_RETURN(entry, repr_->AssembleSupernode(s));
       }

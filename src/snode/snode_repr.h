@@ -28,19 +28,19 @@
 // Lower-level graphs live in the GraphStore on disk and are decoded on
 // demand: a lone probe decodes its section into per-thread scratch, and a
 // byte-budgeted sharded LRU cache holds assembled sections (plus the
-// per-graph entries VisitLinksInto and decode-ahead load). The load
-// counters in ReprStats (graphs_loaded, disk seeks and transfer) are the
-// instrumentation the paper used to explain Figures 11/12.
+// per-graph entries VisitLinksInto loads). The load counters in ReprStats
+// (graphs_loaded, disk seeks and transfer) are the instrumentation the
+// paper used to explain Figures 11/12.
 //
-// One read path: every byte this repr reads from the store goes through
-// ReadSectionBlobs, whether for a lone probe, a VisitLinksInto fetch, a
-// decode-ahead, or a supernode assembly, and every such read is one whole
-// section. The store (storage/graph_store.h) owns the pread and the
-// section's CRC check. ReadSectionBlobs owns what a read
-// means here: the quarantined-section check and quarantine on corruption,
-// io_mutex_ with the disk-model charge, the storage trace span, and every
-// load counter (disk_reads, bytes_read, graphs_loaded, cache_misses,
-// wg_cold_* by source).
+// One read path, and every read a demand read: every byte this repr reads
+// from the store goes through ReadSectionBlobs, on behalf of the lone
+// probe, VisitLinksInto fetch or supernode assembly that needs it, and
+// every such read is one whole section. Nothing reads ahead of a request.
+// The store (storage/graph_store.h) owns the pread and the section's CRC
+// check. ReadSectionBlobs owns what a read means here: the
+// quarantined-section check and quarantine on corruption, io_mutex_ with
+// the disk-model charge, the storage trace span, and every load counter
+// (disk_reads, bytes_read, graphs_loaded, cache_misses).
 //
 // Concurrency: after Build/Open, the read path (GetLinks, VisitLinksInto,
 // PagesInDomain) is safe to call from many threads at once -- this is what
@@ -66,11 +66,6 @@ struct SNodeBuildOptions {
   int threads = 1;
   // Budget for decoded lower-level graphs.
   size_t buffer_bytes = 4 << 20;
-  // Locality decode-ahead: when a cursor takes a cold miss into a
-  // supernode section, a background executor decodes the next N sections
-  // in layout order (= LocalityKey order, the order a sweep will want
-  // them) into the cache. 0 disables.
-  int decode_ahead_sections = 0;
 };
 
 // The resident half of an S-Node representation, separated from the repr
@@ -90,8 +85,6 @@ struct SNodeResidentState {
   static Result<SNodeResidentState> Parse(SerialCursor* cursor);
 };
 
-class PrefetchExecutor;
-
 // Data plane of the numbering/encode/layout half of the build: the counts
 // plus two accessors, which is all that half ever asks of a WebGraph. The
 // classic build binds a resident graph; the streaming build serves these
@@ -108,19 +101,11 @@ struct SNodeBuildSource {
   std::function<std::string(PageId)> domain_name_of;
 };
 
-// Who initiated a cold blob load -- demand read (a query is waiting) or
-// decode-ahead (the locality executor running ahead of a cursor).
-// Exposition splits the wg_cold_* series by this so a dashboard can tell a
-// cold-read cliff from speculative decode I/O.
-enum class SNodeLoadSource { kDemand = 0, kDecodeAhead = 1 };
-
-// Cold-path counters (registry series wg_cold_*), split by load source.
+// Cold-path counters (registry series wg_cold_*). Blob loads are
+// ReprStats::graphs_loaded (wg_repr_graphs_loaded_total).
 struct SNodeColdStats {
-  obs::Counter demand_blobs, demand_bytes;
-  obs::Counter decode_ahead_blobs, decode_ahead_bytes;
   obs::Counter assembles;  // supernode CSR assemblies (cold cursor work)
   void Register(obs::MetricRegistry& registry, const obs::Labels& labels);
-  void Bump(SNodeLoadSource source, uint64_t blobs, uint64_t bytes);
 };
 
 class SNodeRepr : public GraphRepresentation {
@@ -162,8 +147,8 @@ class SNodeRepr : public GraphRepresentation {
   // (SupernodeGraph::FirstBlob). This is how a snapshot generation becomes
   // queryable -- the manifest supplies the store (possibly spanning pack
   // files from several generations) and the embedded resident payload.
-  // Only runtime options (buffer budget, decode-ahead) from `options`
-  // apply. Derives the inverse permutation. Returns Corruption when the
+  // Only the runtime option (buffer budget) from `options` applies.
+  // Derives the inverse permutation. Returns Corruption when the
   // state is inconsistent: new_of_orig is not a permutation, page ranges
   // or superedge offsets do not ascend to their totals, a superedge target
   // or domain entry is past the last supernode, or a store section holds a
@@ -179,9 +164,9 @@ class SNodeRepr : public GraphRepresentation {
   Status SaveMeta() const;
 
   // Attaches to a representation previously built at `base_path` and
-  // persisted with SaveMeta. Only runtime options (buffer budget,
-  // decode-ahead) from `options` apply; the encoded data is taken from
-  // disk. A missing `.meta` is NotFound.
+  // persisted with SaveMeta. Only the runtime option (buffer budget) from
+  // `options` applies; the encoded data is taken from disk. A missing
+  // `.meta` is NotFound.
   static Result<std::unique_ptr<SNodeRepr>> Open(
       const std::string& base_path, const SNodeBuildOptions& options);
 
@@ -216,8 +201,6 @@ class SNodeRepr : public GraphRepresentation {
   uint64_t encoded_bits() const override;
   size_t resident_memory() const override;
 
-  ~SNodeRepr() override;
-
   const SupernodeGraph& supernode_graph() const { return supernodes_; }
   const GraphStore& store() const { return *store_; }
 
@@ -251,14 +234,15 @@ class SNodeRepr : public GraphRepresentation {
  private:
   class Cursor;
 
-  // Sets the runtime half (options, cache, stats registration); Install
-  // adds the resident state and the store.
+  // Sets the runtime half (the cache at options.buffer_bytes, and the
+  // wg_repr_* and wg_cold_* series under one instance label); Install adds
+  // the resident state and the store.
   SNodeRepr(std::string base_path, const SNodeBuildOptions& options);
 
   // The tail of Build and FromParts: checks `state` against `store`,
-  // derives the inverse permutation (the one permutation check), installs
-  // both, and starts the runtime (cold-path counters, decode-ahead
-  // executor). Corruption when the state is inconsistent (see FromParts).
+  // derives the inverse permutation (the one permutation check), and
+  // installs both. Corruption when the state is inconsistent (see
+  // FromParts).
   Status Install(SNodeResidentState state, std::unique_ptr<GraphStore> store);
 
   using EntryPtr = ShardedGraphCache::EntryPtr;
@@ -309,30 +293,17 @@ class SNodeRepr : public GraphRepresentation {
   // probe assembled it. A cache smaller than one such section never admits.
   bool ProbeWithinReach(uint32_t supernode, uint64_t* stamp);
 
-  // Claim-read-publish over `supernode`'s section, the fetch behind
-  // VisitLinksInto and decode-ahead. Pins every cached graph marked in
-  // `need` into (*graphs)[b] (b: the graph's index in the section), then
-  // claims without blocking every graph -- all of the section's when
-  // `all` is set, else those marked in `need` -- that is neither cached
-  // nor in flight, reads the section once for them, and decodes and
-  // publishes each, pinning the needed ones. Needed graphs in flight on
-  // another thread stay null: their owners publish them. `need` and
-  // `graphs` may be null when nothing is needed.
-  Status PrefetchSection(uint32_t supernode, SNodeLoadSource source, bool all,
-                         const std::vector<uint8_t>* need,
-                         std::vector<EntryPtr>* graphs);
-
   // Read-through fetch of the graphs of `supernode`'s section marked in
-  // `need`, for VisitLinksInto: one PrefetchSection (the whole section
-  // decoded when SectionWorthPrefetching), then, holding no claims, a
-  // wait for the graphs other threads had in flight. (*graphs)[b] pins
+  // `need`, for VisitLinksInto: claim-read-publish, then wait. Pins every
+  // cached needed graph into (*graphs)[b] (b: the graph's index in the
+  // section), then claims without blocking every graph -- all of the
+  // section's when SectionWorthPrefetching, else the needed ones -- that
+  // is neither cached nor in flight, reads the section once for them, and
+  // decodes and publishes each. Only then, holding no claims, it waits
+  // for the needed graphs other threads had in flight. (*graphs)[b] pins
   // every needed graph for the caller regardless of concurrent eviction.
   Status LoadSectionGraphs(uint32_t supernode, const std::vector<uint8_t>& need,
                            std::vector<EntryPtr>* graphs);
-
-  // Hands sections supernode+1 .. supernode+decode_ahead_sections to the
-  // background executor (no-op when decode-ahead is off).
-  void MaybeDecodeAhead(uint32_t supernode);
 
   // True if enough of the section is wanted that decoding (and caching)
   // all of its graphs beats decoding just the wanted ones.
@@ -348,7 +319,7 @@ class SNodeRepr : public GraphRepresentation {
       std::function<Status(uint32_t blob_id, const uint8_t* data, size_t size)>;
   Status ReadSectionBlobs(uint32_t supernode,
                           const std::vector<uint32_t>& wanted,
-                          SNodeLoadSource source, const BlobDecodeFn& decode);
+                          const BlobDecodeFn& decode);
 
   // The one decode dispatch: decodes store blob `blob_id` of `supernode`'s
   // section from [data, data+size) into the intranode or superedge graph
@@ -368,18 +339,18 @@ class SNodeRepr : public GraphRepresentation {
   SupernodeGraph supernodes_;
   std::unique_ptr<GraphStore> store_;
   uint64_t num_edges_ = 0;
-  SNodeBuildOptions options_;
 
   // Decoded-graph cache, sharded by blob id (snode/graph_cache.h).
-  // Created by the constructor once the options are known (shards hold
+  // Created by the constructor once the budget is known (shards hold
   // mutexes, so the cache is not reassignable in place).
   std::unique_ptr<ShardedGraphCache> cache_;
 
-  // Cold-path attribution counters (wg_cold_* series).
+  // Cold-path counters (wg_cold_* series).
   SNodeColdStats cold_stats_;
 
-  // Process-unique id of this repr (its wg_cold_* instance label); tags
-  // the per-thread gather scratch so no other repr's graphs are reused.
+  // Process-unique id of this repr: the instance label of its wg_repr_*
+  // and wg_cold_* series. Tags the per-thread gather scratch so no other
+  // repr's graphs are reused.
   uint64_t instance_id_ = 0;
 
   // Lone-probe admission (ProbeWithinReach): a clock ticked by every
@@ -389,11 +360,6 @@ class SNodeRepr : public GraphRepresentation {
   std::atomic<uint64_t> probe_clock_{0};
   std::unique_ptr<std::atomic<uint64_t>[]> last_probe_;
   double assembled_section_bytes_ = 0;
-
-  // Background decode-ahead executor (null when
-  // options_.decode_ahead_sections == 0). Declared after the state its
-  // worker reads; the destructor stops it before members die.
-  std::unique_ptr<PrefetchExecutor> decode_ahead_;
 
   // Serializes every store read and the monotone disk-model tracker (the
   // paper's testbed has one disk; concurrent readers queue on it). Taken

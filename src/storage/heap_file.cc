@@ -156,11 +156,6 @@ Status HeapFile::Read(RowId row, std::string* payload) {
   h.Release();
   payload->clear();
   payload->reserve(total);
-  // Overflow pages are allocated back-to-back at Append time, so the
-  // chain is (almost always) contiguous: prime the pool in one pass.
-  // Best-effort -- the walk below still demand-faults anything missed.
-  WG_RETURN_IF_ERROR(pager_->Readahead(
-      next, (total + kOverflowCapacity - 1) / kOverflowCapacity));
   while (next != kInvalidPageNum && payload->size() < total) {
     WG_ASSIGN_OR_RETURN(PageHandle oh, pager_->Fetch(next));
     const char* op = oh.data();

@@ -16,8 +16,6 @@ void PagerStats::Register(obs::MetricRegistry& registry,
                  "Frames evicted to make room");
   writes.Bind(registry, "wg_pager_writes_total", labels,
               "Physical page writes");
-  readahead.Bind(registry, "wg_pager_readahead_total", labels,
-                 "Pages loaded speculatively by Readahead()");
 }
 
 PageHandle::PageHandle(Pager* pager, uint32_t frame)
@@ -124,10 +122,6 @@ Result<uint32_t> Pager::PinFrame(PageNum page) {
   // the physical read.
   obs::Span span("pager.load_page", "storage");
   span.AddArg("page", page);
-  return LoadFrame(page);
-}
-
-Result<uint32_t> Pager::LoadFrame(PageNum page) {
   if (free_frames_.empty()) {
     WG_RETURN_IF_ERROR(EvictOne());
   }
@@ -151,44 +145,10 @@ Result<uint32_t> Pager::LoadFrame(PageNum page) {
   return frame;
 }
 
-Status Pager::Readahead(PageNum first, size_t count) {
-  // Half the pool is the ceiling for speculative residency; with the
-  // 8-frame minimum there is always at least one frame to spend.
-  count = std::min(count, frames_.size() / 2);
-  for (size_t i = 0; i < count; ++i) {
-    PageNum page = first + static_cast<PageNum>(i);
-    if (page >= num_pages_) break;
-    if (frame_of_page_.find(page) != frame_of_page_.end()) {
-      continue;  // already resident: neither a hit nor a readahead
-    }
-    auto frame = LoadFrame(page);
-    if (!frame.ok()) {
-      if (frame.status().code() == StatusCode::kResourceExhausted) {
-        break;  // all frames pinned
-      }
-      return frame.status();
-    }
-    ++stats_.readahead;
-    // Straight to the LRU: readahead pages are as evictable as any other
-    // unpinned frame, so mistaken speculation costs one eviction at most.
-    Unpin(frame.value());
-  }
-  return Status::OK();
-}
-
 void Pager::Unpin(uint32_t frame) {
   Frame& f = frames_[frame];
   WG_DCHECK(f.pins > 0);
   if (--f.pins == 0) {
-    lru_.push_front(frame);
-    lru_pos_[frame] = lru_.begin();
-  }
-}
-
-void Pager::Touch(uint32_t frame) {
-  auto pos = lru_pos_.find(frame);
-  if (pos != lru_pos_.end()) {
-    lru_.erase(pos->second);
     lru_.push_front(frame);
     lru_pos_[frame] = lru_.begin();
   }

@@ -16,6 +16,8 @@
 // the "relational database" baseline (the paper used PostgreSQL with its
 // B-tree indexes under a fixed memory cap; our mini engine reproduces that
 // access path: index lookup -> heap fetch -> buffer pool hit or disk read).
+// Every page read is a demand read: Fetch loads the one page it was asked
+// for, and nothing is read ahead.
 //
 // All pages live in a single file; components (B+tree, heap file) allocate
 // pages from the shared Pager and address them by PageNum.
@@ -35,10 +37,9 @@ inline constexpr PageNum kInvalidPageNum = UINT32_MAX;
 // metric registry (wg_pager_*_total{file=...,instance=...}).
 struct PagerStats {
   obs::Counter hits;
-  obs::Counter misses;     // demand misses => physical reads on the hot path
+  obs::Counter misses;  // demand misses => physical reads on the hot path
   obs::Counter evictions;
-  obs::Counter writes;     // physical page writes
-  obs::Counter readahead;  // pages loaded by Readahead(), not demand misses
+  obs::Counter writes;  // physical page writes
 
   // Binds the counters to registry-backed series; Reset-style whole-struct
   // assignment afterwards zeroes the cells but keeps the binding.
@@ -84,14 +85,6 @@ class Pager {
   // Pins the page into a frame (reading from disk on a miss).
   Result<PageHandle> Fetch(PageNum page);
 
-  // Best-effort: loads up to `count` pages starting at `first` into
-  // unpinned frames so subsequent Fetches hit. Loads are charged to
-  // stats().readahead, keeping speculative I/O (overflow-chain walks,
-  // warmers) distinguishable from demand misses in the exposition. Clipped
-  // to the file end and to half the pool so a burst cannot wipe the
-  // demand-paged working set; stops quietly once every frame is pinned.
-  Status Readahead(PageNum first, size_t count);
-
   // Writes back all dirty frames.
   Status Flush();
 
@@ -121,9 +114,7 @@ class Pager {
   Pager(std::unique_ptr<RandomAccessFile> file, size_t num_frames);
 
   Result<uint32_t> PinFrame(PageNum page);
-  Result<uint32_t> LoadFrame(PageNum page);  // miss path shared with Readahead
   void Unpin(uint32_t frame);
-  void Touch(uint32_t frame);
   Status EvictOne();
 
   std::unique_ptr<RandomAccessFile> file_;

@@ -534,6 +534,8 @@ TEST(WgserveSmokeTest, BadNumericFlagsExitWithUsage) {
   // silently ignored.
   EXPECT_EQ(2, RunServe({"--pages", "400", "--requests", "100", "--mmap"}));
   EXPECT_EQ(2, RunServe({"--pages", "400", "--requests", "100",
+                         "--decode-ahead", "4"}));
+  EXPECT_EQ(2, RunServe({"--pages", "400", "--requests", "100",
                          "--bogus-flag"}));
   // And a flag missing its value.
   EXPECT_EQ(2, RunServe({"--pages", "400", "--requests", "100",

@@ -115,25 +115,21 @@ TEST(CursorEquivalenceTest, SNodeMatchesGetLinks) {
   CheckScheme(repr.value().get());
 }
 
-// Decode-ahead must not change an answer: the S-Node with decode-ahead on
-// (so background decodes race the sweep) has to agree with GetLinks warm,
-// scattered, and cold again -- and edge-for-edge with every other scheme
-// over the same crawl.
-TEST(CursorEquivalenceTest, SNodeMmapMatchesGetLinksAndAllSchemes) {
+// The S-Node has to agree with GetLinks warm, scattered, and cold again --
+// and edge-for-edge with every other scheme over the same crawl.
+TEST(CursorEquivalenceTest, SNodeMatchesGetLinksAndAllSchemes) {
   WebGraph g = TestGraph();
-  SNodeBuildOptions bopts;
-  bopts.decode_ahead_sections = 2;
-  auto built = SNodeRepr::Build(g, TempPath("snmm"), bopts);
+  auto built = SNodeRepr::Build(g, TempPath("snall"), {});
   ASSERT_TRUE(built.ok());
   SNodeRepr* snode = built.value().get();
   CheckScheme(snode);
 
   auto huffman = HuffmanRepr::Build(g);
-  auto unc = UncompressedFileRepr::Build(g, TempPath("mm_unc"), {});
+  auto unc = UncompressedFileRepr::Build(g, TempPath("all_unc"), {});
   ASSERT_TRUE(unc.ok());
-  auto l3 = Link3Repr::Build(g, TempPath("mm_l3"), {});
+  auto l3 = Link3Repr::Build(g, TempPath("all_l3"), {});
   ASSERT_TRUE(l3.ok());
-  auto rel = RelationalRepr::Build(g, TempPath("mm_rel"), {});
+  auto rel = RelationalRepr::Build(g, TempPath("all_rel"), {});
   ASSERT_TRUE(rel.ok());
   GraphRepresentation* others[] = {huffman.get(), unc.value().get(),
                                    l3.value().get(), rel.value().get()};
@@ -154,9 +150,9 @@ TEST(CursorEquivalenceTest, SNodeMmapMatchesGetLinksAndAllSchemes) {
   }
 }
 
-// Same contract through the persisted path: SaveMeta, then Open with
-// decode-ahead on; reads must still match.
-TEST(CursorEquivalenceTest, SNodeMmapReopenMatchesGetLinks) {
+// Same contract through the persisted path: SaveMeta, then Open; reads
+// must still match.
+TEST(CursorEquivalenceTest, SNodeReopenMatchesGetLinks) {
   WebGraph g = TestGraph();
   std::string base = TempPath("snro");
   {
@@ -164,9 +160,7 @@ TEST(CursorEquivalenceTest, SNodeMmapReopenMatchesGetLinks) {
     ASSERT_TRUE(built.ok());
     ASSERT_TRUE(built.value()->SaveMeta().ok());
   }
-  SNodeBuildOptions ropts;
-  ropts.decode_ahead_sections = 2;
-  auto reopened = SNodeRepr::Open(base, ropts);
+  auto reopened = SNodeRepr::Open(base, {});
   ASSERT_TRUE(reopened.ok());
   CheckScheme(reopened.value().get());
   // Ground truth straight from the crawl, not just wrapper-vs-cursor.
@@ -184,7 +178,11 @@ TEST(CursorEquivalenceTest, SNodeMmapReopenMatchesGetLinks) {
 // Under a tiny cache budget the assembled blocks behind pinned views get
 // evicted constantly; the pins must keep every held view's bytes valid,
 // and the contents must still match ground truth after heavy churn.
-void RunPinnedViewsSurviveEviction(SNodeRepr* repr, const WebGraph& g) {
+TEST(CursorEquivalenceTest, SNodePinnedViewsSurviveEviction) {
+  WebGraph g = TestGraph();
+  auto built = SNodeRepr::Build(g, TempPath("snp"), {});
+  ASSERT_TRUE(built.ok());
+  SNodeRepr* repr = built.value().get();
   repr->set_buffer_budget(16 * 1024);  // force eviction on nearly every miss
 
   // Stream the first pages in natural order and keep every pinned view
@@ -238,25 +236,6 @@ void RunPinnedViewsSurviveEviction(SNodeRepr* repr, const WebGraph& g) {
   churn.reset();
   EXPECT_EQ(repr->PinnedCacheEntries(), 0u);
   EXPECT_EQ(repr->stats().views_pinned.value(), 0.0);
-}
-
-TEST(CursorEquivalenceTest, SNodePinnedViewsSurviveEviction) {
-  WebGraph g = TestGraph();
-  auto built = SNodeRepr::Build(g, TempPath("snp"), {});
-  ASSERT_TRUE(built.ok());
-  RunPinnedViewsSurviveEviction(built.value().get(), g);
-}
-
-// The same pin/eviction churn with decode-ahead racing the readers: views
-// captured from sections the background worker decoded must stay valid
-// while the cache cycles underneath them.
-TEST(CursorEquivalenceTest, SNodePinnedViewsSurviveEvictionMmap) {
-  WebGraph g = TestGraph();
-  SNodeBuildOptions bopts;
-  bopts.decode_ahead_sections = 2;
-  auto built = SNodeRepr::Build(g, TempPath("snpm"), bopts);
-  ASSERT_TRUE(built.ok());
-  RunPinnedViewsSurviveEviction(built.value().get(), g);
 }
 
 // The cursor path must feed the same ReprStats counters the wrapper

@@ -14,8 +14,13 @@
 // condition: every attach returns a Status and never aborts, and a repr
 // that does open answers or errors on every page. Run it under WG_ASAN for
 // the "no sanitizer report" half.
+//
+// Plus wgserve's request-file format (server::ParseRequestFile), fuzzed
+// the same way as text: bit flips and truncations of a seed file, lines
+// longer than any buffer, and boundary values in every numeric field.
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <random>
@@ -25,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generator.h"
+#include "server/workload.h"
 #include "snode/snode_repr.h"
 #include "storage/serial.h"
 #include "util/coding.h"
@@ -273,6 +279,131 @@ TEST(ParserFuzzTest, MutatedManifestNeverAborts) {
   }
   EXPECT_GT(refused, 0u);
   std::printf("manifest mutants: %zu opened, %zu refused\n", opened, refused);
+}
+
+// Every parse returns a Status, and every request a parse accepts is in
+// range: page ids below the page count, k in [1, 16], query 1..6. A field
+// set to a boundary value is accepted exactly when the value is in range.
+TEST(ParserFuzzTest, MutatedRequestFileNeverAborts) {
+  constexpr uint64_t kPages = 600;
+  const std::string path = TempDirFor("requests") + "/requests";
+  auto parse = [&path](const std::string& text) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+    return server::ParseRequestFile(path, kPages);
+  };
+  auto expect_in_range = [&](const std::vector<server::Request>& requests) {
+    for (const server::Request& r : requests) {
+      if (r.type == server::RequestType::kComplexQuery) {
+        EXPECT_GE(r.query_number, 1);
+        EXPECT_LE(r.query_number, 6);
+        continue;
+      }
+      EXPECT_LT(r.page, kPages);
+      if (r.type == server::RequestType::kKHop) {
+        EXPECT_GE(r.k, 1);
+        EXPECT_LE(r.k, 16);
+      }
+    }
+  };
+
+  const std::string seed =
+      "# replay\nout 0\nin 599\nkhop 17 2\nquery 1\n\n"
+      "out 42\nkhop 599 16\nquery 6\n";
+  auto whole = parse(seed);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_EQ(whole.value().size(), 7u);
+
+  std::vector<std::string> mutants;
+  std::mt19937_64 rng(29);
+  for (int i = 0; i < 200; ++i) {
+    std::string flipped = seed;
+    const size_t bit = rng() % (8 * flipped.size());
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    mutants.push_back(std::move(flipped));
+  }
+  for (int i = 0; i < 30; ++i) {
+    mutants.push_back(seed.substr(0, rng() % seed.size()));
+  }
+  size_t accepted = 0, refused = 0;
+  for (const std::string& mutant : mutants) {
+    auto parsed = parse(mutant);
+    if (!parsed.ok()) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    expect_in_range(parsed.value());
+  }
+
+  // Lines longer than any fixed buffer are one line each: a comment, a
+  // run of blanks between fields and after them, a number, an op, and a
+  // last line without a newline.
+  const std::string run(5000, '7');
+  struct LongLine {
+    std::string text;
+    int requests;  // -1: refused
+  };
+  const LongLine long_lines[] = {
+      {"# " + run + "\nout 1\n", 1},
+      {"out" + std::string(5000, ' ') + "1\n", 1},
+      {"out 1" + std::string(5000, '\t') + "\nin 2\n", 2},
+      {"out " + run + "\n", -1},
+      {std::string(5000, 'o') + " 1\n", -1},
+      {"in 3\nkhop 1 " + run, -1},
+  };
+  for (const LongLine& line : long_lines) {
+    auto parsed = parse(line.text);
+    ASSERT_EQ(parsed.ok(), line.requests >= 0) << parsed.status().ToString();
+    if (parsed.ok()) {
+      EXPECT_EQ(parsed.value().size(), static_cast<size_t>(line.requests));
+      expect_in_range(parsed.value());
+    }
+  }
+
+  // Boundary values in each numeric field, one request per file.
+  struct Field {
+    const char* before;
+    const char* after;
+    uint64_t lo, hi;  // the accepted range
+  };
+  const Field fields[] = {{"out ", "", 0, kPages - 1},
+                          {"in ", "", 0, kPages - 1},
+                          {"khop ", " 2", 0, kPages - 1},
+                          {"khop 3 ", "", 1, 16},
+                          {"query ", "", 1, 6}};
+  const uint64_t values[] = {0,
+                             1,
+                             6,
+                             7,
+                             16,
+                             17,
+                             kPages - 1,
+                             kPages,
+                             uint64_t{1} << 31,
+                             (uint64_t{1} << 32) - 1,
+                             uint64_t{1} << 32,
+                             uint64_t{1} << 63,
+                             UINT64_MAX};
+  for (const Field& field : fields) {
+    for (uint64_t value : values) {
+      const std::string line =
+          field.before + std::to_string(value) + field.after + "\n";
+      auto parsed = parse(line);
+      EXPECT_EQ(parsed.ok(), value >= field.lo && value <= field.hi) << line;
+      if (parsed.ok()) expect_in_range(parsed.value());
+    }
+    // One past UINT64_MAX does not fit the field at all.
+    EXPECT_FALSE(
+        parse(std::string(field.before) + "18446744073709551616" + field.after)
+            .ok());
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+  std::printf("request-file mutants: %zu accepted, %zu refused\n", accepted,
+              refused);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// Race coverage for the locality decode-ahead executor (snode/prefetch.h)
-// against everything that can move underneath it: concurrent readers,
-// cache eviction under a tiny budget, explicit buffer drops, and
-// versioned-snapshot generation flips that tear down a repr (and its
-// executor) while prefetches may still be queued. Runs under the
-// concurrency ctest label so the TSan preset picks it up. Decode-ahead is
-// best-effort by contract, so these tests assert reader-visible
-// correctness and clean shutdown, never executor progress.
+// Race coverage for S-Node's demand loads against everything that can move
+// underneath them: concurrent readers, cache eviction under a tiny budget,
+// explicit buffer drops, two section fetches claiming overlapping graphs,
+// and versioned-snapshot generation flips that tear down a repr while
+// readers of the old generation are mid-walk. Runs under the concurrency
+// ctest label so the TSan preset picks it up.
 
 #include <algorithm>
 #include <atomic>
@@ -17,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/generator.h"
-#include "snode/prefetch.h"
 #include "snode/snode_repr.h"
 #include "storage/file.h"
 #include "version/snapshot.h"
@@ -35,56 +32,15 @@ WebGraph TestGraph(size_t pages = 3000) {
   return GenerateWebGraph(opts);
 }
 
-// Raw executor: hammer Submit from several threads while the worker runs,
-// then Stop with work still queued. The executor must coalesce duplicates,
-// drop overflow, and never invoke `work` twice concurrently.
-TEST(PrefetchRaceTest, SubmitStormAndStopWithQueuedWork) {
-  std::atomic<int> running{0};
-  std::atomic<int> max_running{0};
-  std::atomic<uint64_t> invocations{0};
-  auto executor = std::make_unique<PrefetchExecutor>(
-      [&](uint32_t) {
-        int now = ++running;
-        int seen = max_running.load();
-        while (now > seen && !max_running.compare_exchange_weak(seen, now)) {
-        }
-        ++invocations;
-        --running;
-      },
-      /*queue_capacity=*/8);
-
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < 4; ++t) {
-    submitters.emplace_back([&, t] {
-      for (uint32_t i = 0; i < 500; ++i) {
-        executor->Submit((t * 131 + i) % 64);  // plenty of duplicates
-      }
-    });
-  }
-  for (auto& thread : submitters) thread.join();
-  executor->Drain();
-  PrefetchExecutor::Stats drained = executor->stats();
-  EXPECT_EQ(drained.submitted, drained.completed);
-  EXPECT_EQ(drained.submitted + drained.dropped, 4u * 500u);
-  EXPECT_EQ(max_running.load(), 1) << "work ran concurrently";
-
-  // Refill and stop with the queue non-empty: Stop must abandon cleanly.
-  for (uint32_t i = 0; i < 64; ++i) executor->Submit(i);
-  executor->Stop();
-  EXPECT_LE(executor->stats().completed, executor->stats().submitted);
-  EXPECT_EQ(invocations.load(), executor->stats().completed);
-}
-
-// Decode-ahead on, tiny budget: the background worker decodes
-// sections into the cache while reader threads sweep in clashing orders
-// and the main thread keeps dropping the buffers. Every read must still
-// be ground-truth correct and no pin may leak.
-TEST(PrefetchRaceTest, DecodeAheadVsReadersEvictionAndClears) {
+// Tiny budget: reader threads sweep in clashing orders, assembling and
+// evicting sections under each other, while the main thread keeps dropping
+// the buffers. Every read must still be ground-truth correct and no pin
+// may leak.
+TEST(PrefetchRaceTest, DemandLoadsVsReadersEvictionAndClears) {
   WebGraph g = TestGraph();
   SNodeBuildOptions bopts;
-  bopts.decode_ahead_sections = 4;
   bopts.buffer_bytes = 32 * 1024;  // evict on nearly every section
-  auto built = SNodeRepr::Build(g, TempPath("da"), bopts);
+  auto built = SNodeRepr::Build(g, TempPath("evict"), bopts);
   ASSERT_TRUE(built.ok());
   SNodeRepr* repr = built.value().get();
 
@@ -97,8 +53,8 @@ TEST(PrefetchRaceTest, DecodeAheadVsReadersEvictionAndClears) {
       LinkView view;
       for (int lap = 0; lap < kLaps && !failed.load(); ++lap) {
         auto cursor = repr->NewCursor();
-        // Each thread sweeps at its own stride so cold misses (and the
-        // decode-aheads they trigger) land on different sections.
+        // Each thread sweeps at its own stride so cold misses land on
+        // different sections.
         for (size_t i = 0; i < g.num_pages(); ++i) {
           PageId p = static_cast<PageId>((i * (t + 1) * 7 + t) %
                                          g.num_pages());
@@ -125,11 +81,6 @@ TEST(PrefetchRaceTest, DecodeAheadVsReadersEvictionAndClears) {
   EXPECT_EQ(repr->PinnedCacheEntries(), 0u);
 }
 
-// Generation flips vs decode-ahead: compactions publish new generations
-// (new repr, new executor) while readers hold and query old ones; dropping
-// the last reference to a generation destroys its repr mid-prefetch. The
-// destructor must stop the executor before the state it decodes from
-// dies, with no use-after-free visible to TSan/ASan.
 // Two VisitLinksInto callers race over overlapping graph sets of one
 // section. Each fetch claims what it can without blocking, reads and
 // publishes, and only then waits for the graphs the other thread has in
@@ -194,10 +145,14 @@ TEST(PrefetchRaceTest, OverlappingSectionFetchesNeverWaitHoldingClaims) {
   EXPECT_EQ(repr->PinnedCacheEntries(), 0u);
 }
 
-TEST(PrefetchRaceTest, DecodeAheadSurvivesGenerationFlips) {
+// Generation flips vs readers: compactions publish new generations while
+// readers pin and sweep old ones under a tiny budget; dropping the last
+// reference to a generation destroys its repr, which must happen only
+// after its last reader lets go, with no use-after-free visible to
+// TSan/ASan.
+TEST(PrefetchRaceTest, DemandLoadsSurviveGenerationFlips) {
   WebGraph g = TestGraph(2000);
   version::SnapshotOptions sopts;
-  sopts.build.decode_ahead_sections = 4;
   sopts.build.buffer_bytes = 32 * 1024;
   auto created =
       version::SnapshotManager::Create(TempPath("flip"), g, sopts);
@@ -211,8 +166,8 @@ TEST(PrefetchRaceTest, DecodeAheadSurvivesGenerationFlips) {
     readers.emplace_back([&, t] {
       while (!stop.load()) {
         // Pin whatever generation is live and sweep a slice of it; the
-        // generation (and its decode-ahead executor) may be replaced and
-        // destroyed while this cursor is mid-walk on the old one. The
+        // generation may be replaced while this cursor is mid-walk on the
+        // old one, and is destroyed once the last pin drops. The
         // view and cursor are scoped inside the pin on purpose: views
         // must drain before their generation is released (section 10/11
         // contract), exactly as QueryService drains per-request.

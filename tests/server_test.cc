@@ -135,6 +135,30 @@ TEST(WorkloadTest, ParsesRequestFileAndRejectsGarbage) {
   std::fputs("out 100\n", f);
   std::fclose(f);
   EXPECT_FALSE(server::ParseRequestFile(bad_path, 100).ok());
+
+  auto parse = [&bad_path](const std::string& text) {
+    std::FILE* out = std::fopen(bad_path.c_str(), "w");
+    EXPECT_NE(out, nullptr);
+    std::fputs(text.c_str(), out);
+    std::fclose(out);
+    return server::ParseRequestFile(bad_path, 100);
+  };
+  // A comment longer than any line buffer is one line, all of it skipped.
+  auto long_comment = parse("# " + std::string(300, 'c') + "\nout 5\n");
+  ASSERT_TRUE(long_comment.ok()) << long_comment.status().ToString();
+  ASSERT_EQ(long_comment.value().size(), 1u);
+  EXPECT_EQ(long_comment.value()[0].page, 5u);
+  // Every op takes exactly its fields, each a whole number.
+  for (const char* garbage :
+       {"out 12abc\n", "in 7 junk\n", "khop 3 2 9\n", "out\n", "khop 3\n",
+        "out -1\n", "out +5\n", "query 4 4\n", "out 99999999999999999999\n"}) {
+    EXPECT_FALSE(parse(garbage).ok()) << garbage;
+  }
+  // Errors carry the number of the line they are on, long lines included.
+  Status late = parse("out 1\n# " + std::string(600, 'c') + "\n\nin 7 junk\n")
+                    .status();
+  EXPECT_NE(late.ToString().find(":4: "), std::string::npos)
+      << late.ToString();
 }
 
 // ---------- QueryService over a shared SNodeRepr ----------

@@ -700,12 +700,12 @@ TEST(SNodeLoadLogTest, SweepLogsEveryBlobItReads) {
   SweepTwoSections(repr.value().get(), 0);
   uint64_t read = SectionBlobCount(sg, 0) + SectionBlobCount(sg, 1);
   EXPECT_EQ(repr.value()->stats().graphs_loaded, read);
-  EXPECT_EQ(repr.value()->cold_stats().demand_blobs, read);
+  EXPECT_EQ(repr.value()->stats().cache_misses, read);
 }
 
-// One cache miss per blob a demand read loads from the store -- the same
-// event as wg_cold_blobs_total{source="demand"} -- whether the blob came
-// in through a lone probe's section read or a sweep's supernode assembly.
+// Every store read is a demand read, so cache misses and graphs loaded are
+// one event: one per blob read from the store, whether the blob came in
+// through a lone probe's section read or a sweep's supernode assembly.
 TEST(SNodeColdAccountingTest, CacheMissesCountEveryDemandLoad) {
   GeneratorOptions gopts;
   gopts.num_pages = 3000;
@@ -716,17 +716,15 @@ TEST(SNodeColdAccountingTest, CacheMissesCountEveryDemandLoad) {
   const SupernodeGraph& sg = repr->supernode_graph();
   ASSERT_GE(sg.num_supernodes(), 2u);
   struct Loads {
-    uint64_t misses, graphs, demand;
+    uint64_t misses, graphs;
   };
   auto now = [repr] {
-    return Loads{repr->stats().cache_misses, repr->stats().graphs_loaded,
-                 repr->cold_stats().demand_blobs};
+    return Loads{repr->stats().cache_misses, repr->stats().graphs_loaded};
   };
   auto expect_loaded = [&now](const Loads& before, uint64_t blobs) {
     Loads after = now();
     EXPECT_EQ(after.graphs - before.graphs, blobs);
     EXPECT_EQ(after.misses - before.misses, blobs);
-    EXPECT_EQ(after.demand - before.demand, blobs);
   };
 
   // A cold lone probe reads its whole section.
@@ -782,7 +780,6 @@ TEST(SNodeScratchProbeTest, ColdLoneProbeReadsOnceAndCachesNothing) {
   uint64_t reads = stats.disk_reads;
   uint64_t graphs = stats.graphs_loaded;
   uint64_t misses = stats.cache_misses;
-  uint64_t demand = repr->cold_stats().demand_blobs;
 
   EXPECT_FALSE(
       ProbeFresh(repr, graph, repr->PageInNaturalOrder(sg.page_start[s])));
@@ -790,7 +787,6 @@ TEST(SNodeScratchProbeTest, ColdLoneProbeReadsOnceAndCachesNothing) {
   EXPECT_EQ(stats.disk_reads - reads, 1u);
   EXPECT_EQ(stats.graphs_loaded - graphs, blobs);
   EXPECT_EQ(stats.cache_misses - misses, blobs);
-  EXPECT_EQ(repr->cold_stats().demand_blobs - demand, blobs);
   EXPECT_EQ(repr->buffer_bytes_used(), 0u);
   EXPECT_EQ(repr->cold_stats().assembles, 0u);
 }

@@ -122,56 +122,6 @@ TEST(PagerTest, HitsDoNotTouchDisk) {
   EXPECT_EQ(pager.value()->stats().misses, 0u);
 }
 
-TEST(PagerTest, ReadaheadChargesItsOwnCounterAndPrimesFetch) {
-  TempDir dir;
-  auto pager = Pager::Open(dir.File("db"), 1 << 20);
-  ASSERT_TRUE(pager.ok());
-  for (int i = 0; i < 16; ++i) {
-    auto page = pager.value()->Allocate();
-    ASSERT_TRUE(page.ok());
-    auto h = pager.value()->Fetch(page.value());
-    ASSERT_TRUE(h.ok());
-    std::snprintf(h.value().data(), 32, "ra-%d", i);
-    h.value().MarkDirty();
-  }
-  ASSERT_TRUE(pager.value()->Flush().ok());
-  ASSERT_TRUE(pager.value()->DropUnpinned().ok());
-  pager.value()->ResetStats();
-
-  // Speculative loads land on readahead, not misses; the demand fetches
-  // that follow are pure hits.
-  ASSERT_TRUE(pager.value()->Readahead(0, 16).ok());
-  EXPECT_EQ(pager.value()->stats().readahead, 16u);
-  EXPECT_EQ(pager.value()->stats().misses, 0u);
-  for (int i = 0; i < 16; ++i) {
-    auto h = pager.value()->Fetch(static_cast<PageNum>(i));
-    ASSERT_TRUE(h.ok());
-    EXPECT_EQ(std::string(h.value().data()), "ra-" + std::to_string(i));
-  }
-  EXPECT_EQ(pager.value()->stats().hits, 16u);
-  EXPECT_EQ(pager.value()->stats().misses, 0u);
-
-  // Already-resident pages are skipped (no double charge), and the window
-  // is clipped at the file end rather than erroring.
-  ASSERT_TRUE(pager.value()->Readahead(8, 1000).ok());
-  EXPECT_EQ(pager.value()->stats().readahead, 16u);
-}
-
-TEST(PagerTest, ReadaheadKeepsHalfThePoolForDemandPaging) {
-  TempDir dir;
-  // Minimum pool: 8 frames. A 50-page readahead may only occupy 4.
-  auto pager = Pager::Open(dir.File("db"), 0);
-  ASSERT_TRUE(pager.ok());
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(pager.value()->Allocate().ok());
-  }
-  ASSERT_TRUE(pager.value()->Flush().ok());
-  ASSERT_TRUE(pager.value()->DropUnpinned().ok());
-  pager.value()->ResetStats();
-  ASSERT_TRUE(pager.value()->Readahead(0, 50).ok());
-  EXPECT_EQ(pager.value()->stats().readahead, 4u);
-}
-
 // ---------- BTree ----------
 
 TEST(BTreeTest, InsertGetSmall) {
@@ -364,6 +314,33 @@ TEST(HeapFileTest, LargeRowUsesOverflowChain) {
   std::string out;
   ASSERT_TRUE(heap.value()->Read(r.value(), &out).ok());
   EXPECT_EQ(out, big);
+}
+
+// A 21-page overflow chain under the minimum pool (8 frames): the walk
+// loads each chain page on demand, evicting as it goes, and the row still
+// reads back exactly.
+TEST(HeapFileTest, OverflowChainLongerThanThePoolReadsBackExactly) {
+  TempDir dir;
+  auto pager = Pager::Open(dir.File("db"), 0);
+  ASSERT_TRUE(pager.ok());
+  auto heap = HeapFile::Create(pager.value().get());
+  ASSERT_TRUE(heap.ok());
+  const size_t pages_before = pager.value()->num_pages();
+  std::string big(20 * kPageSize, 'x');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i % 253);
+  auto r = heap.value()->Append(big);
+  ASSERT_TRUE(r.ok());
+  const size_t chain = pager.value()->num_pages() - pages_before;
+  ASSERT_GT(chain * kPageSize, pager.value()->memory_budget());
+
+  ASSERT_TRUE(pager.value()->DropUnpinned().ok());
+  pager.value()->ResetStats();
+  std::string out;
+  ASSERT_TRUE(heap.value()->Read(r.value(), &out).ok());
+  EXPECT_EQ(out, big);
+  // One miss for the row's data page, then one per chain page.
+  EXPECT_EQ(pager.value()->stats().misses.value(), 1 + chain);
+  EXPECT_EQ(pager.value()->stats().hits.value(), 0u);
 }
 
 TEST(HeapFileTest, ManyRowsAcrossPages) {

@@ -40,8 +40,6 @@
 //                      "query <1..6>"; '#' comments)
 //   --deadline-ms D   attach a deadline of now+D ms to every request
 //   --buffer BYTES    decoded-graph cache budget per representation
-//   --decode-ahead N  on a streaming cursor miss, background-decode the
-//                     next N sections in layout order (default 0 = off)
 //   --admin-port P    serve the live introspection plane on
 //                     127.0.0.1:P (0 = kernel-assigned; the bound port is
 //                     printed): /metrics, /metrics.json, /healthz,
@@ -119,7 +117,6 @@ int Usage() {
                "               [--workers W] [--queue C] [--requests R]\n"
                "               [--theta T] [--khop K] [--file PATH]\n"
                "               [--deadline-ms D] [--buffer BYTES]\n"
-               "               [--decode-ahead N]\n"
                "               [--admin-port P] [--profile-hz H]\n"
                "               [--slow-us T] [--linger S]\n"
                "               [--health-file FILE] [--metrics-out FILE]\n"
@@ -163,7 +160,6 @@ int Main(int argc, char** argv) {
   sopts.queue = flags.Numeric<size_t>("--queue", 256, 1, 1 << 24);
   sopts.buffer_bytes =
       flags.Numeric<size_t>("--buffer", 4 << 20, 0, size_t{1} << 40);
-  sopts.decode_ahead = flags.Numeric<int>("--decode-ahead", 0, 0, 1 << 20);
   sopts.admin_port = flags.Numeric<int>("--admin-port", -1, 0, 65535);
   // The profiler runs by default whenever the admin plane does.
   sopts.profile_hz = flags.Numeric<int>(
@@ -238,7 +234,6 @@ int Main(int argc, char** argv) {
     store_dir.dir = dir;
     SNodeBuildOptions bopts;
     bopts.buffer_bytes = sopts.buffer_bytes;
-    bopts.decode_ahead_sections = sopts.decode_ahead;
     auto fwd = SNodeRepr::Build(graph, dir + "/fwd", bopts);
     if (!fwd.ok()) return Fail(fwd.status());
     forward = std::move(fwd).value();
